@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .cones import dual_cone, cone_from_rays, faces
+from .cones import dual_cone, cone_from_rays
 from .fans import (
     BadIntersectionError,
     Fan,
@@ -28,7 +28,6 @@ from .fans import (
 from .monoids import dual_monoid
 from .scheme import (
     BaseDescriptor,
-    MonoidSystem,
     build_atlas,
     check_separation_condition,
     is_openly_immersive,
@@ -41,7 +40,7 @@ EXIT_REJECTED = 2
 
 
 class DocumentError(Exception):
-    """The input file cannot be read or does not follow the format."""
+    """The input cannot be read or does not follow the format."""
 
 
 class BaseRejection(Exception):
@@ -156,6 +155,7 @@ def _fan_error_kind(e):
 
 
 def _load_valid_fan(args):
+    """The fan of the document, validated; it carries its face index."""
     fan = load_fan_document(args.fan, auto_close=not args.no_auto_close)
     validate_fan(fan)
     return fan
@@ -200,7 +200,7 @@ def _cmd_dual(args):
 def _cmd_faces(args):
     fan = _load_valid_fan(args)
     c = _pick_cone(fan, args.cone)
-    lattice = faces(c)
+    lattice = validate_fan(fan).lattices[c]
     out = []
     for f in sorted(lattice, key=lambda x: (x.dim, x.rays)):
         out.append({
@@ -229,11 +229,14 @@ def _cmd_complete(args):
 
 
 def _cmd_atlas(args):
+    if args.search_bound < 0:
+        raise DocumentError(
+            "--search-bound must be nonnegative, got %d" % args.search_bound
+        )
     fan = _load_valid_fan(args)
     atlas = build_atlas(fan)
-    system = MonoidSystem.from_fan(fan)
-    immersion = is_openly_immersive(system, search_bound=args.search_bound)
-    separation = check_separation_condition(system)
+    immersion = is_openly_immersive(atlas.system, search_bound=args.search_bound)
+    separation = check_separation_condition(atlas.system)
     return {
         "charts": [
             {"label": i, "generators": _vecs_json(m.generators)}

@@ -286,14 +286,16 @@ class FaceLattice:
         return set(f.rays) <= set(g.rays)
 
 
-def faces(c):
-    """Face lattice of a pointed cone.
+def _cone_on_extremal_rays(n, rays):
+    """Pointed cone on known canonical extremal rays (a face of a pointed
+    cone): one double description pass builds the inequality side."""
+    dlin, drays = _dual_generator_sets(rays, n)
+    return Polycone(n, tuple(sorted(rays)), (), drays, dlin)
 
-    Every face is an intersection of facets, so the ray subsets of faces
-    form the closure of the full ray set under intersection with the facet
-    ray sets.  Cones with lineality are rejected; nothing downstream needs
-    their faces.
-    """
+
+def _face_lattice(c, known):
+    """faces(c), taking face cones from `known` (ray frozenset -> cone) where
+    present and adding the ones it builds."""
     if c.lineality:
         raise ValueError("face lattice requires a pointed cone")
     n = c.ambient_rank
@@ -313,7 +315,9 @@ def faces(c):
     face_list = []
     witnesses = {}
     for rayset in found:
-        face = cone_from_rays(n, sorted(rayset))
+        face = known.get(rayset)
+        if face is None:
+            face = known[rayset] = _cone_on_extremal_rays(n, rayset)
         smax = [u for u in c.normals if all(dot(r, u) == 0 for r in rayset)]
         if smax:
             w = tuple(sum(col) for col in zip(*smax))
@@ -323,3 +327,35 @@ def faces(c):
         witnesses[face] = w
     face_list.sort(key=lambda f: (f.dim, f.rays))
     return FaceLattice(c, tuple(face_list), witnesses)
+
+
+def faces(c):
+    """Face lattice of a pointed cone.
+
+    Every face is an intersection of facets, so the ray subsets of faces
+    form the closure of the full ray set under intersection with the facet
+    ray sets.  Each face is built from its ray subset with one double
+    description pass; its witness is the sum of the normals of c vanishing
+    on it.  Cones with lineality are rejected; nothing downstream needs
+    their faces.  A validated fan keeps the lattice of each of its cones in
+    its face index, where validate_fan applies the separation lemma to it,
+    so callers holding a fan read it from there.
+    """
+    return _face_lattice(c, {frozenset(c.rays): c})
+
+
+def separating_covector(a, b):
+    """u >= 0 on a and u <= 0 on b, in the relative interior of a^v meet
+    (-b)^v: the sum of its extremal rays, from one double description pass
+    over the generators of a and -b.
+
+    Separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
+    Cox-Little-Schenck, Lemma 1.2.13): a meet b is a face of both cones
+    exactly when a meet u-perp == b meet u-perp, and both then equal a meet b.
+    """
+    if a.ambient_rank != b.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    n = a.ambient_rank
+    gens = a.generator_rows() + [tuple(-x for x in g) for g in b.generator_rows()]
+    _, rays = _dual_generator_sets(gens, n)
+    return tuple(sum(col) for col in zip(*rays)) if rays else (0,) * n

@@ -1,16 +1,24 @@
 """Fans: finite collections of pointed cones glued along common faces.
 
 A Fan object only normalizes its cone list; the fan axioms are checked by
-validate_fan, which raises a typed error naming the offending cones.  The
-predicates (completeness, regularity) assume a valid fan.
+validate_fan, which raises a typed error naming the offending cones.  A fan
+that passes carries its face index: face lattices, face order, meets and
+separating covectors, computed once and read by every later caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import cone_from_rays, faces, intersect_cones, Polycone
+from .cones import (
+    _face_lattice,
+    cone_from_rays,
+    intersect_cones,
+    Polycone,
+    separating_covector,
+)
 from .lattice import (
+    dot,
     invert_unimodular_rows,
     saturate_rows,
     smith_rows,
@@ -60,6 +68,7 @@ class Fan:
         self.rank = rank
         self.cones = tuple(sorted(set(cones), key=_cone_key))
         self._members = frozenset(self.cones)
+        self._face_index = None  # set by validate_fan
 
     def __eq__(self, other):
         return (
@@ -87,31 +96,87 @@ class Fan:
         return "Fan(rank=%d, cones=%d)" % (self.rank, len(self.cones))
 
 
+@dataclass(frozen=True)
+class FaceIndex:
+    """What validate_fan proved about a fan; labels index fan.cones.
+
+    cones: ray frozenset -> cone of the fan.
+    lattices: cone -> its FaceLattice.
+    meets: (i, j), i < j -> label of the meet of cones i and j.
+    separators: (i, j), i < j -> u >= 0 on cone i, <= 0 on cone j, cutting
+        their meet out of both (minus the witness when i is a face of j).
+    """
+
+    cones: dict
+    lattices: dict
+    meets: dict
+    separators: dict
+
+
+def _tight(rays, u):
+    return frozenset(r for r in rays if dot(r, u) == 0)
+
+
 def validate_fan(fan):
-    """Raise a FanError subclass unless the collection is a genuine fan."""
+    """Check the fan axioms once and return the fan's FaceIndex.
+
+    Raises a FanError subclass unless every cone is pointed, every face of
+    a cone is in the fan, and any two cones meet in a common face.  Face
+    lattices reuse the fan's cones as faces.  A face pair meets in the
+    smaller cone; any other pair (a, b) is decided by the separation lemma
+    (Fulton, Introduction to Toric Varieties, 1.2; Cox-Little-Schenck,
+    Lemma 1.2.13): with u = cones.separating_covector(a, b), a meet b is a
+    face of both exactly when a and b have the same rays tight at u, which
+    then span the meet.  The true intersection is computed only for the
+    error.  The index is stored on the fan, and later calls return it.
+    """
+    if fan._face_index is not None:
+        return fan._face_index
     for c in fan.cones:
         if not c.is_pointed:
             raise NonPointedConeError(c)
+    cones = {frozenset(c.rays): c for c in fan.cones}
     lattices = {}
     for c in fan.cones:
-        lattices[c] = faces(c)
+        # a face missing from the fan lands in cones only to be reported
+        lattices[c] = _face_lattice(c, cones)
         for f in lattices[c]:
             if f not in fan:
                 raise MissingFaceError(c, f)
+    label = {c: i for i, c in enumerate(fan.cones)}
+    meets = {}
+    separators = {}
     for i, a in enumerate(fan.cones):
-        for b in fan.cones[i + 1 :]:
-            cap = intersect_cones(a, b)
-            if cap not in lattices[a] or cap not in lattices[b]:
-                raise BadIntersectionError(a, b, cap)
+        for j in range(i + 1, len(fan.cones)):
+            b = fan.cones[j]
+            if a in lattices[b]:
+                meet, u = a, tuple(-x for x in lattices[b].witnesses[a])
+            elif b in lattices[a]:
+                meet, u = b, lattices[a].witnesses[b]
+            else:
+                u = separating_covector(a, b)
+                tight = _tight(a.rays, u)
+                meet = cones.get(tight)
+                if (
+                    tight != _tight(b.rays, u)
+                    or meet not in lattices[a]
+                    or meet not in lattices[b]
+                ):
+                    raise BadIntersectionError(a, b, intersect_cones(a, b))
+            meets[(i, j)] = label[meet]
+            separators[(i, j)] = u
+    fan._face_index = FaceIndex(cones, lattices, meets, separators)
+    return fan._face_index
 
 
 def complete_under_faces(fan):
     """Add every face of every cone."""
+    known = {frozenset(c.rays): c for c in fan.cones if c.is_pointed}
     out = set()
     for c in fan.cones:
         if not c.is_pointed:
             raise NonPointedConeError(c)
-        out.update(faces(c))
+        out.update(_face_lattice(c, known))
     return Fan(fan.rank, out)
 
 
@@ -121,23 +186,24 @@ def is_full(fan):
 
 
 def is_complete(fan):
-    """Does the support fill the whole space?  Assumes a valid fan.
+    """Does the support fill the whole space?
 
     Wall criterion: a top-dimensional cone exists and every cone of
     codimension one bounds exactly two top-dimensional ones.  A conical
-    support with no free walls has no boundary, hence is everything.
+    support with no free walls has no boundary, hence is everything.  Reads
+    the face index (validate_fan, so FanError if it is not a fan).
     """
+    index = validate_fan(fan)
     n = fan.rank
     if n == 0:
         return len(fan.cones) > 0
     tops = [c for c in fan.cones if c.dim == n]
     if not tops:
         return False
-    lattices = {t: faces(t) for t in tops}
     for wall in fan.cones:
         if wall.dim != n - 1:
             continue
-        count = sum(1 for t in tops if wall in lattices[t])
+        count = sum(1 for t in tops if wall in index.lattices[t])
         if count != 2:
             return False
     return True

@@ -332,42 +332,73 @@ class LocalizationCertificate:
     shifts: tuple  # pairs (hilbert generator of the small chart, shift)
 
 
-def localization_certificate(big, small, sigma, tau):
-    """Certified element u of big with small == big + NN*(-u).
-
-    big must be the dual monoid of sigma, small the dual monoid of tau, and
-    tau a face of sigma.  The element is the sum of the facet normals of
-    sigma vanishing on tau; the certificate records for every Hilbert
-    generator h of small a shift k with h + k*u back inside the dual cone
-    of sigma, which exhibits small as big with u inverted.
-    """
-    fl = faces(sigma)
-    if tau not in fl:
-        raise ValueError("tau is not a face of sigma")
-    u = fl.witnesses[tau]
-    if not monoid_contains(big, u):
-        raise ValueError("witness does not land in the target monoid")
-    cut = cone_from_rays(
-        sigma.ambient_rank, [r for r in sigma.rays if dot(r, u) == 0]
-    )
-    assert cut == tau, "witness does not cut out the face"
-    neg_u = tuple(-x for x in u)
-    if not monoid_contains(small, neg_u):
-        raise ValueError("negated witness is missing from the source monoid")
-    dual_sigma = big.cone if big.cone is not None else dual_cone(sigma)
+def _shift_into(cone, rays, u, gens):
+    """Pairs (h, k) with k the least shift making h + k*u >= 0 on every
+    ray; ValueError unless h + k*u then lies in cone."""
     shifts = []
-    for h in hilbert_basis(small):
+    for h in gens:
         k = 0
-        for r in sigma.rays:
+        for r in rays:
             uv = dot(u, r)
             hv = dot(h, r)
             if uv > 0 and hv < 0:
                 k = max(k, -(hv // uv))
         shifted = tuple(a + k * b for a, b in zip(h, u))
-        if not contains_point(dual_sigma, shifted):
-            raise ValueError("no valid shift for a Hilbert generator")
+        if not contains_point(cone, shifted):
+            raise ValueError("no valid shift for a generator")
         shifts.append((h, k))
-    return LocalizationCertificate(element=u, shifts=tuple(shifts))
+    return tuple(shifts)
+
+
+def localization_certificate(big, small, sigma, tau, lattice=None):
+    """Certified element u of big with small == big + NN*(-u).
+
+    big must be the dual monoid of sigma, small the dual monoid of tau, and
+    tau a face of sigma.  The element is the witness of tau in the face
+    lattice of sigma (computed unless passed, as a fan's face index holds
+    it): the sum of the facet normals of sigma vanishing on tau.  The
+    certificate records for every Hilbert generator h of small a shift k
+    with h + k*u back inside the dual cone of sigma, which exhibits small
+    as big with u inverted.  A failed check raises ValueError.
+    """
+    fl = faces(sigma) if lattice is None else lattice
+    if fl.cone != sigma:
+        raise ValueError("the face lattice belongs to another cone")
+    if tau not in fl:
+        raise ValueError("tau is not a face of sigma")
+    u = fl.witnesses[tau]
+    if not monoid_contains(big, u):
+        raise ValueError("witness does not land in the target monoid")
+    if frozenset(r for r in sigma.rays if dot(r, u) == 0) != frozenset(tau.rays):
+        raise ValueError("witness does not cut out the face")
+    neg_u = tuple(-x for x in u)
+    if not monoid_contains(small, neg_u):
+        raise ValueError("negated witness is missing from the source monoid")
+    dual_sigma = big.cone if big.cone is not None else dual_cone(sigma)
+    shifts = _shift_into(dual_sigma, sigma.rays, u, hilbert_basis(small))
+    return LocalizationCertificate(element=u, shifts=shifts)
+
+
+def separation_certificate(first, second, meet, u):
+    """Certified meet == first + second for the dual monoids of cones
+    sigma, tau and sigma meet tau, given u from the separation lemma
+    (fans.validate_fan).  Checked with contains_point only: u in first, -u
+    in second, every generator of first and second in meet, and every
+    generator h of meet back in first as h + k*u, so h = (h + k*u) +
+    k*(-u).  Returns (u, shifts); a failed step raises ValueError.
+    """
+    for m in (first, second, meet):
+        if m.cone is None:
+            raise ValueError("separation certificates need cone monoids")
+    if not contains_point(first.cone, u):
+        raise ValueError("separating covector is missing from the first chart")
+    if not contains_point(second.cone, tuple(-x for x in u)):
+        raise ValueError("negated covector is missing from the second chart")
+    for g in first.generators + second.generators:
+        if not contains_point(meet.cone, g):
+            raise ValueError("a chart generator is missing from the meet chart")
+    shifts = _shift_into(first.cone, first.cone.normals, u, meet.generators)
+    return LocalizationCertificate(element=u, shifts=shifts)
 
 
 def find_localizing_element(big, small, sigma, tau):
@@ -390,6 +421,8 @@ def check_openly_immersive_pair(target, source, search_bound=6):
     disagree, or integral closedness would have to be destroyed), or
     "unknown" when the bounded witness search is exhausted.
     """
+    if search_bound < 0:
+        raise ValueError("search bound must be nonnegative")
     if target.ambient_rank != source.ambient_rank:
         raise ValueError("ambient ranks differ")
     for g in source.generators:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import intersect_cones, faces
-from .fans import Fan, is_complete, is_regular, validate_fan
+from .fans import is_complete, is_regular, validate_fan
 from .monoid_algebra import augmentation
 from .monoids import (
     AffineMonoid,
@@ -21,6 +20,7 @@ from .monoids import (
     localization_certificate,
     monoid_contains,
     monoid_sum,
+    separation_certificate,
 )
 
 YES = "yes"
@@ -329,6 +329,8 @@ class MonoidSystem:
         self.labels = tuple(range(len(monoids)))
         self.source = source
         self.fan = fan
+        # (lower, upper) -> LocalizationCertificate; filled by from_fan
+        self.localizations = {}
         self.r = max((len(m.diff_basis) for m in monoids), default=0)
         n = len(monoids)
 
@@ -394,26 +396,32 @@ class MonoidSystem:
 
     @classmethod
     def from_fan(cls, fan):
-        validate_fan(fan)
+        """Chart system of a fan: dual monoids, with the order, meets and a
+        localization certificate per strict pair from its face index."""
+        index = validate_fan(fan)
         cones = fan.cones
-        lattices = {c: faces(c) for c in cones}
         leq = []
-        for i, a in enumerate(cones):
-            for j, b in enumerate(cones):
-                if i != j and a in lattices[b]:
-                    leq.append((i, j))
-        inf = {}
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                cap = intersect_cones(cones[i], cones[j])
-                inf[(i, j)] = fan.index(cap)
-        return cls(
+        for (i, j), k in index.meets.items():
+            if k == i:
+                leq.append((i, j))
+            elif k == j:
+                leq.append((j, i))
+        system = cls(
             [dual_monoid(c) for c in cones],
             leq=leq,
-            inf=inf,
+            inf=index.meets,
             fan=fan,
             source="fan",
         )
+        for i, j in system.strict_pairs():
+            system.localizations[(i, j)] = localization_certificate(
+                system.monoids[j],
+                system.monoids[i],
+                cones[j],
+                cones[i],
+                lattice=index.lattices[cones[j]],
+            )
+        return system
 
     def leq(self, i, j):
         return self._rel[i][j]
@@ -440,22 +448,18 @@ class SystemImmersionReport:
 def is_openly_immersive(system, search_bound=6):
     """Is every comparable pair of charts a single-element localization?
 
-    Fan systems come with certified localizing elements, so the answer is
-    yes with witnesses.  Explicit systems run the bounded search and may
-    come back unknown.
+    Fan systems carry certified localizing elements (from_fan), so the
+    answer is yes with witnesses.  Explicit systems run the bounded search
+    and may come back unknown.  A negative bound raises ValueError.
     """
+    if search_bound < 0:
+        raise ValueError("search bound must be nonnegative")
     entries = []
     for i, j in system.strict_pairs():
         if system.source == "fan":
-            cert = localization_certificate(
-                system.monoids[j],
-                system.monoids[i],
-                system.fan.cones[j],
-                system.fan.cones[i],
-            )
             check = ImmersionCheck(
                 verdict=YES,
-                witness=cert.element,
+                witness=system.localizations[(i, j)].element,
                 reason="certified localization along a face",
             )
         else:
@@ -497,34 +501,33 @@ class AugmentationSection:
 
 @dataclass(frozen=True)
 class GluingAtlas:
-    fan: Fan
-    charts: tuple
+    system: MonoidSystem
     transitions: tuple  # (lower label, upper label, LocalizationCertificate)
     sections: tuple
+
+    @property
+    def fan(self):
+        return self.system.fan
+
+    @property
+    def charts(self):
+        return self.system.monoids
 
 
 def build_atlas(fan):
     """Charts, certified transitions, and one collapse-to-coefficients
-    section per chart."""
+    section per chart; the atlas keeps its chart system."""
     system = MonoidSystem.from_fan(fan)
-    transitions = []
-    for i, j in system.strict_pairs():
-        cert = localization_certificate(
-            system.monoids[j],
-            system.monoids[i],
-            fan.cones[j],
-            fan.cones[i],
-        )
-        transitions.append((i, j, cert))
-    sections = tuple(
-        AugmentationSection(label=k, monoid=system.monoids[k])
-        for k in system.labels
-    )
     return GluingAtlas(
-        fan=fan,
-        charts=system.monoids,
-        transitions=tuple(transitions),
-        sections=sections,
+        system=system,
+        transitions=tuple(
+            (i, j, system.localizations[(i, j)])
+            for i, j in system.strict_pairs()
+        ),
+        sections=tuple(
+            AugmentationSection(label=k, monoid=system.monoids[k])
+            for k in system.labels
+        ),
     )
 
 
@@ -539,16 +542,30 @@ class SeparationReport:
 
 
 def check_separation_condition(system):
-    """For every pair, the meet chart must equal the sum of the two charts."""
+    """For every pair, the meet chart must equal the sum of the two charts.
+
+    Fan systems prove each pair by the separation lemma (Fulton,
+    Introduction to Toric Varieties, 1.2; Cox-Little-Schenck, Lemma
+    1.2.13) with the covector the fan's face index stores for it
+    (monoids.separation_certificate); a failed certificate raises
+    ValueError.  Explicit systems compare the meet chart with monoid_sum
+    of the two charts by exact membership.
+    """
+    index = validate_fan(system.fan) if system.source == "fan" else None
     entries = []
     n = len(system.monoids)
     for i in range(n):
         for j in range(i + 1, n):
+            first, second = system.monoids[i], system.monoids[j]
             meet = system.monoids[system.inf(i, j)]
-            joined = monoid_sum(system.monoids[i], system.monoids[j])
-            ok = all(
-                monoid_contains(joined, g) for g in meet.generators
-            ) and all(monoid_contains(meet, g) for g in joined.generators)
+            if index is not None:
+                separation_certificate(first, second, meet, index.separators[(i, j)])
+                ok = True
+            else:
+                joined = monoid_sum(first, second)
+                ok = all(
+                    monoid_contains(joined, g) for g in meet.generators
+                ) and all(monoid_contains(meet, g) for g in joined.generators)
             entries.append((i, j, ok))
     return SeparationReport(
         separated=all(ok for _, _, ok in entries), entries=tuple(entries)

@@ -207,6 +207,36 @@ def test_atlas_of_projective_line(tmp_path, capsys):
     assert doc["separated"] is True
 
 
+def test_atlas_rejects_negative_search_bound(tmp_path, capsys):
+    path = write_fan(tmp_path, 1, [[(1,)], [(-1,)]])
+    code, out, err = run_cli(capsys, "atlas", "--fan", path, "--search-bound", "-3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--search-bound" in err
+    code, out, _ = run_cli(capsys, "atlas", "--fan", path, "--search-bound", "0")
+    assert code == 0 and json.loads(out)["openly_immersive"] == "yes"
+
+
+def test_certificate_checks_survive_optimized_mode():
+    script = (
+        "from fanscheme.cones import FaceLattice, cone_from_rays, faces\n"
+        "from fanscheme.monoids import dual_monoid, localization_certificate\n"
+        "sigma = cone_from_rays(2, [(1, 0), (0, 1)])\n"
+        "tau = cone_from_rays(2, [(1, 0)])\n"
+        "fl = faces(sigma)\n"
+        "bad = FaceLattice(sigma, fl.faces, {**fl.witnesses, tau: (0, 0)})\n"
+        "try:\n"
+        "    localization_certificate(dual_monoid(sigma), dual_monoid(tau),\n"
+        "                             sigma, tau, lattice=bad)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "witness does not cut out the face\n"
+
+
 def test_fullify_command_round_trips(tmp_path, capsys):
     path = write_fan(tmp_path, 2, [[(2, 4)]])
     code, out, _ = run_cli(capsys, "fullify", "--fan", path)

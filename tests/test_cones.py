@@ -11,6 +11,7 @@ from fanscheme.cones import (
     faces,
     intersect_cones,
     linear_span_rows,
+    separating_covector,
 )
 
 
@@ -288,3 +289,98 @@ def test_faces_random_invariants():
         for f in fl:
             for sub in faces(f):
                 assert sub in fl
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the face lattice and of the separation lemma
+
+
+def random_pointed_cone(rng, n, max_gens=5, basis=None, min_gens=0):
+    """Cone on nonnegative combinations of a lattice basis (random unless
+    given): pointed."""
+    if basis is None:
+        basis = helpers.random_unimodular(rng, n)
+    gens = []
+    for _ in range(rng.randint(min_gens, max_gens)):
+        c = [rng.randint(0, 3) for _ in range(n)]
+        gens.append(tuple(sum(c[i] * basis[i][j] for i in range(n)) for j in range(n)))
+    return cone_from_rays(n, gens)
+
+
+def cyclic_cone(k):
+    return cone_from_rays(3, [(k, 1, 0), (0, k, 1), (1, 0, k)])
+
+
+def test_faces_match_cones_built_from_their_rays():
+    rng = random.Random(5001)
+    cones = [cyclic_cone(k) for k in (2, 3, 5, 7)]
+    cones += [random_pointed_cone(rng, rng.randint(1, 4)) for _ in range(40)]
+    for c in cones:
+        n = c.ambient_rank
+        fl = faces(c)
+        for f in fl:
+            assert f == cone_from_rays(n, f.rays)
+            w = fl.witnesses[f]
+            tight = sorted(r for r in c.rays if sum(a * b for a, b in zip(r, w)) == 0)
+            assert tuple(tight) == f.rays
+
+
+def _pair_with_common_face(rng, n):
+    """Two cones on either side of the last coordinate hyperplane, sharing
+    the face spanned by their rays inside it, in random coordinates."""
+    shared = [tuple(rng.randint(0, 3) for _ in range(n - 1)) + (0,)
+              for _ in range(rng.randint(0, 2))]
+    up = [tuple(rng.randint(0, 3) for _ in range(n - 1)) + (rng.randint(1, 3),)
+          for _ in range(rng.randint(1, 2))]
+    down = [tuple(rng.randint(0, 3) for _ in range(n - 1)) + (-rng.randint(1, 3),)
+            for _ in range(rng.randint(1, 2))]
+    basis = helpers.random_unimodular(rng, n)
+
+    def move(v):
+        return tuple(sum(v[i] * basis[i][j] for i in range(n)) for j in range(n))
+
+    return (cone_from_rays(n, [move(v) for v in shared + up]),
+            cone_from_rays(n, [move(v) for v in shared + down]))
+
+
+def test_separating_covector_decides_meets_like_intersection():
+    rng = random.Random(5002)
+    pairs = []
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        kind = rng.randrange(4)
+        if kind == 0:
+            pairs.append((random_pointed_cone(rng, n, 3), random_pointed_cone(rng, n, 3)))
+        elif kind == 3:
+            # two cones in one orthant: they overlap, mostly not along a face
+            n = rng.randint(2, 3)
+            basis = helpers.random_unimodular(rng, n)
+            pairs.append(tuple(random_pointed_cone(rng, n, n + 2, basis, n)
+                               for _ in range(2)))
+        elif kind == 1:
+            a = random_pointed_cone(rng, n, 4)
+            pairs.append((a, rng.choice(faces(a).faces)))
+        else:
+            pairs.append(_pair_with_common_face(rng, n))
+    verdicts = []
+    for a, b in pairs:
+        n = a.ambient_rank
+        u = separating_covector(a, b)
+        assert all(sum(x * y for x, y in zip(r, u)) >= 0 for r in a.rays)
+        assert all(sum(x * y for x, y in zip(r, u)) <= 0 for r in b.rays)
+        tight_a = tuple(sorted(r for r in a.rays if sum(x * y for x, y in zip(r, u)) == 0))
+        tight_b = tuple(sorted(r for r in b.rays if sum(x * y for x, y in zip(r, u)) == 0))
+        meet = cone_from_rays(n, tight_a)
+        ok = tight_a == tight_b and meet in faces(a) and meet in faces(b)
+        cap = intersect_cones(a, b)
+        assert ok == (cap in faces(a) and cap in faces(b))
+        verdicts.append(ok)
+        if not ok:
+            continue
+        assert meet == cap
+        for _ in range(8):
+            p = tuple(rng.randint(-4, 4) for _ in range(n))
+            in_both = (helpers.fm_cone_contains(a.rays, p, n)
+                       and helpers.fm_cone_contains(b.rays, p, n))
+            assert contains_point(meet, p) == in_both
+    assert 10 <= verdicts.count(False) <= 40

@@ -101,6 +101,32 @@ def test_validation_rejects_nested_top_cones():
         validate_fan(Fan(2, pieces))
 
 
+def test_validation_builds_the_face_index_once():
+    from fanscheme.cones import intersect_cones
+
+    rng = random.Random(6060)
+    fans = [projective_plane_fan(), hirzebruch_fan(), affine_wedge_fan()]
+    fans += [random_orthant_subfan(rng) for _ in range(3)]
+    for fan in fans:
+        index = validate_fan(fan)
+        assert validate_fan(fan) is index
+        assert set(index.cones.values()) == set(fan.cones)
+        for c in fan:
+            assert index.cones[frozenset(c.rays)] == c
+            assert tuple(index.lattices[c]) == faces(c).faces
+            assert index.lattices[c].witnesses == faces(c).witnesses
+        for (i, j), k in index.meets.items():
+            a, b = fan.cones[i], fan.cones[j]
+            assert fan.cones[k] == intersect_cones(a, b)
+            u = index.separators[(i, j)]
+            dots_a = [sum(x * y for x, y in zip(r, u)) for r in a.rays]
+            dots_b = [sum(x * y for x, y in zip(r, u)) for r in b.rays]
+            assert min(dots_a, default=0) >= 0 >= max(dots_b, default=0)
+            tight = {r for r, d in zip(a.rays, dots_a) if d == 0}
+            assert tight == {r for r, d in zip(b.rays, dots_b) if d == 0}
+            assert tight == set(fan.cones[k].rays)
+
+
 def test_complete_under_faces_recovers_the_golden_fan():
     tops = [c for c in projective_plane_fan() if c.dim == 2]
     assert complete_under_faces(Fan(2, tops)) == projective_plane_fan()

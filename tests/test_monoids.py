@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanscheme.cones import cone_from_rays, contains_point, faces
+from fanscheme.cones import FaceLattice, cone_from_rays, contains_point, faces
 from fanscheme.monoids import (
     AffineMonoid,
     check_openly_immersive_pair,
@@ -15,6 +15,7 @@ from fanscheme.monoids import (
     monoid_contains,
     monoid_of_differences,
     monoid_sum,
+    separation_certificate,
 )
 
 
@@ -272,6 +273,41 @@ def test_localization_rejects_non_faces():
         )
 
 
+def test_wrong_witness_or_lattice_raises():
+    sigma = quadrant()
+    tau = cone_from_rays(2, [(1, 0)])
+    big, small = dual_monoid(sigma), dual_monoid(tau)
+    fl = faces(sigma)
+    # the zero covector lies in the dual cone but cuts out all of sigma
+    tampered = FaceLattice(sigma, fl.faces, {**fl.witnesses, tau: (0, 0)})
+    with pytest.raises(ValueError, match="cut out"):
+        localization_certificate(big, small, sigma, tau, lattice=tampered)
+    with pytest.raises(ValueError, match="another cone"):
+        localization_certificate(big, small, sigma, tau, lattice=faces(wedge()))
+    cert = localization_certificate(big, small, sigma, tau, lattice=fl)
+    assert cert == localization_certificate(big, small, sigma, tau)
+
+
+def test_separation_certificate_checks_every_step():
+    # two quadrants meeting along the ray (0, 1); u = (1, 0) separates them
+    right, left = quadrant(), cone_from_rays(2, [(0, 1), (-1, 0)])
+    meet = cone_from_rays(2, [(0, 1)])
+    first, second, both = dual_monoid(right), dual_monoid(left), dual_monoid(meet)
+    cert = separation_certificate(first, second, both, (1, 0))
+    for h, k in cert.shifts:
+        assert contains_point(first.cone, (h[0] + k, h[1]))
+    for wrong in ((0, 0), (-1, 0), (1, 1)):
+        with pytest.raises(ValueError):
+            separation_certificate(first, second, both, wrong)
+    # a meet chart too small for the two charts
+    with pytest.raises(ValueError):
+        separation_certificate(first, second, first, (1, 0))
+    with pytest.raises(ValueError):
+        separation_certificate(
+            AffineMonoid.from_generators(2, first.generators), second, both, (1, 0)
+        )
+
+
 def test_localization_identity_on_all_face_pairs():
     # the certificate really exhibits the small chart as big with u inverted
     tops = [
@@ -335,6 +371,8 @@ def test_immersion_search_can_stay_unknown():
     target = AffineMonoid.from_generators(2, [(1, 0), (0, 1), (-1, 5)])
     source = AffineMonoid.from_generators(2, [(1, 0), (0, 1)])
     res = check_openly_immersive_pair(target, source, search_bound=4)
+    with pytest.raises(ValueError):
+        check_openly_immersive_pair(target, source, search_bound=-1)
     assert res.verdict == "unknown"
     assert "4" in res.reason
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fanscheme.cones import cone_from_rays
-from fanscheme.fans import Fan, is_complete, is_regular
+from fanscheme.fans import Fan, is_complete, is_regular, validate_fan
 from fanscheme.monoid_algebra import CoeffRing, exp_map
 from fanscheme.monoids import AffineMonoid
 from fanscheme.scheme import (
@@ -28,6 +28,7 @@ from fanscheme.scheme import (
 
 from helpers import (
     affine_wedge_fan,
+    fan_from_ray_lists,
     hirzebruch_fan,
     projective_line_fan,
     projective_plane_fan,
@@ -220,6 +221,27 @@ def test_explicit_system_can_stay_unknown():
     assert "4" in report.reason
 
 
+def test_negative_search_bound_is_refused():
+    N = AffineMonoid.from_generators(1, [(1,)])
+    Z = AffineMonoid.from_generators(1, [(1,), (-1,)])
+    fan_system = MonoidSystem.from_fan(projective_line_fan())
+    for system in (MonoidSystem([Z, N], leq=[(0, 1)]), fan_system):
+        with pytest.raises(ValueError):
+            is_openly_immersive(system, search_bound=-1)
+    assert is_openly_immersive(fan_system, search_bound=0).verdict == YES
+
+
+def test_atlas_keeps_its_system_and_certificates():
+    atlas = build_atlas(projective_plane_fan())
+    system = atlas.system
+    assert atlas.charts == system.monoids and atlas.fan is system.fan
+    assert [(i, j) for i, j, _ in atlas.transitions] == list(system.strict_pairs())
+    report = is_openly_immersive(system)
+    assert [c.witness for _, _, c in report.entries] == [
+        cert.element for _, _, cert in atlas.transitions
+    ]
+
+
 def test_projective_line_atlas():
     atlas = build_atlas(projective_line_fan())
     gens = [m.generators for m in atlas.charts]
@@ -243,6 +265,42 @@ def test_separation_holds_for_fan_systems():
         report = check_separation_condition(MonoidSystem.from_fan(fan))
         assert report.separated
         assert report.failures == ()
+
+
+def _explicit_copy(system):
+    n = len(system.monoids)
+    return MonoidSystem(
+        system.monoids,
+        leq=system.strict_pairs(),
+        inf={(i, j): system.inf(i, j) for i in range(n) for j in range(i + 1, n)},
+    )
+
+
+def test_fan_separation_certificates_match_the_explicit_search():
+    rng = random.Random(3003)
+    square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    fans = [
+        projective_plane_fan(),
+        hirzebruch_fan(),
+        fan_from_ray_lists(2, [[square[i], square[(i + 1) % 4]] for i in range(4)]),
+    ]
+    fans += [random_staircase_fan(rng)[0] for _ in range(4)]
+    for fan in fans:
+        system = MonoidSystem.from_fan(fan)
+        explicit = _explicit_copy(system)
+        assert explicit.source == "explicit"
+        assert (check_separation_condition(system).entries
+                == check_separation_condition(explicit).entries)
+
+
+def test_failed_separation_certificate_raises():
+    fan = projective_plane_fan()
+    system = MonoidSystem.from_fan(fan)
+    index = validate_fan(fan)
+    pair = next(p for p, k in index.meets.items() if k not in p)
+    index.separators[pair] = (0,) * fan.rank
+    with pytest.raises(ValueError):
+        check_separation_condition(system)
 
 
 def test_doubled_line_fails_separation():
