@@ -28,6 +28,7 @@ from .fans import (
 from .monoids import dual_monoid
 from .scheme import (
     BaseDescriptor,
+    _int_from_json,
     build_atlas,
     check_separation_condition,
     is_openly_immersive,
@@ -65,23 +66,17 @@ def _load_json(path):
             return json.load(fh)
     except OSError as e:
         raise DocumentError("cannot read %s: %s" % (path, e.strerror or e))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, bytes that are not UTF-8, a plain integer past
+        # the interpreter's int/str digit limit, or nesting past its stack
         raise DocumentError("%s is not valid JSON: %s" % (path, e))
 
 
-def _int_entry(value, where):
-    if isinstance(value, bool):
-        raise DocumentError("%s must be an integer, not a boolean" % where)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise DocumentError(
-                "%s is not a decimal integer: %r" % (where, value)
-            )
-    raise DocumentError("%s must be an integer or a decimal string" % where)
+def _document_int(value, where):
+    try:
+        return _int_from_json(value, where)
+    except ValueError as e:
+        raise DocumentError(str(e))
 
 
 def _vector(value, rank, where):
@@ -89,7 +84,7 @@ def _vector(value, rank, where):
         raise DocumentError(
             "%s must be an array of %d coordinates" % (where, rank)
         )
-    return tuple(_int_entry(x, where) for x in value)
+    return tuple(_document_int(x, where) for x in value)
 
 
 def load_fan_document(path, auto_close=True):
@@ -101,7 +96,7 @@ def load_fan_document(path, auto_close=True):
         raise DocumentError("unknown fan document keys: %s" % ", ".join(unknown))
     if "lattice_rank" not in doc:
         raise DocumentError("fan document needs a lattice_rank")
-    rank = _int_entry(doc["lattice_rank"], "lattice_rank")
+    rank = _document_int(doc["lattice_rank"], "lattice_rank")
     if rank < 0:
         raise DocumentError("lattice_rank must be nonnegative")
     options = doc.get("options", {})

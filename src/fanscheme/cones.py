@@ -22,6 +22,7 @@ from .lattice import (
     perp_rows,
     primitive_vector,
     rank_rows,
+    signed_rows,
 )
 
 
@@ -61,11 +62,7 @@ class Polycone:
 
     def generator_rows(self):
         """Integer generators: rays plus both signs of the lineality basis."""
-        gens = [tuple(r) for r in self.rays]
-        for l in self.lineality:
-            gens.append(tuple(l))
-            gens.append(tuple(-x for x in l))
-        return gens
+        return signed_rows(self.rays, self.lineality)
 
 
 def _clean_constraints(constraints):
@@ -209,21 +206,15 @@ def cone_from_rays(ambient_rank, generators):
     n = ambient_rank
     gens = _validated_gens(n, generators)
     dlin, drays = _dual_generator_sets(gens, n)
-    cons = list(drays)
-    for w in dlin:
-        cons.append(w)
-        cons.append(tuple(-x for x in w))
-    lin, rays = _dual_generator_sets(cons, n)
+    lin, rays = _dual_generator_sets(signed_rows(drays, dlin), n)
     return Polycone(n, rays, lin, drays, dlin)
 
 
 def dual_cone(c):
     """The dual cone {u : <u, x> >= 0 on c}, rebuilt from generators."""
-    gens = [tuple(u) for u in c.normals]
-    for w in c.dual_lineality:
-        gens.append(tuple(w))
-        gens.append(tuple(-x for x in w))
-    return cone_from_rays(c.ambient_rank, gens)
+    return cone_from_rays(
+        c.ambient_rank, signed_rows(c.normals, c.dual_lineality)
+    )
 
 
 def intersect_cones(a, b):
@@ -231,16 +222,11 @@ def intersect_cones(a, b):
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
     n = a.ambient_rank
-    cons = [tuple(u) for u in a.normals] + [tuple(u) for u in b.normals]
-    for w in tuple(a.dual_lineality) + tuple(b.dual_lineality):
-        cons.append(tuple(w))
-        cons.append(tuple(-x for x in w))
+    cons = signed_rows(
+        a.normals + b.normals, a.dual_lineality + b.dual_lineality
+    )
     lin, rays = _dual_generator_sets(cons, n)
-    gens = list(rays)
-    for l in lin:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    dlin, drays = _dual_generator_sets(gens, n)
+    dlin, drays = _dual_generator_sets(signed_rows(rays, lin), n)
     return Polycone(n, rays, lin, drays, dlin)
 
 

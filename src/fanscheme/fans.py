@@ -17,13 +17,7 @@ from .cones import (
     Polycone,
     separating_covector,
 )
-from .lattice import (
-    dot,
-    invert_unimodular_rows,
-    saturate_rows,
-    smith_rows,
-    unimodular_complement_rows,
-)
+from .lattice import complement_coordinates, dot, saturate_rows, smith_rows
 
 
 class FanError(ValueError):
@@ -254,16 +248,15 @@ def fullify(fan):
     all_rays = [list(r) for c in fan.cones for r in c.rays]
     basis = saturate_rows(all_rays, n)
     d = len(basis)
-    w = unimodular_complement_rows(basis, n)
-    winv = invert_unimodular_rows(w)
+    w, coords = complement_coordinates(basis, n)
     mapping = []
     reduced_cones = []
     for c in fan.cones:
         imgs = []
         for r in c.rays:
-            y = [sum(r[a] * winv[a][b] for a in range(n)) for b in range(n)]
+            y = coords(r)
             assert all(x == 0 for x in y[d:])
-            imgs.append(tuple(y[:d]))
+            imgs.append(y[:d])
         rc = cone_from_rays(d, imgs)
         mapping.append((c, rc))
         reduced_cones.append(rc)

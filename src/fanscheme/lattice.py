@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 def _as_int(x):
@@ -355,6 +356,16 @@ def invert_unimodular_rows(rows):
     return out
 
 
+def signed_rows(pointed, lineality):
+    """The pointed rows, then each lineality row with both signs: integer
+    generators of a cone or monoid given in split form."""
+    rows = [tuple(r) for r in pointed]
+    for l in lineality:
+        rows.append(tuple(l))
+        rows.append(tuple(-x for x in l))
+    return rows
+
+
 def unimodular_complement_rows(basis, n):
     """Extend a saturated basis to a full unimodular n x n matrix.
 
@@ -372,6 +383,20 @@ def unimodular_complement_rows(basis, n):
             raise ValueError("basis rows must be independent and saturated")
     qinv = invert_unimodular_rows(q)
     return [list(r) for r in basis] + [list(qinv[i]) for i in range(k, n)]
+
+
+def complement_coordinates(basis, n):
+    """(w, coords): w = unimodular_complement_rows(basis, n), and coords(x)
+    the coordinates of x in the rows of w, so x = sum of coords(x)[i] * w[i].
+    The first len(basis) coordinates are along the basis.
+    """
+    w = unimodular_complement_rows(basis, n)
+    columns = list(zip(*invert_unimodular_rows(w)))
+
+    def coords(x):
+        return tuple([sum(map(mul, x, col)) for col in columns])
+
+    return w, coords
 
 
 @dataclass(frozen=True)

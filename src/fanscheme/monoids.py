@@ -15,12 +15,12 @@ from itertools import combinations_with_replacement, product
 from .cones import cone_from_rays, contains_point, dual_cone, faces, Polycone
 from .lattice import (
     _as_int,
+    complement_coordinates,
     dot,
     hnf_rows,
-    invert_unimodular_rows,
     lattice_coords_rows,
     lattice_member_rows,
-    unimodular_complement_rows,
+    signed_rows,
 )
 
 
@@ -70,15 +70,8 @@ def _cone_lattice_hilbert(cone):
     if not lin:
         return _pointed_hilbert(cone), ()
     d = len(lin)
-    w = unimodular_complement_rows(lin, n)
-    winv = invert_unimodular_rows(w)
-
-    def proj(x):
-        return tuple(
-            sum(x[a] * winv[a][b] for a in range(n)) for b in range(d, n)
-        )
-
-    qcone = cone_from_rays(n - d, [proj(r) for r in cone.rays])
+    w, coords = complement_coordinates(lin, n)
+    qcone = cone_from_rays(n - d, [coords(r)[d:] for r in cone.rays])
     lifted = []
     for h in _pointed_hilbert(qcone):
         lifted.append(
@@ -137,10 +130,7 @@ def dual_monoid(sigma):
     """
     dc = dual_cone(sigma)
     pointed, lin = _cone_lattice_hilbert(dc)
-    gens = list(pointed)
-    for u in lin:
-        gens.append(tuple(u))
-        gens.append(tuple(-x for x in u))
+    gens = signed_rows(pointed, lin)
     return AffineMonoid(
         ambient_rank=sigma.ambient_rank,
         generators=tuple(gens),
@@ -179,29 +169,17 @@ def monoid_contains(m, v):
         return False
     lin = [list(r) for r in support.lineality]
     d = len(lin)
-    if d:
-        w_full = unimodular_complement_rows(lin, n)
-        winv = invert_unimodular_rows(w_full)
-
-        def proj(x):
-            return tuple(
-                sum(x[a] * winv[a][b] for a in range(n)) for b in range(d, n)
-            )
-
-    else:
-
-        def proj(x):
-            return tuple(x)
-
+    # coordinates past the first d span the quotient by the lineality
+    coords = complement_coordinates(lin, n)[1] if d else tuple
     lin_gens = []
     moving = []
     for g in gens:
-        img = proj(g)
+        img = coords(g)[d:]
         if any(img):
             moving.append((g, img))
         else:
             lin_gens.append(list(g))
-    target = proj(v)
+    target = coords(v)[d:]
     if not any(target):
         return lattice_member_rows(lin_gens, n, v)
     if not moving:
@@ -243,10 +221,7 @@ def hilbert_basis(m):
         return m.generators
     c = cone_from_rays(m.ambient_rank, m.generators)
     pointed, lin = _cone_lattice_hilbert(c)
-    flat = list(pointed)
-    for u in lin:
-        flat.append(tuple(u))
-        flat.append(tuple(-x for x in u))
+    flat = signed_rows(pointed, lin)
     for g in flat:
         if not monoid_contains(m, g):
             raise ValueError(
@@ -315,11 +290,7 @@ def is_integrally_closed(m):
         coords.append(tuple(c))
     cc = cone_from_rays(r, coords)
     pointed, lin = _cone_lattice_hilbert(cc)
-    probe = list(pointed)
-    for u in lin:
-        probe.append(tuple(u))
-        probe.append(tuple(-x for x in u))
-    for h in probe:
+    for h in signed_rows(pointed, lin):
         x = tuple(sum(h[i] * basis[i][j] for i in range(r)) for j in range(n))
         if not monoid_contains(m, x):
             return False

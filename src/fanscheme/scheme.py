@@ -28,30 +28,6 @@ NO = "no"
 UNKNOWN = "unknown"
 
 
-def t_and(*values):
-    if any(v == NO for v in values):
-        return NO
-    if all(v == YES for v in values):
-        return YES
-    return UNKNOWN
-
-
-def t_or(*values):
-    if any(v == YES for v in values):
-        return YES
-    if all(v == NO for v in values):
-        return NO
-    return UNKNOWN
-
-
-def t_not(value):
-    if value == YES:
-        return NO
-    if value == NO:
-        return YES
-    return UNKNOWN
-
-
 @dataclass(frozen=True)
 class DimRange:
     kind: str  # "range" | "empty" | "unknown"
@@ -267,16 +243,21 @@ class BaseDescriptor:
 
 
 def _int_from_json(value, what):
+    """A document integer: a plain integer or a decimal string.  Anything
+    else raises ValueError, which echoes at most 40 characters of it."""
     if isinstance(value, bool):
-        raise ValueError("%s must be an integer" % what)
+        raise ValueError("%s must be an integer, not a boolean" % what)
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
             return int(value, 10)
         except ValueError:
-            raise ValueError("%s is not a decimal integer: %r" % (what, value))
-    raise ValueError("%s must be an integer or decimal string" % what)
+            shown = repr(value[:40])
+            if len(value) > 40:
+                shown += "... (%d characters)" % len(value)
+            raise ValueError("%s is not a decimal integer: %s" % (what, shown))
+    raise ValueError("%s must be an integer or a decimal string" % what)
 
 
 def _dim_from_json(value):
@@ -613,486 +594,322 @@ class PropertyRecord:
         return out
 
 
-def evaluate_atom(atom, fan, base):
-    """Truth of one hypothesis atom; used to audit reports."""
+# An atom reads one variable of _facts: a fan fact (a bool), a base flag or
+# the derived base.artinian (yes/no/unknown), or the base dimension "dim"
+# (unknown, zero or another interval).  Besides "always" and the atoms
+# below, "base.<flag>=<value>" holds when that flag reads value.
+_ATOMS = {  # atom -> (variable, value, whether the variable must equal it)
+    "fan_empty": ("fan_empty", True, True),
+    "fan_nonempty": ("fan_empty", True, False),
+    "fan_complete": ("fan_complete", True, True),
+    "fan_not_complete": ("fan_complete", True, False),
+    "fan_regular": ("fan_regular", True, True),
+    "fan_not_regular": ("fan_regular", True, False),
+    "rank_zero": ("rank_zero", True, True),
+    "rank_positive": ("rank_zero", True, False),
+    "base.dim_known": ("dim", "unknown", False),
+    "base.dim_unknown": ("dim", "unknown", True),
+    "base.dim_zero": ("dim", "zero", True),
+}
+
+
+def _facts(fan, base):
+    """The atom variables for one fan and base."""
+    facts = {"base." + f: getattr(base, f) for f in _BASE_FLAGS}
+    facts["base.artinian"] = _base_artinian(base)
+    if base.dim.kind == "unknown":
+        facts["dim"] = "unknown"
+    else:
+        facts["dim"] = "zero" if base.dim.is_exact_zero else "other"
+    facts["fan_empty"] = len(fan.cones) == 0
+    facts["fan_complete"] = is_complete(fan)
+    facts["fan_regular"] = is_regular(fan).regular
+    facts["rank_zero"] = fan.rank == 0
+    return facts
+
+
+def _holds(atom, facts):
     if atom == "always":
         return True
-    if atom == "fan_empty":
-        return len(fan.cones) == 0
-    if atom == "fan_nonempty":
-        return len(fan.cones) > 0
-    if atom == "fan_complete":
-        return is_complete(fan)
-    if atom == "fan_not_complete":
-        return not is_complete(fan)
-    if atom == "fan_regular":
-        return is_regular(fan).regular
-    if atom == "fan_not_regular":
-        return not is_regular(fan).regular
-    if atom == "rank_zero":
-        return fan.rank == 0
-    if atom == "rank_positive":
-        return fan.rank > 0
-    if atom == "base.dim_known":
-        return base.dim.kind != "unknown"
-    if atom == "base.dim_unknown":
-        return base.dim.kind == "unknown"
-    if atom == "base.dim_zero":
-        return base.dim.is_exact_zero
-    if atom.startswith("base.") and "=" in atom:
-        name, want = atom[len("base."):].split("=", 1)
-        if name == "artinian":
-            return _base_artinian(base) == want
-        return getattr(base, name) == want
+    if atom in _ATOMS:
+        variable, value, equal = _ATOMS[atom]
+        return (facts[variable] == value) == equal
+    variable, sign, want = atom.partition("=")
+    if sign and variable.startswith("base.") and variable in facts:
+        return facts[variable] == want
     raise ValueError("unknown hypothesis atom %r" % atom)
 
 
-def _rec(prop, verdict, citation, justification, atoms, interval=None):
-    return PropertyRecord(
-        property=prop,
-        verdict=verdict,
-        citation=citation,
-        justification=justification,
-        hypotheses=tuple(atoms),
-        interval=interval,
+def evaluate_atom(atom, fan, base):
+    """Truth of one hypothesis atom; used to audit reports."""
+    return _holds(atom, _facts(fan, base))
+
+
+def _crisp_or_empty(holds, fails, yes_why, no_why, unknown_why):
+    """Rules for a property that holds iff the crisp fan condition `holds`
+    does, or either side is empty."""
+    return (
+        (YES, ("fan_empty",),
+         "the total space is empty, so the condition is vacuous"),
+        (YES, (holds,), yes_why),
+        (YES, ("base.empty=yes",),
+         "over an empty base there is nothing to check"),
+        (NO, (fails, "fan_nonempty", "base.empty=no"), no_why),
+        (UNKNOWN, (fails, "fan_nonempty"), unknown_why),
     )
 
 
+def _follow_base(flag, empty_verdict, empty_why, why, unknown_why, needs=()):
+    """Rules for a property that a nonempty fan copies from the base flag,
+    given the atoms `needs`; `why` may name the {value}."""
+    rules = [(empty_verdict, ("fan_empty",), empty_why)]
+    for value in (YES, NO):
+        atoms = ("fan_nonempty",) + needs + ("base.%s=%s" % (flag, value),)
+        rules.append((value, atoms, why.format(value=value)))
+    rules.append((UNKNOWN, ("fan_nonempty",), unknown_why))
+    return tuple(rules)
+
+
 _REFLECTED = (
-    ("quasiseparated", "base-reflection-quasiseparated"),
-    ("separated", "base-reflection-separated"),
-    ("quasicompact", "base-reflection-quasicompact"),
-    ("locally_noetherian", "base-reflection-locally-noetherian"),
-    ("noetherian", "base-reflection-noetherian"),
-    ("pointwise_noetherian", "base-reflection-pointwise-noetherian"),
-    ("topologically_noetherian", "base-reflection-topologically-noetherian"),
-    ("jacobsonian", "base-reflection-jacobsonian"),
-    ("connected", "base-reflection-connected"),
-    ("reduced", "base-reflection-reduced"),
-    ("normal", "base-reflection-normal"),
-    ("cohen_macaulay", "base-reflection-cohen-macaulay"),
+    "quasiseparated",
+    "separated",
+    "quasicompact",
+    "locally_noetherian",
+    "noetherian",
+    "pointwise_noetherian",
+    "topologically_noetherian",
+    "jacobsonian",
+    "connected",
+    "reduced",
+    "normal",
+    "cohen_macaulay",
 )
 
+_TRANSFERS = (
+    "the property passes between base and total space along the chart "
+    "covering"
+)
 
-def property_report(fan, base):
-    """All recorded verdicts for the fan scheme over the described base."""
-    validate_fan(fan)
-    fan_empty = len(fan.cones) == 0
-    fan_complete = is_complete(fan)
-    fan_regular = is_regular(fan).regular
-    rank_zero = fan.rank == 0
-    records = []
-
-    def crisp_or_empty(prop, crisp_ok, atom, not_atom, citation, yes_j, no_j, unk_j):
-        # yes iff the crisp fan condition holds, or either side is empty
-        if fan_empty:
-            records.append(_rec(
-                prop, YES, citation,
-                "the total space is empty, so the condition is vacuous",
-                ("fan_empty",),
-            ))
-        elif crisp_ok:
-            records.append(_rec(prop, YES, citation, yes_j, (atom,)))
-        elif base.empty == YES:
-            records.append(_rec(
-                prop, YES, citation,
-                "over an empty base there is nothing to check",
-                ("base.empty=yes",),
-            ))
-        elif base.empty == NO:
-            records.append(_rec(
-                prop, NO, citation, no_j,
-                (not_atom, "fan_nonempty", "base.empty=no"),
-            ))
-        else:
-            records.append(_rec(
-                prop, UNKNOWN, citation, unk_j, (not_atom, "fan_nonempty")
-            ))
-
-    records.append(_rec(
-        "morphism.flat", YES, "flatness-criterion",
-        "each chart algebra is a free module over the base coefficients",
-        ("always",),
-    ))
-    if not fan_empty:
-        records.append(_rec(
-            "morphism.faithfully_flat", YES, "faithful-flatness-criterion",
-            "flat, and the charts cover every base point because the fan "
-            "is nonempty",
-            ("fan_nonempty",),
-        ))
-    elif base.empty == YES:
-        records.append(_rec(
-            "morphism.faithfully_flat", YES, "faithful-flatness-criterion",
-            "flat, and surjectivity is vacuous over an empty base",
-            ("fan_empty", "base.empty=yes"),
-        ))
-    elif base.empty == NO:
-        records.append(_rec(
-            "morphism.faithfully_flat", NO, "faithful-flatness-criterion",
-            "the total space is empty while the base is not, so the "
-            "morphism cannot be surjective",
-            ("fan_empty", "base.empty=no"),
-        ))
-    else:
-        records.append(_rec(
-            "morphism.faithfully_flat", UNKNOWN, "faithful-flatness-criterion",
-            "flat, but surjectivity depends on whether the base is empty",
-            ("fan_empty",),
-        ))
-    records.append(_rec(
-        "morphism.separated", YES, "morphism-separation-criterion",
-        "the meet chart of any two cones is generated by their two chart "
-        "monoids together",
-        ("always",),
-    ))
-    records.append(_rec(
-        "morphism.quasiseparated", YES, "morphism-quasiseparation-criterion",
-        "chart overlaps are single localizations, hence quasicompact",
-        ("always",),
-    ))
-    records.append(_rec(
-        "morphism.quasicompact", YES, "morphism-quasicompactness-criterion",
-        "finitely many affine charts cover the total space",
-        ("always",),
-    ))
-    records.append(_rec(
-        "morphism.finite_presentation", YES, "finite-presentation-criterion",
-        "every chart algebra is cut out by finitely many monomial relations "
-        "on finitely many generators",
-        ("always",),
-    ))
-    crisp_or_empty(
-        "morphism.proper", fan_complete, "fan_complete", "fan_not_complete",
-        "properness-completeness-criterion",
+# (property, citation, rules) in report order; each rule is (verdict,
+# atoms, justification), and the first rule whose atoms all hold decides.
+_RULES = (
+    ("morphism.flat", "flatness-criterion", (
+        (YES, ("always",),
+         "each chart algebra is a free module over the base coefficients"),
+    )),
+    ("morphism.faithfully_flat", "faithful-flatness-criterion", (
+        (YES, ("fan_nonempty",),
+         "flat, and the charts cover every base point because the fan "
+         "is nonempty"),
+        (YES, ("fan_empty", "base.empty=yes"),
+         "flat, and surjectivity is vacuous over an empty base"),
+        (NO, ("fan_empty", "base.empty=no"),
+         "the total space is empty while the base is not, so the "
+         "morphism cannot be surjective"),
+        (UNKNOWN, ("fan_empty",),
+         "flat, but surjectivity depends on whether the base is empty"),
+    )),
+    ("morphism.separated", "morphism-separation-criterion", (
+        (YES, ("always",),
+         "the meet chart of any two cones is generated by their two chart "
+         "monoids together"),
+    )),
+    ("morphism.quasiseparated", "morphism-quasiseparation-criterion", (
+        (YES, ("always",),
+         "chart overlaps are single localizations, hence quasicompact"),
+    )),
+    ("morphism.quasicompact", "morphism-quasicompactness-criterion", (
+        (YES, ("always",),
+         "finitely many affine charts cover the total space"),
+    )),
+    ("morphism.finite_presentation", "finite-presentation-criterion", (
+        (YES, ("always",),
+         "every chart algebra is cut out by finitely many monomial relations "
+         "on finitely many generators"),
+    )),
+    ("morphism.proper", "properness-completeness-criterion", _crisp_or_empty(
+        "fan_complete", "fan_not_complete",
         "the fan is complete, and completeness of the fan is equivalent to "
         "properness over any base",
         "the fan misses a direction, so properness fails over the nonempty "
         "base",
         "an incomplete fan is proper only over an empty base, which is "
         "undetermined here",
-    )
-    if rank_zero and not fan_empty:
-        records.append(_rec(
-            "morphism.finite", YES, "finiteness-criterion",
-            "the fan lives in the zero lattice, so every chart equals the "
-            "base",
-            ("rank_zero", "fan_nonempty"),
-        ))
-    elif fan_empty:
-        records.append(_rec(
-            "morphism.finite", YES, "finiteness-criterion",
-            "an empty scheme is finite over any base",
-            ("fan_empty",),
-        ))
-    elif base.empty == YES:
-        records.append(_rec(
-            "morphism.finite", YES, "finiteness-criterion",
-            "everything over an empty base is finite",
-            ("base.empty=yes",),
-        ))
-    elif base.empty == NO:
-        records.append(_rec(
-            "morphism.finite", NO, "finiteness-criterion",
-            "a torus of positive dimension sits inside the total space, so "
-            "fibers are infinite",
-            ("rank_positive", "fan_nonempty", "base.empty=no"),
-        ))
-    else:
-        records.append(_rec(
-            "morphism.finite", UNKNOWN, "finiteness-criterion",
-            "fibers are infinite unless the base is empty, which is "
-            "undetermined here",
-            ("rank_positive", "fan_nonempty"),
-        ))
-    records.append(_rec(
-        "morphism.connected", YES, "fiber-connectedness-criterion",
-        "every fiber contains a dense torus, hence is connected",
-        ("always",),
-    ))
-    if fan_empty:
-        records.append(_rec(
-            "morphism.irreducible", UNKNOWN, "fiber-irreducibility-criterion",
-            "an empty morphism has no fibers to test",
-            ("fan_empty",),
-        ))
-    else:
-        records.append(_rec(
-            "morphism.irreducible", YES, "fiber-irreducibility-criterion",
-            "every fiber contains a dense torus, hence is irreducible",
-            ("fan_nonempty",),
-        ))
-    records.append(_rec(
-        "morphism.normal", YES, "fiber-normality-criterion",
-        "chart monoids are integrally closed, so the fibers are normal",
-        ("always",),
-    ))
-    records.append(_rec(
-        "morphism.cohen_macaulay", YES, "fiber-cohen-macaulay-criterion",
-        "lattice-point monoid algebras over a field are Cohen-Macaulay",
-        ("always",),
-    ))
-    crisp_or_empty(
-        "morphism.regular", fan_regular, "fan_regular", "fan_not_regular",
-        "fan-regularity-criterion",
+    )),
+    ("morphism.finite", "finiteness-criterion", (
+        (YES, ("rank_zero", "fan_nonempty"),
+         "the fan lives in the zero lattice, so every chart equals the "
+         "base"),
+        (YES, ("fan_empty",), "an empty scheme is finite over any base"),
+        (YES, ("base.empty=yes",),
+         "everything over an empty base is finite"),
+        (NO, ("rank_positive", "fan_nonempty", "base.empty=no"),
+         "a torus of positive dimension sits inside the total space, so "
+         "fibers are infinite"),
+        (UNKNOWN, ("rank_positive", "fan_nonempty"),
+         "fibers are infinite unless the base is empty, which is "
+         "undetermined here"),
+    )),
+    ("morphism.connected", "fiber-connectedness-criterion", (
+        (YES, ("always",),
+         "every fiber contains a dense torus, hence is connected"),
+    )),
+    ("morphism.irreducible", "fiber-irreducibility-criterion", (
+        (UNKNOWN, ("fan_empty",), "an empty morphism has no fibers to test"),
+        (YES, ("fan_nonempty",),
+         "every fiber contains a dense torus, hence is irreducible"),
+    )),
+    ("morphism.normal", "fiber-normality-criterion", (
+        (YES, ("always",),
+         "chart monoids are integrally closed, so the fibers are normal"),
+    )),
+    ("morphism.cohen_macaulay", "fiber-cohen-macaulay-criterion", (
+        (YES, ("always",),
+         "lattice-point monoid algebras over a field are Cohen-Macaulay"),
+    )),
+    ("morphism.regular", "fan-regularity-criterion", _crisp_or_empty(
+        "fan_regular", "fan_not_regular",
         "every cone is spanned by part of a lattice basis, so all fibers "
         "are smooth",
         "a non-regular cone produces a singular point in a fiber over the "
         "nonempty base",
         "a non-regular fan has smooth fibers only over an empty base, "
         "which is undetermined here",
-    )
-    records.append(_rec(
-        "morphism.serre_s_all", YES, "serre-s-criterion",
-        "Cohen-Macaulay fibers satisfy every depth condition",
-        ("always",),
-    ))
-    crisp_or_empty(
-        "morphism.serre_r_high", fan_regular, "fan_regular", "fan_not_regular",
-        "serre-r-high-criterion",
+    )),
+    ("morphism.serre_s_all", "serre-s-criterion", (
+        (YES, ("always",),
+         "Cohen-Macaulay fibers satisfy every depth condition"),
+    )),
+    ("morphism.serre_r_high", "serre-r-high-criterion", _crisp_or_empty(
+        "fan_regular", "fan_not_regular",
         "fiber regularity in every codimension is exactly fan regularity",
         "a non-regular cone breaks fiber regularity in some codimension "
         "over the nonempty base",
         "fiber regularity in high codimension needs a regular fan or an "
         "empty base, which is undetermined here",
-    )
-    if fan_empty or fan_regular:
-        records.append(_rec(
-            "morphism.serre_r_low", YES, "serre-r-low-sufficiency",
-            "a regular or empty fan certifies regularity in low "
-            "codimensions as well",
-            ("fan_empty",) if fan_empty else ("fan_regular",),
-        ))
-    elif base.empty == YES:
-        records.append(_rec(
-            "morphism.serre_r_low", YES, "serre-r-low-sufficiency",
-            "over an empty base there is nothing to check",
-            ("base.empty=yes",),
-        ))
-    else:
-        records.append(_rec(
-            "morphism.serre_r_low", UNKNOWN, "serre-r-low-sufficiency",
-            "low codimension regularity can hold for singular fans; only "
-            "the regular case is certified here",
-            ("fan_not_regular", "fan_nonempty"),
-        ))
-
-    for name, citation in _REFLECTED:
-        prop = "scheme." + name
-        if fan_empty:
-            records.append(_rec(
-                prop, YES, citation,
-                "the total space is empty, and the empty scheme counts as "
-                + name.replace("_", " "),
-                ("fan_empty",),
-            ))
-            continue
-        value = getattr(base, name)
-        if value == UNKNOWN:
-            records.append(_rec(
-                prop, UNKNOWN, citation,
-                "the property passes between base and total space along "
-                "the chart covering, but the base descriptor leaves it "
-                "undetermined",
-                ("fan_nonempty",),
-            ))
-        else:
-            records.append(_rec(
-                prop, value, citation,
-                "the property passes between base and total space along "
-                "the chart covering, and the base reads %s" % value,
-                ("fan_nonempty", "base.%s=%s" % (name, value)),
-            ))
-
-    for name, citation, via in (
-        ("irreducible", "irreducibility-transfer", "dense torus"),
-        ("integral", "integrality-transfer", "dense torus"),
-    ):
-        prop = "scheme." + name
-        if fan_empty:
-            records.append(_rec(
-                prop, NO, citation,
-                "the empty scheme is not %s" % name,
-                ("fan_empty",),
-            ))
-            continue
-        value = getattr(base, name)
-        if value == UNKNOWN:
-            records.append(_rec(
-                prop, UNKNOWN, citation,
-                "the base descriptor leaves this undetermined",
-                ("fan_nonempty",),
-            ))
-        else:
-            records.append(_rec(
-                prop, value, citation,
-                "with a nonempty fan the total space is %s exactly when "
-                "the base is, through the %s" % (name, via),
-                ("fan_nonempty", "base.%s=%s" % (name, value)),
-            ))
-
-    if fan_empty:
-        records.append(_rec(
-            "scheme.regular", YES, "scheme-regularity-criterion",
-            "the empty scheme is regular by convention",
-            ("fan_empty",),
-        ))
-    elif base.empty == YES:
-        records.append(_rec(
-            "scheme.regular", YES, "scheme-regularity-criterion",
-            "the total space over an empty base is empty, hence regular by "
-            "convention",
-            ("base.empty=yes",),
-        ))
-    elif fan_regular and base.regular == YES:
-        records.append(_rec(
-            "scheme.regular", YES, "scheme-regularity-criterion",
-            "a regular base together with a regular fan gives regular "
-            "charts",
-            ("fan_regular", "base.regular=yes"),
-        ))
-    elif not fan_regular and base.empty == NO:
-        records.append(_rec(
-            "scheme.regular", NO, "scheme-regularity-criterion",
-            "a singular cone forces a singular point on the total space "
-            "over the nonempty base",
-            ("fan_not_regular", "fan_nonempty", "base.empty=no"),
-        ))
-    elif base.regular == NO:
-        records.append(_rec(
-            "scheme.regular", NO, "scheme-regularity-criterion",
-            "the base is singular and its singularities persist in the "
-            "total space",
-            ("fan_nonempty", "base.regular=no"),
-        ))
-    else:
-        records.append(_rec(
-            "scheme.regular", UNKNOWN, "scheme-regularity-criterion",
-            "regularity of the total space is undetermined by the "
-            "descriptor",
-            ("fan_nonempty",),
-        ))
-
-    art = _base_artinian(base)
-    if fan_empty:
-        records.append(_rec(
-            "scheme.artinian", YES, "artinianness-criterion",
-            "the empty scheme is artinian by convention",
-            ("fan_empty",),
-        ))
-    elif base.empty == YES:
-        records.append(_rec(
-            "scheme.artinian", YES, "artinianness-criterion",
-            "the total space over an empty base is empty, hence artinian",
-            ("base.empty=yes",),
-        ))
-    elif rank_zero and art == YES:
-        records.append(_rec(
-            "scheme.artinian", YES, "artinianness-criterion",
-            "a zero-rank fan over a noetherian base of dimension zero "
-            "stays artinian",
-            ("rank_zero", "base.artinian=yes"),
-        ))
-    elif not rank_zero and base.empty == NO:
-        records.append(_rec(
-            "scheme.artinian", NO, "artinianness-criterion",
-            "a torus of positive dimension is not artinian",
-            ("rank_positive", "fan_nonempty", "base.empty=no"),
-        ))
-    elif art == NO and base.empty == NO:
-        records.append(_rec(
-            "scheme.artinian", NO, "artinianness-criterion",
-            "the base itself is not artinian, and the charts cover it",
-            ("base.artinian=no", "base.empty=no"),
-        ))
-    else:
-        records.append(_rec(
-            "scheme.artinian", UNKNOWN, "artinianness-criterion",
-            "artinianness is undetermined by the descriptor",
-            ("fan_nonempty",),
-        ))
-
-    if fan_empty:
-        records.append(_rec(
-            "scheme.equidimensional", YES, "equidimensionality-transfer",
-            "the empty scheme is equidimensional by convention",
-            ("fan_empty",),
-        ))
-    elif base.locally_noetherian == YES and base.equidimensional != UNKNOWN:
-        records.append(_rec(
-            "scheme.equidimensional", base.equidimensional,
-            "equidimensionality-transfer",
-            "over a locally noetherian base every chart shifts dimensions "
-            "by the lattice rank, so equidimensionality matches the base",
-            (
-                "fan_nonempty",
-                "base.locally_noetherian=yes",
-                "base.equidimensional=%s" % base.equidimensional,
-            ),
-        ))
-    else:
-        records.append(_rec(
-            "scheme.equidimensional", UNKNOWN, "equidimensionality-transfer",
-            "without local noetherianity of the base, fiber dimensions "
-            "can jump, so no verdict is recorded",
-            ("fan_nonempty",),
-        ))
-
-    if fan_empty:
-        records.append(_rec(
-            "scheme.universally_catenary", YES, "universal-catenarity-transfer",
-            "the empty scheme is universally catenary by convention",
-            ("fan_empty",),
-        ))
-    elif base.universally_catenary == UNKNOWN:
-        records.append(_rec(
-            "scheme.universally_catenary", UNKNOWN,
-            "universal-catenarity-transfer",
+    )),
+    ("morphism.serre_r_low", "serre-r-low-sufficiency", (
+        (YES, ("fan_empty",),
+         "a regular or empty fan certifies regularity in low "
+         "codimensions as well"),
+        (YES, ("fan_regular",),
+         "a regular or empty fan certifies regularity in low "
+         "codimensions as well"),
+        (YES, ("base.empty=yes",),
+         "over an empty base there is nothing to check"),
+        (UNKNOWN, ("fan_not_regular", "fan_nonempty"),
+         "low codimension regularity can hold for singular fans; only "
+         "the regular case is certified here"),
+    )),
+    *(
+        ("scheme." + flag, "base-reflection-" + flag.replace("_", "-"),
+         _follow_base(
+             flag, YES,
+             "the total space is empty, and the empty scheme counts as "
+             + flag.replace("_", " "),
+             _TRANSFERS + ", and the base reads {value}",
+             _TRANSFERS + ", but the base descriptor leaves it undetermined",
+         ))
+        for flag in _REFLECTED
+    ),
+    *(
+        ("scheme." + flag, citation, _follow_base(
+            flag, NO, "the empty scheme is not " + flag,
+            "with a nonempty fan the total space is %s exactly when the base "
+            "is, through the dense torus" % flag,
             "the base descriptor leaves this undetermined",
-            ("fan_nonempty",),
         ))
-    else:
-        records.append(_rec(
-            "scheme.universally_catenary", base.universally_catenary,
-            "universal-catenarity-transfer",
-            "the total space is of finite type over the base, so universal "
-            "catenarity matches the base",
-            (
-                "fan_nonempty",
-                "base.universally_catenary=%s" % base.universally_catenary,
+        for flag, citation in (
+            ("irreducible", "irreducibility-transfer"),
+            ("integral", "integrality-transfer"),
+        )
+    ),
+    ("scheme.regular", "scheme-regularity-criterion", (
+        (YES, ("fan_empty",), "the empty scheme is regular by convention"),
+        (YES, ("base.empty=yes",),
+         "the total space over an empty base is empty, hence regular by "
+         "convention"),
+        (YES, ("fan_regular", "base.regular=yes"),
+         "a regular base together with a regular fan gives regular "
+         "charts"),
+        (NO, ("fan_not_regular", "fan_nonempty", "base.empty=no"),
+         "a singular cone forces a singular point on the total space "
+         "over the nonempty base"),
+        (NO, ("fan_nonempty", "base.regular=no"),
+         "the base is singular and its singularities persist in the "
+         "total space"),
+        (UNKNOWN, ("fan_nonempty",),
+         "regularity of the total space is undetermined by the "
+         "descriptor"),
+    )),
+    ("scheme.artinian", "artinianness-criterion", (
+        (YES, ("fan_empty",), "the empty scheme is artinian by convention"),
+        (YES, ("base.empty=yes",),
+         "the total space over an empty base is empty, hence artinian"),
+        (YES, ("rank_zero", "base.artinian=yes"),
+         "a zero-rank fan over a noetherian base of dimension zero "
+         "stays artinian"),
+        (NO, ("rank_positive", "fan_nonempty", "base.empty=no"),
+         "a torus of positive dimension is not artinian"),
+        (NO, ("base.artinian=no", "base.empty=no"),
+         "the base itself is not artinian, and the charts cover it"),
+        (UNKNOWN, ("fan_nonempty",),
+         "artinianness is undetermined by the descriptor"),
+    )),
+    ("scheme.equidimensional", "equidimensionality-transfer", _follow_base(
+        "equidimensional", YES,
+        "the empty scheme is equidimensional by convention",
+        "over a locally noetherian base every chart shifts dimensions "
+        "by the lattice rank, so equidimensionality matches the base",
+        "without local noetherianity of the base, fiber dimensions "
+        "can jump, so no verdict is recorded",
+        needs=("base.locally_noetherian=yes",),
+    )),
+    ("scheme.universally_catenary", "universal-catenarity-transfer",
+     _follow_base(
+        "universally_catenary", YES,
+        "the empty scheme is universally catenary by convention",
+        "the total space is of finite type over the base, so universal "
+        "catenarity matches the base",
+        "the base descriptor leaves this undetermined",
+     )),
+    # the record also carries dimension_bounds(fan, base)
+    ("scheme.dim", "dimension-formula", (
+        (YES, ("fan_empty",), "the total space is empty"),
+        (YES, ("base.empty=yes",),
+         "the total space over an empty base is empty"),
+        (UNKNOWN, ("fan_nonempty", "base.dim_unknown"),
+         "no dimension interval was given for the base"),
+        (YES, ("fan_nonempty", "base.dim_known", "base.locally_noetherian=yes"),
+         "charts add the lattice rank to the base dimension"),
+        (YES, ("fan_nonempty", "base.dim_known"),
+         "without local noetherianity only the polynomial growth bound "
+         "on the chart dimension applies"),
+    )),
+)
+
+
+def property_report(fan, base):
+    """All recorded verdicts for the fan scheme over the described base:
+    one record per _RULES entry, from its first rule that holds."""
+    facts = _facts(fan, base)
+    records = []
+    for prop, citation, rules in _RULES:
+        for verdict, atoms, why in rules:
+            if all(_holds(a, facts) for a in atoms):
+                break
+        else:
+            raise RuntimeError("no rule for %s applies" % prop)
+        records.append(PropertyRecord(
+            property=prop,
+            verdict=verdict,
+            citation=citation,
+            justification=why,
+            hypotheses=atoms,
+            interval=(
+                dimension_bounds(fan, base) if prop == "scheme.dim" else None
             ),
         ))
-
-    interval = dimension_bounds(fan, base)
-    if fan_empty:
-        dim_atoms = ("fan_empty",)
-        dim_j = "the total space is empty"
-        dim_verdict = YES
-    elif base.empty == YES:
-        dim_atoms = ("base.empty=yes",)
-        dim_j = "the total space over an empty base is empty"
-        dim_verdict = YES
-    elif interval.kind == "unknown":
-        dim_atoms = ("fan_nonempty", "base.dim_unknown")
-        dim_j = "no dimension interval was given for the base"
-        dim_verdict = UNKNOWN
-    elif base.locally_noetherian == YES:
-        dim_atoms = (
-            "fan_nonempty", "base.dim_known", "base.locally_noetherian=yes"
-        )
-        dim_j = "charts add the lattice rank to the base dimension"
-        dim_verdict = YES
-    else:
-        dim_atoms = ("fan_nonempty", "base.dim_known")
-        dim_j = (
-            "without local noetherianity only the polynomial growth bound "
-            "on the chart dimension applies"
-        )
-        dim_verdict = YES
-    records.append(_rec(
-        "scheme.dim", dim_verdict, "dimension-formula", dim_j, dim_atoms,
-        interval=interval,
-    ))
     return tuple(records)
 
 

@@ -86,9 +86,15 @@ def test_validate_rejects_overlapping_cones(tmp_path, capsys):
 def test_malformed_documents_exit_one(tmp_path, capsys):
     garbled = tmp_path / "broken.json"
     garbled.write_text("{")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
     for argv in (
         ["validate", "--fan", str(garbled)],
         ["validate", "--fan", str(tmp_path / "absent.json")],
+        ["validate", "--fan", str(latin)],
+        ["validate", "--fan", str(deep)],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -309,3 +315,32 @@ def test_module_execution_matches_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"complete": True, "full": True}
+
+
+def test_huge_integers_are_refused_with_a_short_message(tmp_path, capsys):
+    # (ray, base dim) texts; past the interpreter's int/str digit limit
+    # even decimal input is refused
+    cases = [("\"%sx\"" % ("1" * 4999), None), (None, "\"%sx\"" % ("1" * 4999))]
+    if hasattr(sys, "get_int_max_str_digits"):
+        big = "1" * 5000
+        cases += [(big, None), ("\"%s\"" % big, None), (None, "\"%s\"" % big)]
+    fan = write_fan(tmp_path, 1, [[(1,)]])
+    bad_fan, base = tmp_path / "bad.json", tmp_path / "base.json"
+    for ray, dim in cases:
+        if dim is None:
+            bad_fan.write_text(
+                '{"lattice_rank": 1, "cones": [{"rays": [[%s]]}]}' % ray
+            )
+            argv = ["validate", "--fan", str(bad_fan)]
+        else:
+            base.write_text('{"dim": [%s, "inf"]}' % dim)
+            argv = ["report", "--fan", fan, "--base", str(base)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanscheme.cli", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, (ray or dim)[-20:]
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert 0 < len(proc.stderr.encode()) < 300, proc.stderr
+        assert ("base.json" in proc.stderr) == (dim is not None), proc.stderr

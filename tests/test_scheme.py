@@ -21,9 +21,6 @@ from fanscheme.scheme import (
     is_openly_immersive,
     property_report,
     reduction_report,
-    t_and,
-    t_not,
-    t_or,
 )
 
 from helpers import (
@@ -39,23 +36,6 @@ from helpers import (
 
 def by_name(records):
     return {r.property: r for r in records}
-
-
-def test_three_valued_connectives():
-    assert t_and(YES, YES) == YES
-    assert t_and(YES, NO) == NO
-    assert t_and(UNKNOWN, NO) == NO
-    assert t_and(YES, UNKNOWN) == UNKNOWN
-    assert t_or(NO, NO) == NO
-    assert t_or(UNKNOWN, YES) == YES
-    assert t_or(NO, UNKNOWN) == UNKNOWN
-    assert t_not(YES) == NO
-    assert t_not(NO) == YES
-    assert t_not(UNKNOWN) == UNKNOWN
-    # de Morgan over all nine pairs
-    for a in (YES, NO, UNKNOWN):
-        for b in (YES, NO, UNKNOWN):
-            assert t_not(t_and(a, b)) == t_or(t_not(a), t_not(b))
 
 
 def test_dim_range_validation_and_json():
