@@ -61,14 +61,22 @@ def _vecs_json(vs):
 
 
 def _load_json(path):
+    def parse_int(text):
+        # the decoder's own int() would end with a hint to call
+        # sys.set_int_max_str_digits, which a command line user cannot do
+        try:
+            return _int_from_json(text, "an integer")
+        except ValueError as e:
+            raise DocumentError("%s: %s" % (path, e))
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
     except OSError as e:
         raise DocumentError("cannot read %s: %s" % (path, e.strerror or e))
     except (ValueError, RecursionError) as e:
-        # a JSONDecodeError, bytes that are not UTF-8, a plain integer past
-        # the interpreter's int/str digit limit, or nesting past its stack
+        # a JSONDecodeError, bytes that are not UTF-8, or nesting past the
+        # interpreter's stack
         raise DocumentError("%s is not valid JSON: %s" % (path, e))
 
 

@@ -11,8 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from operator import mul
 
-from .cones import cone_from_rays, contains_point, dual_cone, faces, Polycone
+from .cones import (
+    cone_from_rays,
+    contains_point,
+    dual_cone,
+    faces,
+    linear_span_rows,
+    Polycone,
+)
 from .lattice import (
     _as_int,
     complement_coordinates,
@@ -20,7 +28,9 @@ from .lattice import (
     hnf_rows,
     lattice_coords_rows,
     lattice_member_rows,
+    rank_rows,
     signed_rows,
+    smith_rows,
 )
 
 
@@ -29,32 +39,88 @@ def _diff_basis(gens, n):
     return tuple(tuple(r) for r in h if any(r))
 
 
+def _pulling_triangulation(cone):
+    """Ray sets of the simplicial cones of the pulling triangulation of a
+    pointed cone, pulling its rays in sorted order.
+
+    A simplicial face is its own triangulation; any other face is the union
+    of the cones from its least ray over the triangulated facets that miss
+    it.  The facets of a face are the maximal proper intersections of its
+    ray set with the facet ray sets of the cone.
+    """
+    n = cone.ambient_rank
+    facet_sets = [
+        frozenset(r for r in cone.rays if dot(r, u) == 0) for u in cone.normals
+    ]
+    memo = {}
+
+    def pull(face):
+        if face not in memo:
+            if rank_rows(list(face), n) == len(face):
+                memo[face] = [face]
+            else:
+                cuts = {face & fs for fs in facet_sets} - {face}
+                v = min(face)
+                memo[face] = [
+                    s | {v}
+                    for g in cuts
+                    if v not in g and not any(g < h for h in cuts)
+                    for s in pull(g)
+                ]
+        return memo[face]
+
+    return pull(frozenset(cone.rays))
+
+
+def _parallelepiped_points(rays, n):
+    """The nonzero lattice points sum c_j * rays[j] with 0 <= c_j < 1, for
+    linearly independent rays: one per nonzero class of (span meet ZZ^n)
+    modulo the lattice the rays generate.
+
+    With p * rays * q == d in Smith form, row i of q^-1 is f_i = sum_j
+    p[i][j] * rays[j] / d_i, and the f_i form a basis of span meet ZZ^n, so
+    the classes are sum c_i f_i with 0 <= c_i < d_i.  Scaling every ray
+    coordinate to the largest invariant factor keeps the arithmetic in
+    integers.
+    """
+    k = len(rays)
+    d, p, _ = smith_rows(rays, n)
+    factors = [d[i][i] for i in range(k)]
+    top = factors[-1]
+    scaled = [[x * (top // f) for x in row] for f, row in zip(factors, p)]
+    for c in product(*(range(f) for f in factors)):
+        if any(c):
+            num = [sum(map(mul, c, col)) % top for col in zip(*scaled)]
+            yield tuple(sum(map(mul, num, col)) // top for col in zip(*rays))
+
+
 def _pointed_hilbert(cone):
     """Hilbert basis of the lattice points of a pointed cone.
 
-    Irreducible elements lie in the zonotope of the extremal rays, so the
-    zonotope's bounding box is enumerated and then reduced with the exact
-    membership test.  Exponential in the box size; fine for small cones.
+    Every irreducible element is an extremal ray or a parallelepiped point
+    of a simplex of a triangulation.  The candidates are reduced in order
+    of the grading by the sum of the facet normals, which is positive on
+    every nonzero point of the cone: a candidate is reducible exactly when
+    it exceeds an irreducible element of strictly smaller degree (Bruns and
+    Ichim, Normaliz: algorithms for affine monoids and rational cones,
+    J. Algebra 2010).
     """
     assert cone.is_pointed
     n = cone.ambient_rank
     if not cone.rays:
         return ()
-    lo = [sum(min(0, r[j]) for r in cone.rays) for j in range(n)]
-    hi = [sum(max(0, r[j]) for r in cone.rays) for j in range(n)]
-    candidates = []
-    for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if any(p) and contains_point(cone, p):
-            candidates.append(p)
+    candidates = set(cone.rays)
+    for simplex in _pulling_triangulation(cone):
+        candidates.update(_parallelepiped_points(sorted(simplex), n))
+    grade = [sum(col) for col in zip(*cone.normals)]
     basis = []
-    for h in candidates:
-        reducible = any(
-            g != h and contains_point(cone, tuple(a - b for a, b in zip(h, g)))
-            for g in candidates
-        )
-        if not reducible:
-            basis.append(h)
-    return tuple(sorted(basis))
+    for deg, h in sorted((dot(grade, h), h) for h in candidates):
+        if not any(
+            dg < deg and contains_point(cone, tuple(a - b for a, b in zip(h, g)))
+            for dg, g in basis
+        ):
+            basis.append((deg, h))
+    return tuple(sorted(h for _, h in basis))
 
 
 def _cone_lattice_hilbert(cone):
@@ -134,7 +200,7 @@ def dual_monoid(sigma):
     return AffineMonoid(
         ambient_rank=sigma.ambient_rank,
         generators=tuple(gens),
-        diff_basis=_diff_basis(gens, sigma.ambient_rank),
+        diff_basis=tuple(tuple(r) for r in linear_span_rows(dc)),
         hilbert_pointed=pointed,
         hilbert_lineality=lin,
         cone=dc,

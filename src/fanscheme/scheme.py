@@ -8,6 +8,8 @@ record carries the rule id and the hypotheses it consumed.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 
 from .fans import is_complete, is_regular, validate_fan
@@ -242,9 +244,14 @@ class BaseDescriptor:
         return cls(**kwargs)
 
 
+_DECIMAL = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")
+
+
 def _int_from_json(value, what):
     """A document integer: a plain integer or a decimal string.  Anything
-    else raises ValueError, which echoes at most 40 characters of it."""
+    else raises ValueError, which echoes at most 40 characters of it, or
+    gives the digit count of a decimal string past the interpreter's
+    int/str digit limit."""
     if isinstance(value, bool):
         raise ValueError("%s must be an integer, not a boolean" % what)
     if isinstance(value, int):
@@ -253,6 +260,13 @@ def _int_from_json(value, what):
         try:
             return int(value, 10)
         except ValueError:
+            if _DECIMAL.fullmatch(value):
+                digits = sum(ch.isdigit() for ch in value)
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(
+                    "%s has %d digits; this interpreter reads integers of at "
+                    "most %d digits" % (what, digits, limit)
+                ) from None
             shown = repr(value[:40])
             if len(value) > 40:
                 shown += "... (%d characters)" % len(value)

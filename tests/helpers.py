@@ -6,7 +6,7 @@ package cannot hide behind itself.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def mat_mult(a, b, b_cols):
@@ -168,6 +168,91 @@ def fm_cone_contains(rays, point, n):
         rows = new_rows
     # all variables eliminated: feasible iff every residual constant >= 0
     return all(r[k] >= 0 for r in rows)
+
+
+def frac_kernel(rows, n):
+    """Basis of {y in QQ^n : <y, r> = 0 for every row r}, by reduced row
+    echelon form from scratch."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(n):
+        piv = next(
+            (i for i in range(len(pivots), len(work)) if work[i][col]), None
+        )
+        if piv is None:
+            continue
+        top = len(pivots)
+        work[top], work[piv] = work[piv], work[top]
+        inv = 1 / work[top][col]
+        work[top] = [x * inv for x in work[top]]
+        for i in range(len(work)):
+            if i != top and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[top])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        y = [Fraction(0)] * n
+        y[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            y[col] = -work[k][free]
+        basis.append(y)
+    return basis
+
+
+def facet_cone_contains(rays, n):
+    """Membership predicate for the cone generated by `rays`, from facet
+    inequalities found by brute force.
+
+    With r the rank of the rays, every facet is spanned by r - 1 of them;
+    each such independent subset gives a functional on the span of the
+    rays, unique up to scale, and it is a facet inequality when the rays
+    all lie on one side of it.  Far faster than fm_cone_contains once a
+    cone has more than a few rays, and just as independent of the package.
+    """
+    r = frac_rank(rays)
+    equations = frac_kernel(rays, n)
+    inequalities = []
+    for subset in combinations(rays, r - 1):
+        if frac_rank(subset) != r - 1:
+            continue
+        for y in frac_kernel(subset, n):
+            vals = [sum(a * b for a, b in zip(y, v)) for v in rays]
+            if any(vals):
+                break
+        if all(v >= 0 for v in vals):
+            inequalities.append(y)
+        elif all(v <= 0 for v in vals):
+            inequalities.append([-a for a in y])
+
+    def inside(p):
+        def val(y):
+            return sum(a * b for a, b in zip(y, p))
+
+        return all(val(y) == 0 for y in equations) and all(
+            val(y) >= 0 for y in inequalities
+        )
+
+    return inside
+
+
+def box_hilbert_basis(rays, n, inside):
+    """Irreducible nonzero lattice points of the generator box, with the
+    membership predicate `inside`; see test_acceptance.box_hilbert_oracle."""
+    lo = [sum(min(0, r[a]) for r in rays) for a in range(n)]
+    hi = [sum(max(0, r[a]) for r in rays) for a in range(n)]
+    pts = [
+        p
+        for p in product(*[range(lo[a], hi[a] + 1) for a in range(n)])
+        if any(p) and inside(p)
+    ]
+    return sorted(
+        h
+        for h in pts
+        if not any(
+            g != h and inside(tuple(x - y for x, y in zip(h, g))) for g in pts
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

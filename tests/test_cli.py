@@ -344,3 +344,10 @@ def test_huge_integers_are_refused_with_a_short_message(tmp_path, capsys):
         assert "Traceback" not in proc.stderr
         assert 0 < len(proc.stderr.encode()) < 300, proc.stderr
         assert ("base.json" in proc.stderr) == (dim is not None), proc.stderr
+        assert "set_int_max_str_digits" not in proc.stderr
+        if (ray or dim).endswith('x"'):
+            assert "is not a decimal integer" in proc.stderr, proc.stderr
+        else:
+            assert "has 5000 digits" in proc.stderr, proc.stderr
+            limit = "at most %d digits" % sys.get_int_max_str_digits()
+            assert limit in proc.stderr, proc.stderr

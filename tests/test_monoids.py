@@ -1,10 +1,23 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fanscheme.cones import FaceLattice, cone_from_rays, contains_point, faces
+from fanscheme.cones import (
+    FaceLattice,
+    cone_from_rays,
+    contains_point,
+    dual_cone,
+    faces,
+)
+from fanscheme import monoids
+from fanscheme.lattice import IntMatrix, invariant_factors, solve_left_rows
 from fanscheme.monoids import (
+    _diff_basis,
+    _parallelepiped_points,
+    _pulling_triangulation,
     AffineMonoid,
     check_openly_immersive_pair,
     dual_monoid,
@@ -16,6 +29,13 @@ from fanscheme.monoids import (
     monoid_of_differences,
     monoid_sum,
     separation_certificate,
+)
+
+from helpers import (
+    box_hilbert_basis,
+    facet_cone_contains,
+    fm_cone_contains,
+    frac_rank,
 )
 
 
@@ -459,3 +479,139 @@ def test_hilbert_generates_its_monoid():
         for c, g in zip(coeffs, m.generators):
             v = [a + c * b for a, b in zip(v, g)]
         assert monoid_contains(m, tuple(v))
+
+
+def reeve_cones():
+    # cones over Reeve tetrahedra: lattice points only at the vertices, and
+    # Hilbert basis elements of degree two; the last one is not simplicial
+    tetra = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)]
+    return [
+        tetra + [(1, 1, 1, 2)],
+        tetra + [(1, 1, 1, 3)],
+        tetra + [(1, 1, 1, 3), (1, 0, 0, -1)],
+    ]
+
+
+def random_cones_over_points(rng, count, max_box):
+    """Ray lists of pointed cones of rank 3 and 4 over n+1 to n+4 points
+    (1, *); a quarter are flattened into the hyperplane x_last = x_first.
+    Cones whose generator box has more than max_box points are skipped."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 4)
+        b = rng.choice([1, 2])
+        rays = [
+            (1,) + tuple(rng.randint(-b, b) for _ in range(n - 1))
+            for _ in range(rng.randint(n + 1, n + 4))
+        ]
+        if rng.random() < 0.25:
+            rays = [r[:-1] + (r[0],) for r in rays]
+        width = [
+            sum(max(0, r[a]) for r in rays) - sum(min(0, r[a]) for r in rays) + 1
+            for a in range(n)
+        ]
+        if math.prod(width) <= max_box:
+            out.append(rays)
+    return out
+
+
+def test_hilbert_bases_of_nonsimplicial_cones_match_brute_force():
+    # the Fourier-Motzkin oracle is too slow past a few rays, so it judges
+    # the facet oracle near the Hilbert basis of three rank-3 cones over
+    # four points
+    rng = random.Random(4404)
+    nonsimplicial = flat = deep = judged = 0
+    for rays in reeve_cones() + random_cones_over_points(rng, 60, 1000):
+        n = len(rays[0])
+        inside = facet_cone_contains(rays, n)
+        oracle = box_hilbert_basis(rays, n, inside)
+        if n == 3 and len(rays) == 4 and judged < 3:
+            judged += 1
+            for h in oracle:
+                assert fm_cone_contains(rays, h, n)
+                for j, s in itertools.product(range(1, n), (-1, 1)):
+                    p = h[:j] + (h[j] + s,) + h[j + 1 :]
+                    assert inside(p) == fm_cone_contains(rays, p, n)
+        c = cone_from_rays(n, rays)
+        got = dual_monoid(dual_cone(c)).hilbert_pointed
+        assert list(got) == oracle, rays
+        nonsimplicial += len(c.rays) > c.dim
+        flat += not c.is_full
+        deep += any(h[0] > 1 for h in got)
+    assert nonsimplicial >= 30 and flat >= 10 and deep >= 3 and judged == 3
+
+
+def test_parallelepiped_points_are_the_classes_modulo_the_rays():
+    rng = random.Random(8128)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        rays = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+        if frac_rank(rays) < k:
+            continue
+        factors = invariant_factors(IntMatrix.from_rows(rays))
+        points = list(_parallelepiped_points(rays, n))
+        assert len(points) == math.prod(factors) - 1
+        c = cone_from_rays(n, rays)
+        coords = set()
+        for p in points:
+            assert all(isinstance(x, int) for x in p) and contains_point(c, p)
+            x = tuple(solve_left_rows(rays, n, p))
+            assert all(0 <= t < 1 for t in x) and any(x)
+            coords.add(x)
+        # distinct coordinates in [0, 1) differ by a non-integral vector
+        assert len(coords) == len(points)
+
+
+def test_pulling_triangulation_covers_the_cone_with_simplices():
+    # Fourier-Motzkin takes seconds on some rank-4 simplices, so those are
+    # checked with the facet oracle, which the test above judges
+    rng = random.Random(3141)
+    for rays in random_cones_over_points(rng, 30, 10**6):
+        n = len(rays[0])
+        c = cone_from_rays(n, rays)
+        simplices = _pulling_triangulation(c)
+        for s in simplices:
+            assert frac_rank(list(s)) == len(s) == c.dim
+            assert s <= set(c.rays)
+        members = [facet_cone_contains(list(s), n) for s in simplices]
+        for _ in range(10):
+            p = [0] * n
+            for r in rays:
+                t = rng.randint(0, 3)
+                p = [a + t * b for a, b in zip(p, r)]
+            assert any(inside(p) for inside in members)
+            if n == 3:
+                assert any(fm_cone_contains(list(s), p, n) for s in simplices)
+
+
+def test_hilbert_bases_of_wedges_test_membership_linearly(monkeypatch):
+    # the zonotope box of the wedge (1,0),(1,600) took 724,205 calls
+    calls = []
+
+    def counted(cone, point):
+        calls.append(point)
+        return contains_point(cone, point)
+
+    monkeypatch.setattr(monoids, "contains_point", counted)
+    k = 600
+    wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
+    points = dual_monoid(dual_cone(wedge_k))
+    assert points.hilbert_pointed == tuple((1, j) for j in range(k + 1))
+    assert len(calls) <= 3 * k
+    calls.clear()
+    dual = dual_monoid(wedge_k)
+    assert dual.hilbert_pointed == ((0, 1), (1, 0), (k, -1))
+    assert len(calls) <= 3 * k
+
+
+def test_cone_monoid_difference_group_is_the_generated_lattice():
+    rng = random.Random(2718)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        gens = [
+            tuple(rng.randint(-2, 2) for _ in range(n))
+            for _ in range(rng.randint(0, 4))
+        ]
+        m = dual_monoid(cone_from_rays(n, gens))
+        assert m.diff_basis == _diff_basis(m.generators, n)
