@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .cones import dual_cone, cone_from_rays
+from .cones import cone_from_rays
 from .fans import (
     BadIntersectionError,
     Fan,
@@ -25,7 +25,7 @@ from .fans import (
     is_regular,
     validate_fan,
 )
-from .monoids import dual_monoid
+from .monoids import _cone_lattice_hilbert, dual_monoid
 from .scheme import (
     BaseDescriptor,
     _int_from_json,
@@ -181,11 +181,11 @@ def _cmd_validate(args):
 def _cmd_hilbert(args):
     fan = _load_valid_fan(args)
     c = _pick_cone(fan, args.cone)
-    points = dual_monoid(dual_cone(c))  # lattice points of the cone itself
+    pointed, lin = _cone_lattice_hilbert(c)
     return {
         "cone": args.cone,
-        "hilbert_basis": _vecs_json(points.hilbert_pointed),
-        "lineality_basis": _vecs_json(points.hilbert_lineality),
+        "hilbert_basis": _vecs_json(pointed),
+        "lineality_basis": _vecs_json(lin),
     }
 
 

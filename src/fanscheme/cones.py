@@ -324,8 +324,8 @@ def faces(c):
     description pass; its witness is the sum of the normals of c vanishing
     on it.  Cones with lineality are rejected; nothing downstream needs
     their faces.  A validated fan keeps the lattice of each of its cones in
-    its face index, where validate_fan applies the separation lemma to it,
-    so callers holding a fan read it from there.
+    its face index, where validate_fan looks up the meets of its maximal
+    cones, so callers holding a fan read it from there.
     """
     return _face_lattice(c, {frozenset(c.rays): c})
 
@@ -338,6 +338,8 @@ def separating_covector(a, b):
     Separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
     Cox-Little-Schenck, Lemma 1.2.13): a meet b is a face of both cones
     exactly when a meet u-perp == b meet u-perp, and both then equal a meet b.
+    scheme.check_separation_condition computes one per incomparable pair of
+    fan cones, for monoids.separation_certificate.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")

@@ -2,22 +2,16 @@
 
 A Fan object only normalizes its cone list; the fan axioms are checked by
 validate_fan, which raises a typed error naming the offending cones.  A fan
-that passes carries its face index: face lattices, face order, meets and
-separating covectors, computed once and read by every later caller.
+that passes carries its face index: face lattices, face order and meets,
+computed once and read by every later caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import (
-    _face_lattice,
-    cone_from_rays,
-    intersect_cones,
-    Polycone,
-    separating_covector,
-)
-from .lattice import complement_coordinates, dot, saturate_rows, smith_rows
+from .cones import _face_lattice, cone_from_rays, intersect_cones, Polycone
+from .lattice import complement_coordinates, saturate_rows, smith_rows
 
 
 class FanError(ValueError):
@@ -96,33 +90,27 @@ class FaceIndex:
 
     cones: ray frozenset -> cone of the fan.
     lattices: cone -> its FaceLattice.
-    meets: (i, j), i < j -> label of the meet of cones i and j.
-    separators: (i, j), i < j -> u >= 0 on cone i, <= 0 on cone j, cutting
-        their meet out of both (minus the witness when i is a face of j).
+    meets: (i, j), i < j -> label of the meet of cones i and j, the cone on
+        their shared rays.
     """
 
     cones: dict
     lattices: dict
     meets: dict
-    separators: dict
-
-
-def _tight(rays, u):
-    return frozenset(r for r in rays if dot(r, u) == 0)
 
 
 def validate_fan(fan):
     """Check the fan axioms once and return the fan's FaceIndex.
 
     Raises a FanError subclass unless every cone is pointed, every face of
-    a cone is in the fan, and any two cones meet in a common face.  Face
-    lattices reuse the fan's cones as faces.  A face pair meets in the
-    smaller cone; any other pair (a, b) is decided by the separation lemma
-    (Fulton, Introduction to Toric Varieties, 1.2; Cox-Little-Schenck,
-    Lemma 1.2.13): with u = cones.separating_covector(a, b), a meet b is a
-    face of both exactly when a and b have the same rays tight at u, which
-    then span the meet.  The true intersection is computed only for the
-    error.  The index is stored on the fan, and later calls return it.
+    a cone is in the fan, and any two maximal cones (faces of no other fan
+    cone) meet in a common face; a BadIntersectionError names two maximal
+    cones and their intersection.  That suffices: every cone is a face of a
+    maximal one, and faces a of A and b of B meet in (a meet F) meet
+    (b meet F) with F = A meet B.  Both are faces of F, so their meet is a
+    face of a and of b, the cone on the rays a and b share.  Face lattices
+    reuse the fan's cones as faces.  The index is stored on the fan, and
+    later calls return it.
     """
     if fan._face_index is not None:
         return fan._face_index
@@ -137,29 +125,21 @@ def validate_fan(fan):
         for f in lattices[c]:
             if f not in fan:
                 raise MissingFaceError(c, f)
+    lower = {f for c in fan.cones for f in lattices[c] if f != c}
+    tops = [c for c in fan.cones if c not in lower]
+    for i, a in enumerate(tops):
+        for b in tops[i + 1:]:
+            meet = intersect_cones(a, b)
+            if meet not in lattices[a] or meet not in lattices[b]:
+                raise BadIntersectionError(a, b, meet)
     label = {c: i for i, c in enumerate(fan.cones)}
-    meets = {}
-    separators = {}
-    for i, a in enumerate(fan.cones):
-        for j in range(i + 1, len(fan.cones)):
-            b = fan.cones[j]
-            if a in lattices[b]:
-                meet, u = a, tuple(-x for x in lattices[b].witnesses[a])
-            elif b in lattices[a]:
-                meet, u = b, lattices[a].witnesses[b]
-            else:
-                u = separating_covector(a, b)
-                tight = _tight(a.rays, u)
-                meet = cones.get(tight)
-                if (
-                    tight != _tight(b.rays, u)
-                    or meet not in lattices[a]
-                    or meet not in lattices[b]
-                ):
-                    raise BadIntersectionError(a, b, intersect_cones(a, b))
-            meets[(i, j)] = label[meet]
-            separators[(i, j)] = u
-    fan._face_index = FaceIndex(cones, lattices, meets, separators)
+    rays = [frozenset(c.rays) for c in fan.cones]
+    meets = {
+        (i, j): label[cones[rays[i] & rays[j]]]
+        for i in range(len(rays))
+        for j in range(i + 1, len(rays))
+    }
+    fan._face_index = FaceIndex(cones, lattices, meets)
     return fan._face_index
 
 

@@ -62,27 +62,19 @@ def transpose_rows(rows, cols):
     return [[row[j] for row in rows] for j in range(cols)]
 
 
-def hnf_rows(rows, cols):
-    """Row Hermite normal form with transform.
+def _echelon(rows, cols):
+    """Canonical row echelon form of the first cols columns.
 
-    Returns (h, u, pivot_cols): u is unimodular with u * rows == h, h is the
-    canonical row echelon form (positive pivots, entries above each pivot
-    reduced into [0, pivot), zero rows at the bottom), and pivot_cols lists
-    the pivot column of each nonzero row.  The canonical form depends only
-    on the row lattice, not on the presentation.
+    Returns (h, pivot_cols) as hnf_rows does.  Every row operation acts on
+    whole rows, so entries past column cols follow along: appended
+    identity columns record the transform.
     """
     m = len(rows)
     h = [list(r) for r in rows]
-    u = identity_rows(m)
 
     def combine(i, k, c):
-        # row i -= c * row k, on h and u in lockstep
-        hi, hk = h[i], h[k]
-        for j in range(cols):
-            hi[j] -= c * hk[j]
-        ui, uk = u[i], u[k]
-        for j in range(m):
-            ui[j] -= c * uk[j]
+        # row i -= c * row k
+        h[i] = [a - c * b for a, b in zip(h[i], h[k])]
 
     piv = 0
     pivot_cols = []
@@ -98,7 +90,6 @@ def hnf_rows(rows, cols):
                 break
             if best != piv:
                 h[piv], h[best] = h[best], h[piv]
-                u[piv], u[best] = u[best], u[piv]
             clean = True
             for i in range(piv + 1, m):
                 if h[i][col] != 0:
@@ -111,18 +102,31 @@ def hnf_rows(rows, cols):
             continue
         if h[piv][col] < 0:
             h[piv] = [-x for x in h[piv]]
-            u[piv] = [-x for x in u[piv]]
         for i in range(piv):
             q = h[i][col] // h[piv][col]
             if q != 0:
                 combine(i, piv, q)
         pivot_cols.append(col)
         piv += 1
-    return h, u, pivot_cols
+    return h, pivot_cols
+
+
+def hnf_rows(rows, cols):
+    """Row Hermite normal form with transform.
+
+    Returns (h, u, pivot_cols): u is unimodular with u * rows == h, h is the
+    canonical row echelon form (positive pivots, entries above each pivot
+    reduced into [0, pivot), zero rows at the bottom), and pivot_cols lists
+    the pivot column of each nonzero row.  The canonical form depends only
+    on the row lattice, not on the presentation.
+    """
+    ident = identity_rows(len(rows))
+    hu, pivot_cols = _echelon([list(r) + e for r, e in zip(rows, ident)], cols)
+    return [r[:cols] for r in hu], [r[cols:] for r in hu], pivot_cols
 
 
 def rank_rows(rows, cols):
-    return len(hnf_rows(rows, cols)[2])
+    return len(_echelon(rows, cols)[1])
 
 
 def smith_rows(rows, cols):
@@ -234,7 +238,7 @@ def kernel_rows(rows, cols):
     rel = [u[i] for i in range(len(rows)) if not any(h[i])]
     if not rel:
         return []
-    kh, _, _ = hnf_rows(rel, len(rows))
+    kh = _echelon(rel, len(rows))[0]
     return [row for row in kh if any(row)]
 
 

@@ -23,9 +23,9 @@ from .cones import (
 )
 from .lattice import (
     _as_int,
+    _echelon,
     complement_coordinates,
     dot,
-    hnf_rows,
     lattice_coords_rows,
     lattice_member_rows,
     rank_rows,
@@ -35,8 +35,7 @@ from .lattice import (
 
 
 def _diff_basis(gens, n):
-    h = hnf_rows([list(g) for g in gens], n)[0]
-    return tuple(tuple(r) for r in h if any(r))
+    return tuple(tuple(r) for r in _echelon(gens, n)[0] if any(r))
 
 
 def _pulling_triangulation(cone):
@@ -419,10 +418,12 @@ def localization_certificate(big, small, sigma, tau, lattice=None):
 def separation_certificate(first, second, meet, u):
     """Certified meet == first + second for the dual monoids of cones
     sigma, tau and sigma meet tau, given u from the separation lemma
-    (fans.validate_fan).  Checked with contains_point only: u in first, -u
-    in second, every generator of first and second in meet, and every
-    generator h of meet back in first as h + k*u, so h = (h + k*u) +
-    k*(-u).  Returns (u, shifts); a failed step raises ValueError.
+    (cones.separating_covector, which scheme.check_separation_condition
+    computes for each incomparable pair).  Checked with contains_point
+    only: u in first, -u in second, every generator of first and second in
+    meet, and every generator h of meet back in first as h + k*u, so h =
+    (h + k*u) + k*(-u).  Returns (u, shifts); a failed step raises
+    ValueError.
     """
     for m in (first, second, meet):
         if m.cone is None:

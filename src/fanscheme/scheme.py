@@ -12,6 +12,7 @@ import re
 import sys
 from dataclasses import dataclass
 
+from .cones import separating_covector
 from .fans import is_complete, is_regular, validate_fan
 from .monoid_algebra import augmentation
 from .monoids import (
@@ -539,22 +540,27 @@ class SeparationReport:
 def check_separation_condition(system):
     """For every pair, the meet chart must equal the sum of the two charts.
 
-    Fan systems prove each pair by the separation lemma (Fulton,
-    Introduction to Toric Varieties, 1.2; Cox-Little-Schenck, Lemma
-    1.2.13) with the covector the fan's face index stores for it
+    A comparable pair holds outright: MonoidSystem admits one only when the
+    lower chart contains the upper, so their sum is the lower chart, which
+    is their meet.  Fan systems prove each incomparable pair of cones by
+    the separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
+    Cox-Little-Schenck, Lemma 1.2.13) with cones.separating_covector
     (monoids.separation_certificate); a failed certificate raises
     ValueError.  Explicit systems compare the meet chart with monoid_sum
     of the two charts by exact membership.
     """
-    index = validate_fan(system.fan) if system.source == "fan" else None
     entries = []
     n = len(system.monoids)
     for i in range(n):
         for j in range(i + 1, n):
             first, second = system.monoids[i], system.monoids[j]
-            meet = system.monoids[system.inf(i, j)]
-            if index is not None:
-                separation_certificate(first, second, meet, index.separators[(i, j)])
+            k = system.inf(i, j)
+            meet = system.monoids[k]
+            if k in (i, j):
+                ok = True
+            elif system.source == "fan":
+                a, b = system.fan.cones[i], system.fan.cones[j]
+                separation_certificate(first, second, meet, separating_covector(a, b))
                 ok = True
             else:
                 joined = monoid_sum(first, second)

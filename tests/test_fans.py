@@ -1,8 +1,14 @@
 import random
+from operator import mul
 
 import pytest
 
-from fanscheme.cones import cone_from_rays, faces
+from fanscheme.cones import (
+    cone_from_rays,
+    faces,
+    intersect_cones,
+    separating_covector,
+)
 from fanscheme.fans import (
     BadIntersectionError,
     complete_under_faces,
@@ -84,8 +90,6 @@ def test_validation_rejects_overlapping_cones():
     with pytest.raises(BadIntersectionError) as info:
         validate_fan(Fan(2, pieces))
     err = info.value
-    from fanscheme.cones import intersect_cones
-
     assert err.intersection == intersect_cones(err.first, err.second)
     assert (
         err.intersection not in faces(err.first)
@@ -102,8 +106,6 @@ def test_validation_rejects_nested_top_cones():
 
 
 def test_validation_builds_the_face_index_once():
-    from fanscheme.cones import intersect_cones
-
     rng = random.Random(6060)
     fans = [projective_plane_fan(), hirzebruch_fan(), affine_wedge_fan()]
     fans += [random_orthant_subfan(rng) for _ in range(3)]
@@ -118,13 +120,79 @@ def test_validation_builds_the_face_index_once():
         for (i, j), k in index.meets.items():
             a, b = fan.cones[i], fan.cones[j]
             assert fan.cones[k] == intersect_cones(a, b)
-            u = index.separators[(i, j)]
+            if k in (i, j):
+                continue
+            u = separating_covector(a, b)
             dots_a = [sum(x * y for x, y in zip(r, u)) for r in a.rays]
             dots_b = [sum(x * y for x, y in zip(r, u)) for r in b.rays]
             assert min(dots_a, default=0) >= 0 >= max(dots_b, default=0)
             tight = {r for r, d in zip(a.rays, dots_a) if d == 0}
             assert tight == {r for r, d in zip(b.rays, dots_b) if d == 0}
             assert tight == set(fan.cones[k].rays)
+
+
+def _small_pointed_cone(rng, n, gens=None):
+    """Pointed cone on 1 to n + 1 random generators with entries in
+    {-2..2}, plus any given generators."""
+    while True:
+        extra = [
+            tuple(rng.randint(-2, 2) for _ in range(n))
+            for _ in range(rng.randint(1, n + 1))
+        ]
+        c = cone_from_rays(n, list(gens or []) + extra)
+        if c.is_pointed and c.rays:
+            return c
+
+
+def _random_cone_set(rng, n):
+    """Cones that overlap, nest, cross, or meet along a facet."""
+    a = _small_pointed_cone(rng, n)
+    kind = rng.randrange(4)
+    if kind == 0:
+        others = [_small_pointed_cone(rng, n) for _ in range(rng.randint(1, 2))]
+    elif kind == 1:
+        # nested: nonnegative combinations of the rays of a
+        inner = []
+        for _ in range(rng.randint(1, n)):
+            coeffs = [rng.randint(0, 2) for _ in a.rays]
+            inner.append(tuple(sum(map(mul, coeffs, col)) for col in zip(*a.rays)))
+        others = [cone_from_rays(n, inner)]
+    elif kind == 2:
+        # crossing: some rays of a and random new ones
+        shared = rng.sample(a.rays, rng.randint(1, len(a.rays)))
+        others = [_small_pointed_cone(rng, n, shared)]
+    else:
+        # a facet of a and one more vector: a common facet or an overlap
+        facet = rng.choice([f for f in faces(a) if f.dim == a.dim - 1] or [a])
+        others = [_small_pointed_cone(rng, n, facet.rays)]
+    return complete_under_faces(Fan(n, [a] + others))
+
+
+def test_validation_agrees_with_checking_every_pair():
+    rng = random.Random(7070)
+    verdicts = []
+    for _ in range(120):
+        fan = _random_cone_set(rng, rng.choice((2, 3)))
+        lattices = {c: faces(c) for c in fan}
+        oracle = all(
+            cap in lattices[a] and cap in lattices[b]
+            for i, a in enumerate(fan.cones)
+            for b in fan.cones[i + 1:]
+            for cap in [intersect_cones(a, b)]
+        )
+        verdicts.append(oracle)
+        if not oracle:
+            with pytest.raises(BadIntersectionError) as info:
+                validate_fan(fan)
+            err = info.value
+            assert err.intersection == intersect_cones(err.first, err.second)
+            for c in (err.first, err.second):
+                assert not any(c in lattices[d] for d in fan if d != c)
+            continue
+        index = validate_fan(fan)
+        for (i, j), k in index.meets.items():
+            assert fan.cones[k] == intersect_cones(fan.cones[i], fan.cones[j])
+    assert 30 <= verdicts.count(False) <= 90
 
 
 def test_complete_under_faces_recovers_the_golden_fan():

@@ -159,7 +159,11 @@ def test_hnf_random_invariants():
         assert helpers.mat_mult(u, rows, n) == h
         assert helpers.is_unimodular(u)
         helpers.assert_canonical_hnf(h, n)
-        assert len(piv) == helpers.frac_rank(rows)
+        assert len(piv) == helpers.frac_rank(rows) == rank_rows(rows, n)
+        m = IntMatrix.from_rows(rows, n)
+        hm, um = hermite_normal_form(m)
+        assert (hm.row_list(), um.row_list()) == (h, u)
+        assert (um * m).entries == hm.entries
 
 
 def test_hnf_is_a_lattice_invariant():
@@ -225,6 +229,7 @@ def test_saturate_random_invariants():
         rows, n = helpers.random_matrix(rng)
         sat = saturate_rows(rows, n)
         assert len(sat) == helpers.frac_rank(rows)
+        assert saturate_sublattice(IntMatrix.from_rows(rows, n)).row_list() == sat
         assert saturate_rows(sat, n) == sat
         for row in rows:
             # each original row decomposes integrally over the saturation
