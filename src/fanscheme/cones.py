@@ -211,10 +211,9 @@ def cone_from_rays(ambient_rank, generators):
 
 
 def dual_cone(c):
-    """The dual cone {u : <u, x> >= 0 on c}, rebuilt from generators."""
-    return cone_from_rays(
-        c.ambient_rank, signed_rows(c.normals, c.dual_lineality)
-    )
+    """The dual cone {u : <u, x> >= 0 on c}: both stored sides are
+    canonical, so it is the same four fields with the sides swapped."""
+    return Polycone(c.ambient_rank, c.normals, c.dual_lineality, c.rays, c.lineality)
 
 
 def intersect_cones(a, b):

@@ -294,8 +294,30 @@ def lattice_coords_rows(rows, cols, target):
     return [int(c) for c in x]
 
 
+def _in_echelon_span(h, pivot_cols, target):
+    """Is target in the ZZ-span of echelon rows h (as _echelon returns them)?
+
+    Row k has its pivot at pivot_cols[k] and zeros before it, so each pivot
+    entry of the target must be an exact multiple of the pivot; subtracting
+    that multiple keeps the earlier pivot entries at zero, and the target
+    lies in the lattice exactly when nothing is left.
+    """
+    t = list(target)
+    for row, col in zip(h, pivot_cols):
+        q, r = divmod(t[col], row[col])
+        if r:
+            return False
+        if q:
+            t = [a - q * b for a, b in zip(t, row)]
+    return not any(t)
+
+
 def lattice_member_rows(rows, cols, target):
-    return lattice_coords_rows(rows, cols, target) is not None
+    """Is target in the ZZ-row-span?  Integer reduction over the echelon
+    form; no rational solve."""
+    if len(target) != cols:
+        raise ValueError("target length does not match column count")
+    return _in_echelon_span(*_echelon(rows, cols), target)
 
 
 def det_rows(rows):
@@ -329,35 +351,20 @@ def det_rows(rows):
 
 
 def invert_unimodular_rows(rows):
-    """Integer inverse of a unimodular matrix; ValueError if not unimodular."""
+    """Integer inverse of a unimodular matrix; ValueError if not unimodular.
+
+    The Hermite form of a unimodular matrix is the identity, so the
+    transform of hnf_rows is the inverse.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = -1
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        c = a[col][col]
-        a[col] = [x / c for x in a[col]]
-        inv[col] = [x / c for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    out = []
-    for r in inv:
-        for x in r:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular over ZZ")
-        out.append([int(x) for x in r])
-    return out
+    if any(len(r) != n for r in rows):
+        raise ValueError("inverse needs a square matrix")
+    h, u, pivot_cols = hnf_rows(rows, n)
+    if len(pivot_cols) < n:
+        raise ValueError("matrix is singular")
+    if h != identity_rows(n):
+        raise ValueError("matrix is not unimodular over ZZ")
+    return u
 
 
 def signed_rows(pointed, lineality):

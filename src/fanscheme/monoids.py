@@ -9,7 +9,7 @@ this module rounds or bounds heuristically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from operator import mul
 
@@ -24,13 +24,15 @@ from .cones import (
 from .lattice import (
     _as_int,
     _echelon,
+    _in_echelon_span,
     complement_coordinates,
     dot,
+    invert_unimodular_rows,
     lattice_coords_rows,
-    lattice_member_rows,
     rank_rows,
     signed_rows,
     smith_rows,
+    unimodular_complement_rows,
 )
 
 
@@ -113,10 +115,13 @@ def _pointed_hilbert(cone):
         candidates.update(_parallelepiped_points(sorted(simplex), n))
     grade = [sum(col) for col in zip(*cone.normals)]
     basis = []
+    smaller = 0  # basis[:smaller] is the kept part of strictly smaller degree
     for deg, h in sorted((dot(grade, h), h) for h in candidates):
+        while smaller < len(basis) and basis[smaller][0] < deg:
+            smaller += 1
         if not any(
-            dg < deg and contains_point(cone, tuple(a - b for a, b in zip(h, g)))
-            for dg, g in basis
+            contains_point(cone, tuple(a - b for a, b in zip(h, g)))
+            for _, g in basis[:smaller]
         ):
             basis.append((deg, h))
     return tuple(sorted(h for _, h in basis))
@@ -151,8 +156,10 @@ class AffineMonoid:
 
     diff_basis is the canonical basis of the group of differences: the
     subgroup of ZZ^n the generators generate, not its saturation.  Cone
-    monoids carry their cone and Hilbert structure.  Equality compares the
-    stored presentation.
+    monoids carry their cone and Hilbert structure.  A designated monoid
+    fills _data on first use with what membership needs (see
+    _membership_data) and with its integral-closedness flag; equality,
+    hashing and repr see only the stored presentation.
     """
 
     ambient_rank: int
@@ -161,6 +168,7 @@ class AffineMonoid:
     hilbert_pointed: tuple | None = None
     hilbert_lineality: tuple | None = None
     cone: Polycone | None = None
+    _data: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_generators(cls, ambient_rank, generators):
@@ -206,6 +214,51 @@ def dual_monoid(sigma):
     )
 
 
+def _quotient_image(columns, x):
+    return tuple([sum(map(mul, x, col)) for col in columns])
+
+
+def _membership_data(m):
+    """What monoid_contains needs of a designated monoid, computed on the
+    first call and kept in m._data.
+
+    support: the cone of the generators.  quotient: the columns that map x
+    to its coordinates modulo the lineality space of the support, along a
+    unimodular complement (_quotient_image).  lineality: the echelon form
+    of the generators that vanish in the quotient.  moving: the other
+    generators with their images.  qcone and weights: the (pointed) cone of
+    those images, and each image's value on the sum w of its facet normals,
+    which is positive on the nonzero images.
+    """
+    data = m._data
+    if "support" not in data:
+        n = m.ambient_rank
+        support = cone_from_rays(n, m.generators)
+        d = len(support.lineality)
+        basis = unimodular_complement_rows([list(r) for r in support.lineality], n)
+        quotient = tuple(zip(*invert_unimodular_rows(basis)))[d:]
+        lin_gens = []
+        moving = []
+        for g in m.generators:
+            img = _quotient_image(quotient, g)
+            if any(img):
+                moving.append((g, img))
+            else:
+                lin_gens.append(g)
+        data.update(
+            support=support,
+            quotient=quotient,
+            lineality=_echelon(lin_gens, n),
+            moving=moving,
+        )
+        if moving:
+            qcone = cone_from_rays(n - d, [img for _, img in moving])
+            assert qcone.normals, "quotient cone of a support cone must be pointed"
+            w = tuple(sum(col) for col in zip(*qcone.normals))
+            data.update(qcone=qcone, w=w, weights=[dot(w, img) for _, img in moving])
+    return data
+
+
 def monoid_contains(m, v):
     """Exact membership of an integer vector, complete in all cases.
 
@@ -214,7 +267,10 @@ def monoid_contains(m, v):
     lattice generated by its lineality generators (a monoid element with a
     rational inverse direction has an actual inverse in the monoid), and
     the quotient by that space is pointed, where a strictly positive
-    integral functional bounds the search.
+    integral functional bounds the search.  The cones, the split and the
+    echelon basis of the lineality lattice are computed once per monoid
+    (_membership_data); lattice membership is an integer reduction over
+    that basis.
     """
     n = m.ambient_rank
     v = tuple(v)
@@ -226,38 +282,21 @@ def monoid_contains(m, v):
         return True
     if m.cone is not None:
         return contains_point(m.cone, v)
-    gens = m.generators
-    if not gens:
+    data = _membership_data(m)
+    if not contains_point(data["support"], v):
         return False
-    support = cone_from_rays(n, gens)
-    if not contains_point(support, v):
-        return False
-    lin = [list(r) for r in support.lineality]
-    d = len(lin)
-    # coordinates past the first d span the quotient by the lineality
-    coords = complement_coordinates(lin, n)[1] if d else tuple
-    lin_gens = []
-    moving = []
-    for g in gens:
-        img = coords(g)[d:]
-        if any(img):
-            moving.append((g, img))
-        else:
-            lin_gens.append(list(g))
-    target = coords(v)[d:]
+    lattice = data["lineality"]
+    target = _quotient_image(data["quotient"], v)
     if not any(target):
-        return lattice_member_rows(lin_gens, n, v)
+        return _in_echelon_span(*lattice, v)
+    moving = data["moving"]
     if not moving:
         return False
-    qdim = n - d
-    qcone = cone_from_rays(qdim, [img for _, img in moving])
-    assert qcone.normals, "quotient cone of a support cone must be pointed"
-    w = tuple(sum(col) for col in zip(*qcone.normals))
-    weights = [dot(w, img) for _, img in moving]
+    qcone, w, weights = data["qcone"], data["w"], data["weights"]
 
     def search(i, qres, rest):
         if not any(qres):
-            return lattice_member_rows(lin_gens, n, rest)
+            return _in_echelon_span(*lattice, rest)
         if i == len(moving):
             return False
         g, img = moving[i]
@@ -284,8 +323,7 @@ def hilbert_basis(m):
     """
     if m.cone is not None:
         return m.generators
-    c = cone_from_rays(m.ambient_rank, m.generators)
-    pointed, lin = _cone_lattice_hilbert(c)
+    pointed, lin = _cone_lattice_hilbert(_membership_data(m)["support"])
     flat = signed_rows(pointed, lin)
     for g in flat:
         if not monoid_contains(m, g):
@@ -339,15 +377,20 @@ def is_integrally_closed(m):
 
     Checked in coordinates on the group of differences: there the question
     becomes whether m contains the Hilbert structure of the full
-    lattice-point monoid of its coordinate cone.
+    lattice-point monoid of its coordinate cone.  A designated monoid
+    keeps the answer in m._data.
     """
+    if m.cone is not None or not m.diff_basis:
+        return True
+    if "closed" not in m._data:
+        m._data["closed"] = _is_integrally_closed(m)
+    return m._data["closed"]
+
+
+def _is_integrally_closed(m):
     n = m.ambient_rank
     basis = [list(b) for b in m.diff_basis]
     r = len(basis)
-    if r == 0:
-        return True
-    if m.cone is not None:
-        return True
     coords = []
     for g in m.generators:
         c = lattice_coords_rows(basis, n, g)

@@ -6,7 +6,7 @@ package cannot hide behind itself.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 
 def mat_mult(a, b, b_cols):
@@ -341,3 +341,37 @@ def random_orthant_subfan(rng):
     for c in chosen:
         closed.update(faces(c))
     return Fan(3, closed)
+
+
+# ---------------------------------------------------------------------------
+# monoid membership by enumeration; independent oracle for monoid_contains
+
+
+def height_one_member(points, unit, v):
+    """Is v in the monoid generated by (1, p) for p in points and, when unit
+    is given, by both (0, unit) and (0, -unit)?
+
+    Every generator but the unit ones has height one, so v = (h, b) needs
+    exactly h of them: enumerate every multiset of h points and ask whether
+    what remains of b is an integer multiple of unit.
+    """
+    h, b = v[0], tuple(v[1:])
+    if h < 0:
+        return False
+
+    def unit_multiple(rest):
+        if not any(rest):
+            return True
+        if unit is None:
+            return False
+        j = next(i for i, x in enumerate(unit) if x)
+        if rest[j] % unit[j]:
+            return False
+        t = rest[j] // unit[j]
+        return all(r == t * u for r, u in zip(rest, unit))
+
+    for combo in combinations_with_replacement(points, h):
+        s = [sum(col) for col in zip(*combo)] if combo else [0] * len(b)
+        if unit_multiple(tuple(x - y for x, y in zip(b, s))):
+            return True
+    return False

@@ -13,6 +13,7 @@ from fanscheme.cones import (
     linear_span_rows,
     separating_covector,
 )
+from fanscheme.lattice import signed_rows
 
 
 def quadrant():
@@ -220,6 +221,22 @@ def test_biduality_random():
         n = rng.randint(1, 4)
         c = cone_from_rays(n, random_gens(rng, n, rng.randint(0, 5)))
         assert dual_cone(dual_cone(c)) == c
+
+
+def test_dual_cone_is_the_cone_on_the_normals():
+    # dual_cone swaps the stored sides; rebuilding from the normals must
+    # give the same canonical cone, also for intersections and faces
+    rng = random.Random(4249)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        c = cone_from_rays(n, random_gens(rng, n, rng.randint(0, 5)))
+        other = cone_from_rays(n, random_gens(rng, n, rng.randint(0, 5)))
+        cones = [c, intersect_cones(c, other)]
+        if c.is_pointed:
+            cones.extend(faces(c))
+        for k in cones:
+            rebuilt = cone_from_rays(n, signed_rows(k.normals, k.dual_lineality))
+            assert dual_cone(k) == rebuilt
 
 
 def test_canonical_form_is_presentation_independent():

@@ -269,6 +269,26 @@ def test_solve_and_membership_random():
             assert lattice_member_rows(rows, n, shifted)
 
 
+def test_integer_membership_agrees_with_the_rational_solve():
+    # lattice_member_rows reduces in integers; lattice_coords_rows goes
+    # through Fractions.  Off the rational span neither may accept.
+    rng = random.Random(9011)
+    for _ in range(150):
+        rows, n = helpers.random_matrix(rng)
+        m = len(rows)
+        coeffs = [rng.randint(-6, 6) for _ in range(m)]
+        member = [sum(coeffs[i] * rows[i][j] for i in range(m)) for j in range(n)]
+        assert lattice_member_rows(rows, n, member)
+        for _ in range(4):
+            probe = [rng.randint(-9, 9) for _ in range(n)]
+            got = lattice_member_rows(rows, n, probe)
+            assert got == (lattice_coords_rows(rows, n, probe) is not None)
+            if not helpers.frac_row_space_contains(rows, probe):
+                assert not got
+    with pytest.raises(ValueError):
+        lattice_member_rows([(1, 0)], 2, (1, 0, 0))
+
+
 def test_det_matches_fraction_gauss():
     rng = random.Random(9008)
     for _ in range(120):
@@ -290,6 +310,9 @@ def test_invert_unimodular_random():
         invert_unimodular_rows([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
         invert_unimodular_rows([[1, 1], [1, 1]])
+    for wide_or_tall in ([[1, 0, 5], [0, 1, 7]], [[1, 0], [0, 1], [3, 4]]):
+        with pytest.raises(ValueError):
+            invert_unimodular_rows(wide_or_tall)
 
 
 def test_unimodular_complement_random():

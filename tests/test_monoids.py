@@ -17,6 +17,7 @@ from fanscheme.lattice import IntMatrix, invariant_factors, solve_left_rows
 from fanscheme.monoids import (
     _diff_basis,
     _parallelepiped_points,
+    _pointed_hilbert,
     _pulling_triangulation,
     AffineMonoid,
     check_openly_immersive_pair,
@@ -36,6 +37,7 @@ from helpers import (
     facet_cone_contains,
     fm_cone_contains,
     frac_rank,
+    height_one_member,
 )
 
 
@@ -615,3 +617,120 @@ def test_cone_monoid_difference_group_is_the_generated_lattice():
         ]
         m = dual_monoid(cone_from_rays(n, gens))
         assert m.diff_basis == _diff_basis(m.generators, n)
+
+
+# ---------------------------------------------------- the membership cache
+
+
+def random_height_one_monoid(rng, n):
+    """Points of ZZ^(n-1) lifted to height one, plus, three times in ten,
+    a nonzero unit direction (0, u) with both signs."""
+    size = rng.randint(1, 4)
+    points = sorted({tuple(rng.randint(-2, 2) for _ in range(n - 1)) for _ in range(size)})
+    unit = None
+    if rng.random() < 0.3:
+        unit = tuple(rng.randint(-2, 2) for _ in range(n - 1))
+        if not any(unit):
+            unit = (1,) + (0,) * (n - 2)
+    gens = [(1,) + p for p in points]
+    if unit is not None:
+        gens += [(0,) + unit, (0,) + tuple(-x for x in unit)]
+    return points, unit, AffineMonoid.from_generators(n, gens)
+
+
+def random_query(rng, points, n):
+    """Half the time a sum of h points plus noise, else a random vector."""
+    h = rng.randint(-1, 4)
+    if rng.random() < 0.5 and h >= 0:
+        b = [0] * (n - 1)
+        for _ in range(h):
+            b = [x + y for x, y in zip(b, rng.choice(points))]
+        b = [x + rng.choice((0, 0, 0, 1, -1)) for x in b]
+    else:
+        b = [rng.randint(-6, 6) for _ in range(n - 1)]
+    return (h,) + tuple(b)
+
+
+def test_designated_membership_matches_enumeration():
+    rng = random.Random(6061)
+    units = 0
+    for _ in range(80):
+        n = rng.randint(2, 3)
+        points, unit, m = random_height_one_monoid(rng, n)
+        units += unit is not None
+        for _ in range(25):
+            v = random_query(rng, points, n)
+            assert monoid_contains(m, v) == height_one_member(points, unit, v), (
+                m.generators,
+                v,
+            )
+    assert units >= 10
+
+
+def test_membership_data_is_computed_once_per_monoid(monkeypatch):
+    calls = []
+
+    def counted(n, gens):
+        calls.append(n)
+        return cone_from_rays(n, gens)
+
+    monkeypatch.setattr(monoids, "cone_from_rays", counted)
+    points, unit = [(0, 0), (2, 0), (0, 3)], (1, 1)
+    m = AffineMonoid.from_generators(
+        3, [(1, 0, 0), (1, 2, 0), (1, 0, 3), (0, 1, 1), (0, -1, -1)]
+    )
+    rng = random.Random(6062)
+    for _ in range(50):
+        v = random_query(rng, points, 3)
+        assert monoid_contains(m, v) == height_one_member(points, unit, v)
+    # the support cone, then the quotient by its lineality
+    assert calls == [3, 2]
+
+
+def test_integral_closedness_is_decided_once_per_monoid(monkeypatch):
+    calls = []
+    real = monoids._cone_lattice_hilbert
+
+    def counted(cone):
+        calls.append(cone)
+        return real(cone)
+
+    monkeypatch.setattr(monoids, "_cone_lattice_hilbert", counted)
+    m = AffineMonoid.from_generators(1, [(2,), (3,)])
+    assert not is_integrally_closed(m)
+    assert not is_integrally_closed(m)
+    assert len(calls) == 1
+    # no memo outside the instance: an equal monoid decides again
+    assert not is_integrally_closed(AffineMonoid.from_generators(1, [(3,), (2,)]))
+    assert len(calls) == 2
+
+
+def test_membership_cache_leaves_equality_hash_and_repr_alone():
+    gens = [(1, 0), (1, 3), (0, 1), (0, -1)]
+    m = AffineMonoid.from_generators(2, gens)
+    before = repr(m)
+    assert monoid_contains(m, (2, 5))
+    assert not monoid_contains(m, (-1, 0))
+    assert is_integrally_closed(m)
+    assert m._data
+    fresh = AffineMonoid.from_generators(2, gens)
+    assert m == fresh
+    assert hash(m) == hash(fresh)
+    assert repr(m) == repr(fresh) == before
+    assert "_data" not in before
+
+
+def test_pointed_hilbert_of_a_wedge_skips_elements_of_equal_degree(monkeypatch):
+    # every candidate of the wedge (1,0),(1,k) has degree k, so none can
+    # reduce another and no membership test is needed
+    calls = []
+
+    def counted(cone, point):
+        calls.append(point)
+        return contains_point(cone, point)
+
+    monkeypatch.setattr(monoids, "contains_point", counted)
+    k = 2000
+    wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
+    assert _pointed_hilbert(wedge_k) == tuple((1, j) for j in range(k + 1))
+    assert calls == []
