@@ -218,22 +218,32 @@ def _quotient_image(columns, x):
     return tuple([sum(map(mul, x, col)) for col in columns])
 
 
+def _support(m):
+    """The cone of m: a cone monoid's own cone, else the cone of the
+    generators, kept in m._data["support"]."""
+    if m.cone is not None:
+        return m.cone
+    if "support" not in m._data:
+        m._data["support"] = cone_from_rays(m.ambient_rank, m.generators)
+    return m._data["support"]
+
+
 def _membership_data(m):
     """What monoid_contains needs of a designated monoid, computed on the
     first call and kept in m._data.
 
-    support: the cone of the generators.  quotient: the columns that map x
-    to its coordinates modulo the lineality space of the support, along a
-    unimodular complement (_quotient_image).  lineality: the echelon form
-    of the generators that vanish in the quotient.  moving: the other
-    generators with their images.  qcone and weights: the (pointed) cone of
-    those images, and each image's value on the sum w of its facet normals,
-    which is positive on the nonzero images.
+    support: the cone of the generators (_support).  quotient: the columns
+    that map x to its coordinates modulo the lineality space of the
+    support, along a unimodular complement (_quotient_image).  lineality:
+    the echelon form of the generators that vanish in the quotient.
+    moving: the other generators with their images.  qcone and weights:
+    the (pointed) cone of those images, and each image's value on the sum
+    w of its facet normals, which is positive on the nonzero images.
     """
     data = m._data
-    if "support" not in data:
+    if "quotient" not in data:
         n = m.ambient_rank
-        support = cone_from_rays(n, m.generators)
+        support = _support(m)
         d = len(support.lineality)
         basis = unimodular_complement_rows([list(r) for r in support.lineality], n)
         quotient = tuple(zip(*invert_unimodular_rows(basis)))[d:]
@@ -246,7 +256,6 @@ def _membership_data(m):
             else:
                 lin_gens.append(g)
         data.update(
-            support=support,
             quotient=quotient,
             lineality=_echelon(lin_gens, n),
             moving=moving,
@@ -323,7 +332,7 @@ def hilbert_basis(m):
     """
     if m.cone is not None:
         return m.generators
-    pointed, lin = _cone_lattice_hilbert(_membership_data(m)["support"])
+    pointed, lin = _cone_lattice_hilbert(_support(m))
     flat = signed_rows(pointed, lin)
     for g in flat:
         if not monoid_contains(m, g):
@@ -500,7 +509,30 @@ def check_openly_immersive_pair(target, source, search_bound=6):
     source must be contained in target.  Returns "yes" with a witness
     element, "no" with a structural obstruction (the groups of differences
     disagree, or integral closedness would have to be destroyed), or
-    "unknown" when the bounded witness search is exhausted.
+    "unknown" when no sum of source generators with coefficient sum up to
+    search_bound is a witness.
+
+    Inverting t gives a cone whose lineality space is the span of the face
+    F of the source cone whose relative interior holds t, so every witness
+    lies in the relative interior of F* = (source cone) meet (lineality
+    space of the target cone), a face of the source cone.  A source
+    generator, which lies in the target cone, lies on F* when every facet
+    normal of the target cone vanishes on it; a sum of such generators
+    lies in the relative interior when it is positive on every facet
+    normal of the source cone that is not zero on F*.  Every such sum
+    inverts to the same monoid, source + gp(F* meet source) (Bruns and
+    Gubeladze, Polytopes, Rings, and K-Theory, 2009, ch. 2), so the first
+    one, in the order of combinations_with_replacement, decides: it is
+    the witness or there is none.  That is the first witness of the
+    search over all generators, because a sum of cone elements lies in a
+    face only if every summand does, the combinations of a subsequence
+    come in the same relative order, and no sum off the relative interior
+    inverts to the target.  The search ends by coefficient sum len(face),
+    whatever search_bound is.
+
+    Integral closedness is compared only when no witness is found: a
+    localization of an integrally closed monoid is integrally closed, so
+    that obstruction never holds on a "yes" pair.
     """
     if search_bound < 0:
         raise ValueError("search bound must be nonnegative")
@@ -516,6 +548,27 @@ def check_openly_immersive_pair(target, source, search_bound=6):
             "the groups of differences disagree, and inverting an element "
             "never changes the group of differences",
         )
+    n = target.ambient_rank
+    target_normals = _support(target).normals
+    face = [g for g in source.generators if not any(dot(u, g) for u in target_normals)]
+    walls = [u for u in _support(source).normals if any(dot(u, g) for g in face)]
+
+    def interior_sums():
+        for k in range(search_bound + 1):
+            for combo in combinations_with_replacement(face, k):
+                t = tuple(map(sum, zip(*combo))) if combo else (0,) * n
+                if all(dot(u, t) > 0 for u in walls):
+                    yield t
+
+    t = next(interior_sums(), None)
+    if t is not None:
+        neg = tuple(-x for x in t)
+        if monoid_contains(target, neg):
+            extended = AffineMonoid.from_generators(
+                n, tuple(source.generators) + (neg,)
+            )
+            if all(monoid_contains(extended, g) for g in target.generators):
+                return ImmersionCheck("yes", t, "localization witness found")
     if is_integrally_closed(source) and not is_integrally_closed(target):
         return ImmersionCheck(
             "no",
@@ -523,21 +576,6 @@ def check_openly_immersive_pair(target, source, search_bound=6):
             "source is integrally closed but target is not, and inverting "
             "an element preserves integral closedness",
         )
-    n = target.ambient_rank
-    for k in range(search_bound + 1):
-        for combo in combinations_with_replacement(source.generators, k):
-            t = [0] * n
-            for g in combo:
-                t = [a + b for a, b in zip(t, g)]
-            t = tuple(t)
-            neg = tuple(-x for x in t)
-            if not monoid_contains(target, neg):
-                continue
-            extended = AffineMonoid.from_generators(
-                n, tuple(source.generators) + (neg,)
-            )
-            if all(monoid_contains(extended, g) for g in target.generators):
-                return ImmersionCheck("yes", t, "localization witness found")
     return ImmersionCheck(
         "unknown",
         None,

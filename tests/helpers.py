@@ -139,11 +139,14 @@ def fm_cone_contains(rays, point, n):
     Decided by eliminating the combination coefficients with
     Fourier-Motzkin.  Variables: t_1..t_k >= 0 with sum t_i r_i = point.
     The equalities are split into two inequalities each; then coordinates
-    of t are eliminated one at a time.
+    of t are eliminated one at a time.  Each row carries the set of input
+    rows it combines.  After s eliminations a row combining more than
+    s + 1 input rows is implied by the others and is dropped (Chernikov's
+    rule), which keeps the answer exact and the row count small.
     """
     k = len(rays)
     # system over variables t (length k): rows are (coeffs..., const) with
-    # meaning coeffs . t + const >= 0
+    # meaning coeffs . t + const >= 0, each with its set of input rows
     rows = []
     for i in range(k):
         e = [Fraction(0)] * k + [Fraction(0)]
@@ -154,20 +157,23 @@ def fm_cone_contains(rays, point, n):
         const = Fraction(-point[j])
         rows.append(coeffs + [const])  # sum t_i r_ij - p_j >= 0
         rows.append([-c for c in coeffs] + [-const])  # and <= 0
+    rows = [(r, frozenset([i])) for i, r in enumerate(rows)]
     for var in range(k):
-        pos = [r for r in rows if r[var] > 0]
-        neg = [r for r in rows if r[var] < 0]
-        zero = [r for r in rows if r[var] == 0]
-        new_rows = zero
-        for rp in pos:
-            for rn in neg:
+        pos = [(r, h) for r, h in rows if r[var] > 0]
+        neg = [(r, h) for r, h in rows if r[var] < 0]
+        new_rows = [(r, h) for r, h in rows if r[var] == 0]
+        for rp, hp in pos:
+            for rn, hn in neg:
+                history = hp | hn
+                if len(history) > var + 2:
+                    continue
                 # scale so the var cancels
                 combo = [rp[t] * (-rn[var]) + rn[t] * rp[var] for t in range(k + 1)]
                 combo[var] = Fraction(0)
-                new_rows.append(combo)
+                new_rows.append((combo, history))
         rows = new_rows
     # all variables eliminated: feasible iff every residual constant >= 0
-    return all(r[k] >= 0 for r in rows)
+    return all(r[k] >= 0 for r, _ in rows)
 
 
 def frac_kernel(rows, n):
@@ -375,3 +381,38 @@ def height_one_member(points, unit, v):
         if unit_multiple(tuple(x - y for x, y in zip(b, s))):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# open immersions by exhaustive search; oracle for check_openly_immersive_pair
+
+
+def exhaustive_immersion_search(target, source, bound):
+    """The witness search over every source generator, with no face logic:
+    each sum t of at most `bound` generators, in the order of
+    combinations_with_replacement, is a witness when -t lies in target and
+    target lies in source + NN*(-t).  Returns "yes" with the first witness,
+    else "unknown".  Membership comes from the package's monoid_contains,
+    which has its own enumeration oracle (height_one_member)."""
+    from fanscheme.monoids import AffineMonoid, ImmersionCheck, monoid_contains
+
+    n = target.ambient_rank
+    for k in range(bound + 1):
+        for combo in combinations_with_replacement(source.generators, k):
+            t = [0] * n
+            for g in combo:
+                t = [a + b for a, b in zip(t, g)]
+            t = tuple(t)
+            neg = tuple(-x for x in t)
+            if not monoid_contains(target, neg):
+                continue
+            extended = AffineMonoid.from_generators(
+                n, tuple(source.generators) + (neg,)
+            )
+            if all(monoid_contains(extended, g) for g in target.generators):
+                return ImmersionCheck("yes", t, "localization witness found")
+    return ImmersionCheck(
+        "unknown",
+        None,
+        "no witness with generator coefficient sum up to %d" % bound,
+    )

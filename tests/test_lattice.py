@@ -289,6 +289,44 @@ def test_integer_membership_agrees_with_the_rational_solve():
         lattice_member_rows([(1, 0)], 2, (1, 0, 0))
 
 
+# ---------------------------------------------------------------------------
+# differential checks against sympy (a test-only dependency)
+
+
+def test_smith_diagonal_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(9010)
+    for _ in range(150):
+        rows, n = helpers.random_matrix(rng)
+        d, _, _ = smith_rows(rows, n)
+        k = min(len(rows), n)
+        matrix = sympy.Matrix(len(rows), n, sum(rows, []))
+        want = [int(x) for x in sympy_factors(matrix)]
+        want += [0] * (k - len(want))
+        assert [d[i][i] for i in range(k)] == want, rows
+
+
+def test_hnf_spans_the_row_lattice_of_the_sympy_hermite_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    def sympy_hermite_of_rows(rows, n):
+        # sympy's form is column-style: its columns span the column lattice,
+        # so the transpose's columns span the row lattice of `rows`
+        return hermite_normal_form(sympy.Matrix(len(rows), n, sum(rows, [])).T)
+
+    rng = random.Random(9011)
+    for _ in range(150):
+        rows, n = helpers.random_matrix(rng)
+        h, _, piv = hnf_rows(rows, n)
+        nonzero = [r for r in h if any(r)]
+        want = sympy_hermite_of_rows(rows, n)
+        assert len(piv) == len(nonzero) == want.shape[1], rows
+        assert sympy_hermite_of_rows(nonzero, n) == want, rows
+
+
 def test_det_matches_fraction_gauss():
     rng = random.Random(9008)
     for _ in range(120):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -34,6 +35,7 @@ from fanscheme.monoids import (
 
 from helpers import (
     box_hilbert_basis,
+    exhaustive_immersion_search,
     facet_cone_contains,
     fm_cone_contains,
     frac_rank,
@@ -406,6 +408,19 @@ def test_immersion_requires_containment():
         check_openly_immersive_pair(target, source)
 
 
+def test_immersion_search_ends_on_the_face_whatever_the_bound():
+    # no source generator lies on the (zero) lineality of the target cone,
+    # so the empty sum is the one candidate and the bound is never walked
+    target = AffineMonoid.from_generators(2, [(1, 0), (0, 1), (-1, 5)])
+    source = AffineMonoid.from_generators(2, [(1, 0), (0, 1)])
+    res = check_openly_immersive_pair(target, source, search_bound=10**9)
+    assert res.verdict == "unknown"
+    assert "1000000000" in res.reason
+    target = AffineMonoid.from_generators(2, [(1, 0), (0, 1), (-1, 0)])
+    res = check_openly_immersive_pair(target, source, search_bound=10**9)
+    assert (res.verdict, res.witness) == ("yes", (1, 0))
+
+
 # ------------------------------------------------------------- random checks
 
 
@@ -734,3 +749,84 @@ def test_pointed_hilbert_of_a_wedge_skips_elements_of_equal_degree(monkeypatch):
     wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
     assert _pointed_hilbert(wedge_k) == tuple((1, j) for j in range(k + 1))
     assert calls == []
+
+
+# ---------------------------------------------- immersion search against its oracle
+
+
+def random_immersion_pair(rng):
+    """A source of one to four small generators (three times in ten with a
+    unit pair +-u) inside a target that adds the negative of a sum of
+    source generators, random vectors, or nothing."""
+    n = rng.randint(1, 3)
+    source = [
+        tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))
+    ]
+    if rng.random() < 0.3:
+        u = tuple(rng.randint(-2, 2) for _ in range(n))
+        source += [u, tuple(-x for x in u)]
+    source = [g for g in source if any(g)] or [(1,) + (0,) * (n - 1)]
+    target = list(source)
+    kind = rng.random()
+    if kind < 0.5:
+        t = [0] * n
+        for _ in range(rng.randint(1, 3)):
+            t = [a + b for a, b in zip(t, rng.choice(source))]
+        target.append(tuple(-x for x in t))
+    elif kind < 0.8:
+        target.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+    return (
+        AffineMonoid.from_generators(n, target),
+        AffineMonoid.from_generators(n, source),
+    )
+
+
+def test_immersion_search_matches_the_exhaustive_search():
+    rng = random.Random(7071)
+    verdicts = collections.Counter()
+    for _ in range(1000):
+        target, source = random_immersion_pair(rng)
+        bound = rng.randint(0, 6)
+        got = check_openly_immersive_pair(target, source, bound)
+        verdicts[got.verdict] += 1
+        want = exhaustive_immersion_search(target, source, bound)
+        if got.verdict == "no":
+            # a structural obstruction: no witness may exist below the bound
+            assert want.verdict == "unknown", (target, source, bound)
+            assert source.diff_basis != target.diff_basis or (
+                is_integrally_closed(source) and not is_integrally_closed(target)
+            )
+        else:
+            assert got == want, (target, source, bound)
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_immersion_check_builds_one_extension_at_most(monkeypatch):
+    pairs = [
+        ([(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1)]),
+        ([(1, 0), (0, 1), (-1, 0)], [(1, 0), (0, 1)]),
+        ([(1, 0), (1, 1), (1, 2), (-1, -1)], [(1, 0), (1, 1), (1, 2)]),
+        ([(1, 0), (0, 1), (-1, 5)], [(1, 0), (0, 1)]),
+        ([(1, 0), (0, 1), (3, -2)], [(1, 0), (0, 1)]),
+    ]
+    monoids_of = [
+        tuple(AffineMonoid.from_generators(2, g) for g in pair) for pair in pairs
+    ]
+    built = []
+    real = AffineMonoid.from_generators.__func__
+
+    def counted(cls, n, gens):
+        built.append(gens)
+        return real(cls, n, gens)
+
+    monkeypatch.setattr(AffineMonoid, "from_generators", classmethod(counted))
+    verdicts = []
+    for target, source in monoids_of:
+        del built[:]
+        res = check_openly_immersive_pair(target, source, search_bound=6)
+        verdicts.append(res.verdict)
+        assert len(built) <= 1
+        if res.verdict == "yes":
+            # closedness is compared only when the search finds nothing
+            assert "closed" not in target._data and "closed" not in source._data
+    assert verdicts == ["yes", "yes", "yes", "unknown", "no"]
