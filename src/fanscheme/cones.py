@@ -6,9 +6,14 @@ and dual_lineality).  All four components are canonical, so dataclass
 equality is geometric equality of cones.
 
 The conversion between the generator and inequality sides is an
-incremental double description computation.  Extremality of a candidate
-ray is decided by an exact rank test on its tight constraint set, never by
-adjacency bookkeeping, so redundant input never leaks into the output.
+incremental double description computation.  Extremality of every new
+candidate ray is decided by an exact rank test on its tight constraint
+set, never by adjacency bookkeeping, so redundant input never leaks into
+the output.  A ray that was extremal before a constraint and satisfies it
+stays extremal (Fukuda-Prodon, "Double description method revisited",
+1996), so it keeps its place without a test.  A pointed result needs no
+Hermite reassembly: each kept ray is already primitive, spans the kernel
+of its tight set and is nonnegative on every constraint.
 """
 
 from __future__ import annotations
@@ -78,22 +83,25 @@ def _clean_constraints(constraints):
     return out
 
 
-def _extremal_filter(rays, processed, lin_rank, n):
-    """Keep one representative per extremal ray.
+def _extremal_filter(rays, processed, lin_rank, n, seen):
+    """The candidates that span extremal rays of the current cone, one per
+    ray, not counting rays whose tight sets are already in `seen`.
 
     A candidate r spans an extremal ray of the current cone exactly when
     the kernel of its tight constraints has dimension lin_rank + 1; two
     candidates lie on the same extremal ray (mod lineality) exactly when
-    their tight sets agree.
+    their tight sets agree.  That rank needs at least n - lin_rank - 1
+    tight constraints, so a candidate with fewer is dropped before the
+    rank test.  `seen` gains the tight set of every kept candidate.
     """
+    need = n - lin_rank - 1
     kept = []
-    seen = set()
     for r in rays:
         tight = [c for c in processed if dot(r, c) == 0]
-        if n - rank_rows(tight, n) != lin_rank + 1:
+        if len(tight) < need:
             continue
         key = frozenset(tight)
-        if key in seen:
+        if key in seen or rank_rows(tight, n) != need:
             continue
         seen.add(key)
         kept.append(r)
@@ -106,6 +114,13 @@ def _dual_generator_sets(constraints, n):
     Returns (lineality, rays): the canonical saturated basis of the
     lineality lattice, and sorted primitive extremal rays of the pointed
     part, each orthogonal to the lineality span.
+
+    After a constraint that cuts the lineality space every ray is a new
+    vector, and all of them go through the rank test.  Otherwise the rays
+    on which the constraint is nonnegative keep their place, and only the
+    combinations of a positive and a negative ray are tested.  When no lineality is left, the kept
+    rays are the canonical ones; else they are rebuilt from their tight
+    sets in the complement of the lineality lattice.
     """
     cons = _clean_constraints(constraints)
     lin = [tuple(r) for r in identity_rows(n)]
@@ -132,7 +147,9 @@ def _dual_generator_sets(constraints, n):
                 vec = tuple(c0 * a - v * b for a, b in zip(r, l0))
                 if any(vec):
                     new_rays.append(primitive_vector(vec))
-            lin, rays = new_lin, new_rays
+            lin = new_lin
+            processed.append(g)
+            rays = _extremal_filter(new_rays, processed, len(lin), n, set())
         else:
             plus, zero, minus = [], [], []
             for r in rays:
@@ -143,16 +160,19 @@ def _dual_generator_sets(constraints, n):
                     minus.append((r, v))
                 else:
                     zero.append(r)
-            new_rays = [r for r, _ in plus] + zero
+            kept = [r for r, _ in plus] + zero
+            combos = []
             for rp, vp in plus:
                 for rm, vm in minus:
                     vec = tuple(vp * a - vm * b for a, b in zip(rm, rp))
                     if any(vec):
-                        new_rays.append(primitive_vector(vec))
-            rays = new_rays
-        processed.append(g)
-        rays = _extremal_filter(rays, processed, len(lin), n)
+                        combos.append(primitive_vector(vec))
+            processed.append(g)
+            seen = {frozenset(c for c in processed if dot(r, c) == 0) for r in kept}
+            rays = kept + _extremal_filter(combos, processed, len(lin), n, seen)
 
+    if not lin:
+        return (), tuple(sorted(rays))
     # canonical reassembly: the lineality from scratch as a kernel lattice,
     # then one canonical primitive representative per extremal ray, living
     # in the orthogonal complement of the lineality
@@ -216,15 +236,23 @@ def dual_cone(c):
     return Polycone(c.ambient_rank, c.normals, c.dual_lineality, c.rays, c.lineality)
 
 
-def intersect_cones(a, b):
-    """Intersection, computed on the inequality side."""
+def intersection_generators(a, b):
+    """(lineality, rays) of a meet b, canonical as in a Polycone, from one
+    double description pass over the inequalities of both cones.  Enough
+    to tell which cone a meet b is when the answer is looked up by its
+    rays; intersect_cones adds the inequality side."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
-    n = a.ambient_rank
     cons = signed_rows(
         a.normals + b.normals, a.dual_lineality + b.dual_lineality
     )
-    lin, rays = _dual_generator_sets(cons, n)
+    return _dual_generator_sets(cons, a.ambient_rank)
+
+
+def intersect_cones(a, b):
+    """Intersection, computed on the inequality side."""
+    n = a.ambient_rank
+    lin, rays = intersection_generators(a, b)
     dlin, drays = _dual_generator_sets(signed_rows(rays, lin), n)
     return Polycone(n, rays, lin, drays, dlin)
 

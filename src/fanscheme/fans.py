@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import _face_lattice, cone_from_rays, intersect_cones, Polycone
+from .cones import (
+    _face_lattice,
+    cone_from_rays,
+    intersect_cones,
+    intersection_generators,
+    Polycone,
+)
 from .lattice import complement_coordinates, saturate_rows, smith_rows
 
 
@@ -111,6 +117,12 @@ def validate_fan(fan):
     face of a and of b, the cone on the rays a and b share.  Face lattices
     reuse the fan's cones as faces.  The index is stored on the fan, and
     later calls return it.
+
+    A meet of pointed cones is pointed, so it is determined by its rays:
+    each pair of maximal cones needs only the rays of its meet
+    (intersection_generators), looked up among the fan's cones and in both
+    face lattices.  Only a failing pair builds the whole meet
+    (intersect_cones) for the error.
     """
     if fan._face_index is not None:
         return fan._face_index
@@ -129,9 +141,9 @@ def validate_fan(fan):
     tops = [c for c in fan.cones if c not in lower]
     for i, a in enumerate(tops):
         for b in tops[i + 1:]:
-            meet = intersect_cones(a, b)
+            meet = cones.get(frozenset(intersection_generators(a, b)[1]))
             if meet not in lattices[a] or meet not in lattices[b]:
-                raise BadIntersectionError(a, b, meet)
+                raise BadIntersectionError(a, b, intersect_cones(a, b))
     label = {c: i for i, c in enumerate(fan.cones)}
     rays = [frozenset(c.rays) for c in fan.cones]
     meets = {

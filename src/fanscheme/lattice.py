@@ -41,7 +41,9 @@ def xgcd(a, b):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("vectors have different lengths")
+    return sum(map(mul, u, v))
 
 
 def primitive_vector(v):

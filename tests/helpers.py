@@ -206,20 +206,20 @@ def frac_kernel(rows, n):
     return basis
 
 
-def facet_cone_contains(rays, n):
-    """Membership predicate for the cone generated by `rays`, from facet
-    inequalities found by brute force.
+def brute_force_facets(rays, n):
+    """(equations, inequalities) cutting out the cone generated by `rays`,
+    found by brute force.
 
     With r the rank of the rays, every facet is spanned by r - 1 of them;
     each such independent subset gives a functional on the span of the
     rays, unique up to scale, and it is a facet inequality when the rays
-    all lie on one side of it.  Far faster than fm_cone_contains once a
-    cone has more than a few rays, and just as independent of the package.
+    all lie on one side of it.  The equations span the vectors vanishing
+    on every ray.  A facet may come out once per spanning subset.
     """
     r = frac_rank(rays)
     equations = frac_kernel(rays, n)
     inequalities = []
-    for subset in combinations(rays, r - 1):
+    for subset in combinations(rays, r - 1) if r else ():
         if frac_rank(subset) != r - 1:
             continue
         for y in frac_kernel(subset, n):
@@ -230,6 +230,15 @@ def facet_cone_contains(rays, n):
             inequalities.append(y)
         elif all(v <= 0 for v in vals):
             inequalities.append([-a for a in y])
+    return equations, inequalities
+
+
+def facet_cone_contains(rays, n):
+    """Membership predicate for the cone generated by `rays`, from the
+    facet inequalities of brute_force_facets.  Far faster than
+    fm_cone_contains once a cone has more than a few rays, and just as
+    independent of the package."""
+    equations, inequalities = brute_force_facets(rays, n)
 
     def inside(p):
         def val(y):

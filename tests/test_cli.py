@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from fanscheme.cli import entry
 
@@ -351,3 +355,108 @@ def test_huge_integers_are_refused_with_a_short_message(tmp_path, capsys):
             assert "has 5000 digits" in proc.stderr, proc.stderr
             limit = "at most %d digits" % sys.get_int_max_str_digits()
             assert limit in proc.stderr, proc.stderr
+
+
+def test_cli_survives_fuzzed_documents(tmp_path):
+    # every subcommand on generated fan and base documents, well-formed and
+    # not: no traceback, and an exit code from the documented three
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    small = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(str))
+    junk = st.one_of(
+        st.sampled_from(["", "x", "1.5", "1e3", "0x1", " 2 ", "+1", "-0",
+                         "٣", "9" * 5000]),
+        st.booleans(),
+        st.none(),
+        st.floats(width=16),
+    )
+    scalar = st.one_of(small, junk)
+    anything = st.recursive(
+        scalar,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(
+                st.sampled_from(["lattice_rank", "cones", "rays", "options",
+                                 "dim", "affine", "x"]),
+                inner,
+                max_size=3,
+            ),
+        ),
+        max_leaves=8,
+    )
+
+    @st.composite
+    def fan_documents(draw):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(anything)
+        rank = draw(st.integers(0, 4))
+        good = draw(st.integers(0, 2)) > 0
+        coordinate = small if good else scalar
+
+        def ray():
+            size = rank if good else draw(st.integers(max(rank - 1, 0), rank + 1))
+            return draw(st.lists(coordinate, min_size=size, max_size=size))
+
+        cones = [
+            {"rays": [ray() for _ in range(draw(st.integers(0, 4)))]}
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        doc = {
+            "lattice_rank": draw(st.sampled_from([rank, str(rank)]) if good
+                                 else st.one_of(st.just(rank), scalar)),
+            "cones": cones,
+        }
+        if draw(st.booleans()):
+            close = st.booleans() if good else scalar
+            doc["options"] = {"auto_close_faces": draw(close)}
+        if not good and draw(st.booleans()):
+            doc[draw(st.sampled_from(["conez", "cones", "options"]))] = draw(anything)
+        return doc
+
+    flags = ["affine", "integral", "regular", "noetherian", "empty", "separated"]
+    base_values = st.one_of(
+        st.sampled_from(["yes", "no", "unknown", "empty", "inf"]),
+        st.lists(st.one_of(small, st.just("inf")), min_size=2, max_size=2),
+        anything,
+    )
+    base_documents = st.one_of(
+        st.dictionaries(st.sampled_from(flags + ["dim", "bogus"]), base_values,
+                        max_size=4),
+        anything,
+    )
+    commands = st.sampled_from(["validate", "hilbert", "dual", "faces",
+                                "regularity", "complete", "atlas", "fullify",
+                                "report"])
+    fan_path, base_path = tmp_path / "fan.json", tmp_path / "base.json"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(
+        st.one_of(fan_documents(), st.text(max_size=8)),
+        base_documents,
+        commands,
+        st.integers(-2, 6),
+        st.integers(-1, 8),
+        st.booleans(),
+        st.booleans(),
+    )
+    def run(fan_doc, base_doc, command, cone, bound, no_close, with_base):
+        fan_path.write_text(fan_doc if isinstance(fan_doc, str)
+                            else json.dumps(fan_doc))
+        base_path.write_text(json.dumps(base_doc))
+        argv = [command, "--fan", str(fan_path)]
+        if command in ("hilbert", "dual", "faces"):
+            argv += ["--cone", str(cone)]
+        if command == "atlas":
+            argv += ["--search-bound", str(bound)]
+        if command == "report" and with_base:
+            argv += ["--base", str(base_path)]
+        if no_close:
+            argv.append("--no-auto-close")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = entry(argv)
+        assert code in (0, 1, 2), argv
+
+    run()

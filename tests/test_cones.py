@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from fanscheme.cones import (
     dual_cone,
     faces,
     intersect_cones,
+    intersection_generators,
     linear_span_rows,
     separating_covector,
 )
@@ -186,6 +188,67 @@ def random_gens(rng, n, k, bound=5):
     ]
 
 
+def _primitive(v):
+    g = 0
+    for x in v:
+        g = math.gcd(g, x)
+    return tuple(x // g for x in v)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _tight(u, vectors):
+    return frozenset(i for i, v in enumerate(vectors) if _dot(u, v) == 0)
+
+
+def test_double_description_matches_brute_force_facets_and_rays():
+    # every third generator set carries a +- pair, so the double description
+    # also cuts lineality; rays and facets come from the brute-force oracles
+    rng = random.Random(4250)
+    cut = 0
+    for case in range(330):
+        n = rng.randint(2, 4)
+        gens = random_gens(rng, n, rng.randint(1, 5), bound=3)
+        if case % 3 == 0:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(v):
+                gens += [v, tuple(-x for x in v)]
+                cut += 1
+        prim = sorted({_primitive(g) for g in gens if any(g)})
+        c = cone_from_rays(n, gens)
+
+        equations, inequalities = helpers.brute_force_facets(prim, n)
+        assert len(c.dual_lineality) == len(equations)
+        assert all(_dot(w, g) == 0 for w in c.dual_lineality for g in prim)
+        assert len(c.lineality) == n - helpers.frac_rank(equations + inequalities)
+        for u in c.normals:
+            assert all(_dot(u, g) >= 0 for g in prim)
+            assert all(_dot(u, l) == 0 for l in c.lineality)
+        facets = {_tight(y, prim): y for y in inequalities}
+        tight_sets = [_tight(u, prim) for u in c.normals]
+        assert len(set(tight_sets)) == len(tight_sets)
+        assert set(tight_sets) == set(facets)
+        for u in c.normals:
+            # u and the brute-force functional agree on the span up to a
+            # positive factor
+            y = facets[_tight(u, prim)]
+            uv = [_dot(u, g) for g in prim]
+            yv = [_dot(y, g) for g in prim]
+            j = next(i for i, x in enumerate(yv) if x)
+            assert uv[j] * yv[j] > 0
+            assert all(a * yv[j] == b * uv[j] for a, b in zip(uv, yv))
+
+        if c.is_pointed:
+            extremal = [
+                g for g in prim
+                if not helpers.fm_cone_contains([h for h in prim if h != g], g, n)
+            ]
+            assert c.rays == tuple(extremal)
+    assert cut >= 100
+
+
 def test_membership_matches_fourier_motzkin():
     rng = random.Random(4242)
     for _ in range(60):
@@ -276,6 +339,18 @@ def test_intersection_random_agreement():
         for g in both.generator_rows():
             assert helpers.fm_cone_contains(ga, g, n)
             assert helpers.fm_cone_contains(gb, g, n)
+
+
+def test_intersection_generators_are_the_generator_side_of_the_meet():
+    rng = random.Random(4251)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        a, b = (
+            cone_from_rays(n, random_gens(rng, n, rng.randint(0, 5), bound=3))
+            for _ in range(2)
+        )
+        meet = intersect_cones(a, b)
+        assert intersection_generators(a, b) == (meet.lineality, meet.rays)
 
 
 def test_faces_random_invariants():

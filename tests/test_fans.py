@@ -23,6 +23,7 @@ from fanscheme.fans import (
 )
 from helpers import (
     affine_wedge_fan,
+    fan_from_ray_lists,
     frac_det,
     hirzebruch_fan,
     projective_line_fan,
@@ -129,6 +130,38 @@ def test_validation_builds_the_face_index_once():
             tight = {r for r, d in zip(a.rays, dots_a) if d == 0}
             assert tight == {r for r, d in zip(b.rays, dots_b) if d == 0}
             assert tight == set(fan.cones[k].rays)
+
+
+def test_validation_builds_a_meet_only_for_a_failing_pair(monkeypatch):
+    # valid fans are checked on the rays of each meet alone; a rejected
+    # pair builds its meet once, for the error
+    import fanscheme.fans
+
+    built = []
+
+    def counted(a, b):
+        built.append((a, b))
+        return intersect_cones(a, b)
+
+    monkeypatch.setattr(fanscheme.fans, "intersect_cones", counted)
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    p4_rays = e + [(-1, -1, -1, -1)]
+    p4 = fan_from_ray_lists(4, [p4_rays[:k] + p4_rays[k + 1:] for k in range(5)])
+    cube = fan_from_ray_lists(3, [
+        [(a, 0, 0), (0, b, 0), (0, 0, c)]
+        for a in (1, -1) for b in (1, -1) for c in (1, -1)
+    ])
+    for fan in (p4, cube):
+        validate_fan(fan)
+    assert built == []
+
+    quad = cone_from_rays(2, [(1, 0), (0, 1)])
+    tilted = cone_from_rays(2, [(1, 1), (-1, 1)])
+    with pytest.raises(BadIntersectionError) as info:
+        validate_fan(Fan(2, set(faces(quad)) | set(faces(tilted))))
+    err = info.value
+    assert built == [(err.first, err.second)]
+    assert err.intersection == intersect_cones(err.first, err.second)
 
 
 def _small_pointed_cone(rng, n, gens=None):

@@ -327,6 +327,29 @@ def test_hnf_spans_the_row_lattice_of_the_sympy_hermite_form():
         assert sympy_hermite_of_rows(nonzero, n) == want, rows
 
 
+def test_perp_rows_is_the_saturated_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(9012)
+    for case in range(300):
+        rows, n = helpers.random_matrix(rng)
+        if rows and case % 2:
+            # an integer combination of the rows: a dependent row
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+        k = perp_rows(rows, n)
+        nullspace = sympy.Matrix(len(rows), n, sum(rows, [])).nullspace()
+        assert len(k) == len(nullspace), rows
+        assert all(dot(r, y) == 0 for r in rows for y in k), rows
+        if not k:
+            continue
+        basis = sympy.Matrix(k)
+        both = sympy.Matrix.vstack(basis, *(v.T for v in nullspace))
+        assert basis.rank() == both.rank() == len(k), rows
+        assert all(x == 1 for x in sympy_factors(basis)), rows
+
+
 def test_det_matches_fraction_gauss():
     rng = random.Random(9008)
     for _ in range(120):
