@@ -13,11 +13,8 @@ import sys
 
 from .cones import cone_from_rays
 from .fans import (
-    BadIntersectionError,
     Fan,
     FanError,
-    MissingFaceError,
-    NonPointedConeError,
     complete_under_faces,
     fullify,
     is_complete,
@@ -145,16 +142,6 @@ def load_base_document(path):
         if msg.startswith("inconsistent base description"):
             raise BaseRejection(msg)
         raise DocumentError("%s: %s" % (path, msg))
-
-
-def _fan_error_kind(e):
-    if isinstance(e, NonPointedConeError):
-        return "non-pointed-cone"
-    if isinstance(e, MissingFaceError):
-        return "missing-face"
-    if isinstance(e, BadIntersectionError):
-        return "bad-intersection"
-    return "invalid-fan"
 
 
 def _load_valid_fan(args):
@@ -340,7 +327,7 @@ def entry(argv=None):
         print(str(e), file=sys.stderr)
         return EXIT_DOCUMENT
     except FanError as e:
-        rejected = {"error": str(e), "kind": _fan_error_kind(e)}
+        rejected = {"error": str(e), "kind": e.kind}
         if args.command == "validate":
             rejected["valid"] = False
         _emit(rejected)

@@ -6,14 +6,25 @@ and dual_lineality).  All four components are canonical, so dataclass
 equality is geometric equality of cones.
 
 The conversion between the generator and inequality sides is an
-incremental double description computation.  Extremality of every new
-candidate ray is decided by an exact rank test on its tight constraint
-set, never by adjacency bookkeeping, so redundant input never leaks into
-the output.  A ray that was extremal before a constraint and satisfies it
-stays extremal (Fukuda-Prodon, "Double description method revisited",
-1996), so it keeps its place without a test.  A pointed result needs no
-Hermite reassembly: each kept ray is already primitive, spans the kernel
-of its tight set and is nonnegative on every constraint.
+incremental double description computation (Fukuda-Prodon, "Double
+description method revisited", 1996).  Only a new combination of two rays
+is tested for extremality, by an exact rank test on its tight constraints,
+so redundant input never leaks into the output.  Nothing else needs one:
+
+- A ray that was extremal before a constraint and satisfies it stays so.
+- After a constraint g that cuts the lineality space L, the rays are some
+  l0 in L and the projections of the old rays along l0 onto g-perp.  That
+  projection maps the cone modulo L isomorphically onto its slice modulo
+  the new lineality, so each projection is extremal and no two coincide.
+- No candidate repeats a ray (all modulo L).  A combination of rays rp, rm
+  with <rp, g> > 0 > <rm, g> lies on g-perp and is a strictly positive sum
+  of the two.  No kept ray holds it: one on g-perp would hold rp too.  An
+  extremal one lies on a 2-face of the old cone, and so do both summands:
+  only the two rays of that face yield it.
+
+A pointed result needs no Hermite reassembly: each kept ray is already
+primitive, spans the kernel of its tight set and is nonnegative on every
+constraint.
 """
 
 from __future__ import annotations
@@ -71,6 +82,7 @@ class Polycone:
 
 
 def _clean_constraints(constraints):
+    """The nonzero rows made primitive, first occurrences only."""
     out = []
     seen = set()
     for c in constraints:
@@ -83,28 +95,18 @@ def _clean_constraints(constraints):
     return out
 
 
-def _extremal_filter(rays, processed, lin_rank, n, seen):
-    """The candidates that span extremal rays of the current cone, one per
-    ray, not counting rays whose tight sets are already in `seen`.
-
-    A candidate r spans an extremal ray of the current cone exactly when
-    the kernel of its tight constraints has dimension lin_rank + 1; two
-    candidates lie on the same extremal ray (mod lineality) exactly when
-    their tight sets agree.  That rank needs at least n - lin_rank - 1
-    tight constraints, so a candidate with fewer is dropped before the
-    rank test.  `seen` gains the tight set of every kept candidate.
-    """
+def _extremal_filter(rays, processed, lin_rank, n):
+    """The candidates that span extremal rays of the current cone: those
+    whose tight constraints have a kernel of dimension lin_rank + 1.  That
+    rank needs n - lin_rank - 1 tight constraints, so a candidate with
+    fewer is dropped before the rank test.  No two that pass lie on the
+    same ray (see the module docstring)."""
     need = n - lin_rank - 1
     kept = []
     for r in rays:
         tight = [c for c in processed if dot(r, c) == 0]
-        if len(tight) < need:
-            continue
-        key = frozenset(tight)
-        if key in seen or rank_rows(tight, n) != need:
-            continue
-        seen.add(key)
-        kept.append(r)
+        if len(tight) >= need and rank_rows(tight, n) == need:
+            kept.append(r)
     return kept
 
 
@@ -115,12 +117,10 @@ def _dual_generator_sets(constraints, n):
     lineality lattice, and sorted primitive extremal rays of the pointed
     part, each orthogonal to the lineality span.
 
-    After a constraint that cuts the lineality space every ray is a new
-    vector, and all of them go through the rank test.  Otherwise the rays
-    on which the constraint is nonnegative keep their place, and only the
-    combinations of a positive and a negative ray are tested.  When no lineality is left, the kept
-    rays are the canonical ones; else they are rebuilt from their tight
-    sets in the complement of the lineality lattice.
+    Only the combinations of a positive and a negative ray go through the
+    rank test (the module docstring says why).  When no lineality is left,
+    the kept rays are the canonical ones; else each is rebuilt from its
+    tight set in the complement of the lineality lattice.
     """
     cons = _clean_constraints(constraints)
     lin = [tuple(r) for r in identity_rows(n)]
@@ -145,11 +145,10 @@ def _dual_generator_sets(constraints, n):
             for r in rays:
                 v = dot(r, g)
                 vec = tuple(c0 * a - v * b for a, b in zip(r, l0))
-                if any(vec):
-                    new_rays.append(primitive_vector(vec))
+                new_rays.append(primitive_vector(vec))
             lin = new_lin
             processed.append(g)
-            rays = _extremal_filter(new_rays, processed, len(lin), n, set())
+            rays = new_rays
         else:
             plus, zero, minus = [], [], []
             for r in rays:
@@ -165,27 +164,20 @@ def _dual_generator_sets(constraints, n):
             for rp, vp in plus:
                 for rm, vm in minus:
                     vec = tuple(vp * a - vm * b for a, b in zip(rm, rp))
-                    if any(vec):
-                        combos.append(primitive_vector(vec))
+                    combos.append(primitive_vector(vec))
             processed.append(g)
-            seen = {frozenset(c for c in processed if dot(r, c) == 0) for r in kept}
-            rays = kept + _extremal_filter(combos, processed, len(lin), n, seen)
+            rays = kept + _extremal_filter(combos, processed, len(lin), n)
 
     if not lin:
         return (), tuple(sorted(rays))
     # canonical reassembly: the lineality from scratch as a kernel lattice,
-    # then one canonical primitive representative per extremal ray, living
-    # in the orthogonal complement of the lineality
+    # then one canonical primitive representative per extremal ray (their
+    # tight sets differ), in the orthogonal complement of the lineality
     lin_basis = [tuple(r) for r in perp_rows(processed, n)]
     canon = []
-    seen = set()
     for r in rays:
         tight = [c for c in processed if dot(r, c) == 0]
-        key = frozenset(tight)
-        if key in seen:
-            continue
-        seen.add(key)
-        basis = perp_rows(list(tight) + lin_basis, n)
+        basis = perp_rows(tight + lin_basis, n)
         assert len(basis) == 1, "extremal ray is not one-dimensional mod lineality"
         rep = tuple(basis[0])
         for c in processed:
@@ -200,20 +192,14 @@ def _dual_generator_sets(constraints, n):
 
 
 def _validated_gens(ambient_rank, generators):
-    gens = []
-    seen = set()
-    for g in generators:
-        g = tuple(g)
+    """The generators as tuples, after checking their lengths and that
+    every entry is a plain int; _clean_constraints normalizes them."""
+    gens = [tuple(g) for g in generators]
+    for g in gens:
         if len(g) != ambient_rank:
             raise ValueError("generator has wrong length")
         for x in g:
             _as_int(x)
-        if not any(g):
-            continue
-        p = primitive_vector(g)
-        if p not in seen:
-            seen.add(p)
-            gens.append(p)
     return gens
 
 
@@ -331,7 +317,7 @@ def _face_lattice(c, known):
         face = known.get(rayset)
         if face is None:
             face = known[rayset] = _cone_on_extremal_rays(n, rayset)
-        smax = [u for u in c.normals if all(dot(r, u) == 0 for r in rayset)]
+        smax = [u for u, fs in zip(c.normals, facet_sets) if rayset <= fs]
         if smax:
             w = tuple(sum(col) for col in zip(*smax))
         else:

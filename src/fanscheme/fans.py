@@ -21,16 +21,20 @@ from .lattice import complement_coordinates, saturate_rows, smith_rows
 
 
 class FanError(ValueError):
-    pass
+    kind = "invalid-fan"  # the CLI reports it as "kind"
 
 
 class NonPointedConeError(FanError):
+    kind = "non-pointed-cone"
+
     def __init__(self, cone):
         super().__init__("fan cones must be pointed")
         self.cone = cone
 
 
 class MissingFaceError(FanError):
+    kind = "missing-face"
+
     def __init__(self, cone, missing):
         super().__init__("fan is not closed under taking faces")
         self.cone = cone
@@ -38,6 +42,8 @@ class MissingFaceError(FanError):
 
 
 class BadIntersectionError(FanError):
+    kind = "bad-intersection"
+
     def __init__(self, first, second, intersection):
         super().__init__("cones do not meet along a common face")
         self.first = first

@@ -285,19 +285,20 @@ def solve_left_rows(rows, cols, target):
 
 def lattice_coords_rows(rows, cols, target):
     """Integer coordinates of target over the rows, or None if target is not
-    in the ZZ-row-span.
-
-    Integrality of the particular solution is equivalent to membership: the
-    pivot coordinates are the unique expansion over the Hermite basis.
-    """
-    x = solve_left_rows(rows, cols, target)
-    if x is None or any(c.denominator != 1 for c in x):
+    in the ZZ-row-span: its expansion over the Hermite basis
+    (_echelon_coords), carried back to the rows along the transform."""
+    if len(target) != cols:
+        raise ValueError("target length does not match column count")
+    h, u, pivot_cols = hnf_rows(rows, cols)
+    y = _echelon_coords(h, pivot_cols, target)
+    if y is None:
         return None
-    return [int(c) for c in x]
+    return [sum(map(mul, y, col)) for col in zip(*u)]
 
 
-def _in_echelon_span(h, pivot_cols, target):
-    """Is target in the ZZ-span of echelon rows h (as _echelon returns them)?
+def _echelon_coords(h, pivot_cols, target):
+    """Integer coefficients of target over the echelon rows h (as _echelon
+    returns them), one per pivot, or None if target is off their ZZ-span.
 
     Row k has its pivot at pivot_cols[k] and zeros before it, so each pivot
     entry of the target must be an exact multiple of the pivot; subtracting
@@ -305,13 +306,15 @@ def _in_echelon_span(h, pivot_cols, target):
     lies in the lattice exactly when nothing is left.
     """
     t = list(target)
+    coords = []
     for row, col in zip(h, pivot_cols):
         q, r = divmod(t[col], row[col])
         if r:
-            return False
+            return None
         if q:
             t = [a - q * b for a, b in zip(t, row)]
-    return not any(t)
+        coords.append(q)
+    return None if any(t) else coords
 
 
 def lattice_member_rows(rows, cols, target):
@@ -319,7 +322,7 @@ def lattice_member_rows(rows, cols, target):
     form; no rational solve."""
     if len(target) != cols:
         raise ValueError("target length does not match column count")
-    return _in_echelon_span(*_echelon(rows, cols), target)
+    return _echelon_coords(*_echelon(rows, cols), target) is not None
 
 
 def det_rows(rows):

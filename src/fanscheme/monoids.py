@@ -24,15 +24,12 @@ from .cones import (
 from .lattice import (
     _as_int,
     _echelon,
-    _in_echelon_span,
+    _echelon_coords,
     complement_coordinates,
     dot,
-    invert_unimodular_rows,
-    lattice_coords_rows,
     rank_rows,
     signed_rows,
     smith_rows,
-    unimodular_complement_rows,
 )
 
 
@@ -127,27 +124,39 @@ def _pointed_hilbert(cone):
     return tuple(sorted(h for _, h in basis))
 
 
+def _split(cone):
+    """(proj, lift, image): the cone modulo its lineality space L, along a
+    unimodular complement of L.  proj(x) gives the coordinates of x modulo
+    L, lift(y) the point with coordinates y on the complement rows, and
+    image is the pointed cone of the images of the rays.  A pointed cone is
+    its own quotient: proj and lift are tuple, and image is the cone.
+    """
+    if not cone.lineality:
+        return tuple, tuple, cone
+    n, d = cone.ambient_rank, len(cone.lineality)
+    w, coords = complement_coordinates([list(r) for r in cone.lineality], n)
+    columns = list(zip(*w[d:]))
+
+    def proj(x):
+        return coords(x)[d:]
+
+    def lift(y):
+        return tuple([sum(map(mul, y, col)) for col in columns])
+
+    return proj, lift, cone_from_rays(n - d, [proj(r) for r in cone.rays])
+
+
 def _cone_lattice_hilbert(cone):
     """Hilbert structure (pointed part, lineality basis) of the full
     lattice-point monoid of a cone.
 
     The pointed part is computed in the quotient by the lineality space and
-    lifted back along a unimodular complement; any lift works because the
-    cone absorbs its own lineality span.
+    lifted back along a unimodular complement (_split); any lift works
+    because the cone absorbs its own lineality span.
     """
-    n = cone.ambient_rank
-    lin = [list(r) for r in cone.lineality]
-    if not lin:
-        return _pointed_hilbert(cone), ()
-    d = len(lin)
-    w, coords = complement_coordinates(lin, n)
-    qcone = cone_from_rays(n - d, [coords(r)[d:] for r in cone.rays])
-    lifted = []
-    for h in _pointed_hilbert(qcone):
-        lifted.append(
-            tuple(sum(h[i] * w[d + i][j] for i in range(n - d)) for j in range(n))
-        )
-    return tuple(sorted(lifted)), tuple(tuple(r) for r in cone.lineality)
+    _, lift, image = _split(cone)
+    pointed = tuple(sorted(map(lift, _pointed_hilbert(image))))
+    return pointed, tuple(tuple(r) for r in cone.lineality)
 
 
 @dataclass(frozen=True)
@@ -214,10 +223,6 @@ def dual_monoid(sigma):
     )
 
 
-def _quotient_image(columns, x):
-    return tuple([sum(map(mul, x, col)) for col in columns])
-
-
 def _support(m):
     """The cone of m: a cone monoid's own cone, else the cone of the
     generators, kept in m._data["support"]."""
@@ -230,38 +235,33 @@ def _support(m):
 
 def _membership_data(m):
     """What monoid_contains needs of a designated monoid, computed on the
-    first call and kept in m._data.
+    first call and kept in m._data under these keys.
 
-    support: the cone of the generators (_support).  quotient: the columns
-    that map x to its coordinates modulo the lineality space of the
-    support, along a unimodular complement (_quotient_image).  lineality:
-    the echelon form of the generators that vanish in the quotient.
-    moving: the other generators with their images.  qcone and weights:
-    the (pointed) cone of those images, and each image's value on the sum
-    w of its facet normals, which is positive on the nonzero images.
+    support: the cone of the generators (_support).  proj: the map to
+    coordinates modulo the lineality space of the support (_split).
+    lineality: the echelon form of the generators that vanish in the
+    quotient.  moving: the other generators with their images.  qcone: the
+    image of the support, the pointed cone of those images; w: the sum of
+    its facet normals; weights: each image's value on w, which is positive
+    on the nonzero images.
     """
     data = m._data
-    if "quotient" not in data:
-        n = m.ambient_rank
-        support = _support(m)
-        d = len(support.lineality)
-        basis = unimodular_complement_rows([list(r) for r in support.lineality], n)
-        quotient = tuple(zip(*invert_unimodular_rows(basis)))[d:]
+    if "proj" not in data:
+        proj, _, qcone = _split(_support(m))
         lin_gens = []
         moving = []
         for g in m.generators:
-            img = _quotient_image(quotient, g)
+            img = proj(g)
             if any(img):
                 moving.append((g, img))
             else:
                 lin_gens.append(g)
         data.update(
-            quotient=quotient,
-            lineality=_echelon(lin_gens, n),
+            proj=proj,
+            lineality=_echelon(lin_gens, m.ambient_rank),
             moving=moving,
         )
         if moving:
-            qcone = cone_from_rays(n - d, [img for _, img in moving])
             assert qcone.normals, "quotient cone of a support cone must be pointed"
             w = tuple(sum(col) for col in zip(*qcone.normals))
             data.update(qcone=qcone, w=w, weights=[dot(w, img) for _, img in moving])
@@ -295,17 +295,16 @@ def monoid_contains(m, v):
     if not contains_point(data["support"], v):
         return False
     lattice = data["lineality"]
-    target = _quotient_image(data["quotient"], v)
+    target = data["proj"](v)
     if not any(target):
-        return _in_echelon_span(*lattice, v)
+        return _echelon_coords(*lattice, v) is not None
+    # v is in the support but off its lineality, so some generator moves
     moving = data["moving"]
-    if not moving:
-        return False
     qcone, w, weights = data["qcone"], data["w"], data["weights"]
 
     def search(i, qres, rest):
         if not any(qres):
-            return _in_echelon_span(*lattice, rest)
+            return _echelon_coords(*lattice, rest) is not None
         if i == len(moving):
             return False
         g, img = moving[i]
@@ -398,11 +397,13 @@ def is_integrally_closed(m):
 
 def _is_integrally_closed(m):
     n = m.ambient_rank
-    basis = [list(b) for b in m.diff_basis]
+    basis = m.diff_basis
     r = len(basis)
+    # diff_basis is in echelon form: each row's pivot is its first nonzero
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
     coords = []
     for g in m.generators:
-        c = lattice_coords_rows(basis, n, g)
+        c = _echelon_coords(basis, pivots, g)
         assert c is not None
         coords.append(tuple(c))
     cc = cone_from_rays(r, coords)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cones import separating_covector
 from .fans import is_complete, is_regular, validate_fan
@@ -86,28 +86,6 @@ class DimRange:
         return self.kind
 
 
-_BASE_FLAGS = (
-    "empty",
-    "affine",
-    "quasicompact",
-    "quasiseparated",
-    "separated",
-    "connected",
-    "irreducible",
-    "reduced",
-    "integral",
-    "normal",
-    "regular",
-    "cohen_macaulay",
-    "locally_noetherian",
-    "noetherian",
-    "pointwise_noetherian",
-    "topologically_noetherian",
-    "jacobsonian",
-    "universally_catenary",
-    "equidimensional",
-)
-
 _IMPLICATIONS = (
     ("integral", "reduced"),
     ("integral", "irreducible"),
@@ -130,9 +108,6 @@ _IMPLICATIONS = (
 # the empty scheme carries every listed property by convention, except that
 # it is neither irreducible nor integral
 _EMPTY_FORCES_NO = ("irreducible", "integral")
-_EMPTY_FORCES_YES = tuple(
-    f for f in _BASE_FLAGS if f != "empty" and f not in _EMPTY_FORCES_NO
-)
 
 
 def _force(vals, flag, want, why):
@@ -245,6 +220,12 @@ class BaseDescriptor:
         return cls(**kwargs)
 
 
+_BASE_FLAGS = tuple(f.name for f in fields(BaseDescriptor) if f.name != "dim")
+_EMPTY_FORCES_YES = tuple(
+    f for f in _BASE_FLAGS if f != "empty" and f not in _EMPTY_FORCES_NO
+)
+
+
 _DECIMAL = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")
 
 
@@ -313,7 +294,7 @@ class MonoidSystem:
     monoid of j.  Explicit systems must satisfy the same inclusion rule.
     """
 
-    def __init__(self, monoids, leq=(), inf=None, fan=None, source="explicit"):
+    def __init__(self, monoids, leq=(), inf=None):
         monoids = tuple(monoids)
         for m in monoids:
             if not isinstance(m, AffineMonoid):
@@ -323,8 +304,8 @@ class MonoidSystem:
             raise ValueError("system monoids live in different lattices")
         self.monoids = monoids
         self.labels = tuple(range(len(monoids)))
-        self.source = source
-        self.fan = fan
+        self.source = "explicit"
+        self.fan = None
         # (lower, upper) -> LocalizationCertificate; filled by from_fan
         self.localizations = {}
         self.r = max((len(m.diff_basis) for m in monoids), default=0)
@@ -402,13 +383,9 @@ class MonoidSystem:
                 leq.append((i, j))
             elif k == j:
                 leq.append((j, i))
-        system = cls(
-            [dual_monoid(c) for c in cones],
-            leq=leq,
-            inf=index.meets,
-            fan=fan,
-            source="fan",
-        )
+        system = cls([dual_monoid(c) for c in cones], leq=leq, inf=index.meets)
+        system.fan = fan
+        system.source = "fan"
         for i, j in system.strict_pairs():
             system.localizations[(i, j)] = localization_certificate(
                 system.monoids[j],

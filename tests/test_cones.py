@@ -15,7 +15,7 @@ from fanscheme.cones import (
     linear_span_rows,
     separating_covector,
 )
-from fanscheme.lattice import signed_rows
+from fanscheme.lattice import rank_rows, signed_rows
 
 
 def quadrant():
@@ -176,6 +176,23 @@ def test_low_dimensional_pointed_cone_faces():
         w = fl.witnesses[f]
         tight = tuple(sorted(r for r in c.rays if helpers.mat_mult([list(r)], [[x] for x in w], 1) == [[0]]))
         assert tight == f.rays
+
+
+def test_a_lineality_cut_needs_no_rank_test(monkeypatch):
+    # every constraint of the dual of one ray cuts the lineality or has no
+    # negative ray to combine, so no candidate ever needs a rank test
+    calls = []
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return rank_rows(rows, cols)
+
+    monkeypatch.setattr("fanscheme.cones.rank_rows", counted)
+    e1 = (1,) + (0,) * 29
+    c = cone_from_rays(30, [e1])
+    assert c.rays == c.normals == (e1,)
+    assert c.lineality == () and len(c.dual_lineality) == 29
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,10 @@ def test_solve_and_membership_random():
 
 
 def test_integer_membership_agrees_with_the_rational_solve():
-    # lattice_member_rows reduces in integers; lattice_coords_rows goes
-    # through Fractions.  Off the rational span neither may accept.
+    # lattice_member_rows and lattice_coords_rows reduce in integers.  The
+    # reference is solve_left_rows, in Fractions: its solution is the same
+    # pivot expansion, integral exactly on the lattice.  Off the rational
+    # span nothing may accept.
     rng = random.Random(9011)
     for _ in range(150):
         rows, n = helpers.random_matrix(rng)
@@ -279,10 +281,13 @@ def test_integer_membership_agrees_with_the_rational_solve():
         coeffs = [rng.randint(-6, 6) for _ in range(m)]
         member = [sum(coeffs[i] * rows[i][j] for i in range(m)) for j in range(n)]
         assert lattice_member_rows(rows, n, member)
-        for _ in range(4):
-            probe = [rng.randint(-9, 9) for _ in range(n)]
+        probes = [member] + [[rng.randint(-9, 9) for _ in range(n)] for _ in range(4)]
+        for probe in probes:
             got = lattice_member_rows(rows, n, probe)
-            assert got == (lattice_coords_rows(rows, n, probe) is not None)
+            x = solve_left_rows(rows, n, probe)
+            integral = x is not None and all(c.denominator == 1 for c in x)
+            assert got == integral
+            assert lattice_coords_rows(rows, n, probe) == (x if integral else None)
             if not helpers.frac_row_space_contains(rows, probe):
                 assert not got
     with pytest.raises(ValueError):

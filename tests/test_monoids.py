@@ -702,6 +702,24 @@ def test_membership_data_is_computed_once_per_monoid(monkeypatch):
     assert calls == [3, 2]
 
 
+def test_a_pointed_support_is_its_own_quotient(monkeypatch):
+    calls = []
+
+    def counted(n, gens):
+        calls.append(n)
+        return cone_from_rays(n, gens)
+
+    monkeypatch.setattr(monoids, "cone_from_rays", counted)
+    points = [(0, 0), (2, 0), (0, 3), (1, 1)]
+    m = AffineMonoid.from_generators(3, [(1,) + p for p in points])
+    rng = random.Random(6063)
+    for _ in range(50):
+        v = random_query(rng, points, 3)
+        assert monoid_contains(m, v) == height_one_member(points, None, v)
+    # the support cone only
+    assert calls == [3]
+
+
 def test_integral_closedness_is_decided_once_per_monoid(monkeypatch):
     calls = []
     real = monoids._cone_lattice_hilbert
