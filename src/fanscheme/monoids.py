@@ -237,34 +237,35 @@ def _membership_data(m):
     """What monoid_contains needs of a designated monoid, computed on the
     first call and kept in m._data under these keys.
 
-    support: the cone of the generators (_support).  proj: the map to
-    coordinates modulo the lineality space of the support (_split).
-    lineality: the echelon form of the generators that vanish in the
-    quotient.  moving: the other generators with their images.  qcone: the
-    image of the support, the pointed cone of those images; w: the sum of
-    its facet normals; weights: each image's value on w, which is positive
-    on the nonzero images.
+    support: the cone of the generators (_support).  lineality: the echelon
+    form of the generators that lie in the lineality space of the support.
+    moving: the other generators with their images modulo that space.  A
+    support with rays has some moving generator, and then also: proj, the
+    map to coordinates modulo the lineality space (_split); qcone, the
+    image of the support, the pointed cone of the images; w, the sum of
+    its facet normals; weights, each image's value on w, which is positive
+    on the nonzero images.  A support without rays is a linear space: every
+    generator is a unit, and no quotient is built.
     """
     data = m._data
-    if "proj" not in data:
-        proj, _, qcone = _split(_support(m))
-        lin_gens = []
+    if "lineality" not in data:
+        support = _support(m)
+        lin_gens = list(m.generators)
         moving = []
-        for g in m.generators:
-            img = proj(g)
-            if any(img):
-                moving.append((g, img))
-            else:
-                lin_gens.append(g)
-        data.update(
-            proj=proj,
-            lineality=_echelon(lin_gens, m.ambient_rank),
-            moving=moving,
-        )
-        if moving:
+        if support.rays:
+            proj, _, qcone = _split(support)
+            lin_gens = []
+            for g in m.generators:
+                img = proj(g)
+                if any(img):
+                    moving.append((g, img))
+                else:
+                    lin_gens.append(g)
             assert qcone.normals, "quotient cone of a support cone must be pointed"
             w = tuple(sum(col) for col in zip(*qcone.normals))
-            data.update(qcone=qcone, w=w, weights=[dot(w, img) for _, img in moving])
+            data.update(proj=proj, qcone=qcone, w=w,
+                        weights=[dot(w, img) for _, img in moving])
+        data.update(lineality=_echelon(lin_gens, m.ambient_rank), moving=moving)
     return data
 
 
@@ -295,11 +296,10 @@ def monoid_contains(m, v):
     if not contains_point(data["support"], v):
         return False
     lattice = data["lineality"]
-    target = data["proj"](v)
-    if not any(target):
-        return _echelon_coords(*lattice, v) is not None
-    # v is in the support but off its lineality, so some generator moves
     moving = data["moving"]
+    if not moving:
+        # the support is a linear space, so v is in the monoid iff a unit
+        return _echelon_coords(*lattice, v) is not None
     qcone, w, weights = data["qcone"], data["w"], data["weights"]
 
     def search(i, qres, rest):
@@ -318,7 +318,7 @@ def monoid_contains(m, v):
                 return True
         return False
 
-    return search(0, target, v)
+    return search(0, data["proj"](v), v)
 
 
 def hilbert_basis(m):

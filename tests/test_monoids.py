@@ -720,6 +720,25 @@ def test_a_pointed_support_is_its_own_quotient(monkeypatch):
     assert calls == [3]
 
 
+def test_a_group_needs_no_quotient_cone(monkeypatch):
+    calls = []
+
+    def counted(n, gens):
+        calls.append(n)
+        return cone_from_rays(n, gens)
+
+    monkeypatch.setattr(monoids, "cone_from_rays", counted)
+    # the lattice of (2, 0, 0) and (1, 3, 0): its support is a plane, no rays
+    m = AffineMonoid.from_generators(
+        3, [(2, 0, 0), (-2, 0, 0), (1, 3, 0), (-1, -3, 0)]
+    )
+    for v in itertools.product(range(-4, 5), range(-4, 5), range(-1, 2)):
+        expected = v[2] == 0 and v[1] % 3 == 0 and (v[0] - v[1] // 3) % 2 == 0
+        assert monoid_contains(m, v) == expected
+    # the support cone only
+    assert calls == [3]
+
+
 def test_integral_closedness_is_decided_once_per_monoid(monkeypatch):
     calls = []
     real = monoids._cone_lattice_hilbert
