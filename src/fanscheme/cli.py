@@ -8,6 +8,7 @@ on input.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -274,7 +275,17 @@ def _cmd_report(args):
     return [r.to_json_dict() for r in property_report(fan, base)]
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing never mutates it: parse_args fills a fresh Namespace, help and
+    usage text is formatted when printed (reading COLUMNS and the current
+    sys.stdout or sys.stderr then), and each subcommand's run default is a
+    module function that looks its callees up at call time.  So only
+    in-process callers of entry save the set-up; a console-script run
+    builds the parser once either way.  It is never built at import.
+    """
     parser = argparse.ArgumentParser(
         prog="fanscheme",
         description="exact fans, chart monoids, and property reports",
@@ -316,9 +327,12 @@ def _build_parser():
 
 
 def entry(argv=None):
-    parser = _build_parser()
+    """Run one subcommand on argv (default sys.argv[1:]) and return its
+    exit code.  The parser is built on the first call and shared, never
+    mutated, by later calls in the same process (_build_parser); a
+    console-script run builds it once either way."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_DOCUMENT if e.code else EXIT_OK
     try:

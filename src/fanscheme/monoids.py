@@ -146,15 +146,15 @@ def _split(cone):
     return proj, lift, cone_from_rays(n - d, [proj(r) for r in cone.rays])
 
 
-def _cone_lattice_hilbert(cone):
+def _cone_lattice_hilbert(cone, split=None):
     """Hilbert structure (pointed part, lineality basis) of the full
     lattice-point monoid of a cone.
 
     The pointed part is computed in the quotient by the lineality space and
-    lifted back along a unimodular complement (_split); any lift works
-    because the cone absorbs its own lineality span.
+    lifted back along a unimodular complement (split, else _split(cone));
+    any lift works because the cone absorbs its own lineality span.
     """
-    _, lift, image = _split(cone)
+    _, lift, image = _split(cone) if split is None else split
     pointed = tuple(sorted(map(lift, _pointed_hilbert(image))))
     return pointed, tuple(tuple(r) for r in cone.lineality)
 
@@ -233,6 +233,13 @@ def _support(m):
     return m._data["support"]
 
 
+def _support_split(m):
+    """_split of the support of m, kept in m._data["split"]."""
+    if "split" not in m._data:
+        m._data["split"] = _split(_support(m))
+    return m._data["split"]
+
+
 def _membership_data(m):
     """What monoid_contains needs of a designated monoid, computed on the
     first call and kept in m._data under these keys.
@@ -240,8 +247,9 @@ def _membership_data(m):
     support: the cone of the generators (_support).  lineality: the echelon
     form of the generators that lie in the lineality space of the support.
     moving: the other generators with their images modulo that space.  A
-    support with rays has some moving generator, and then also: proj, the
-    map to coordinates modulo the lineality space (_split); qcone, the
+    support with rays has some moving generator, and then also: split, the
+    split of the support (_support_split), which hilbert_basis reads too;
+    proj, the map to coordinates modulo the lineality space; qcone, the
     image of the support, the pointed cone of the images; w, the sum of
     its facet normals; weights, each image's value on w, which is positive
     on the nonzero images.  A support without rays is a linear space: every
@@ -253,7 +261,7 @@ def _membership_data(m):
         lin_gens = list(m.generators)
         moving = []
         if support.rays:
-            proj, _, qcone = _split(support)
+            proj, _, qcone = _support_split(m)
             lin_gens = []
             for g in m.generators:
                 img = proj(g)
@@ -327,11 +335,12 @@ def hilbert_basis(m):
     Cone monoids return their stored generator list (sorted pointed part,
     then the lineality basis with both signs).  A designated monoid must
     consist of all lattice points of its cone; otherwise it has no Hilbert
-    basis in the ambient lattice and ValueError is raised.
+    basis in the ambient lattice and ValueError is raised.  The split of the
+    support is the one membership reads (_support_split), built once.
     """
     if m.cone is not None:
         return m.generators
-    pointed, lin = _cone_lattice_hilbert(_support(m))
+    pointed, lin = _cone_lattice_hilbert(_support(m), _support_split(m))
     flat = signed_rows(pointed, lin)
     for g in flat:
         if not monoid_contains(m, g):

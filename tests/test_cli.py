@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -319,6 +321,76 @@ def test_module_execution_matches_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"complete": True, "full": True}
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys,
+                                                        monkeypatch):
+    # one process runs usage errors, help, answers and rejections in turn;
+    # each call must print what a fresh process prints for the same argv
+    monkeypatch.setenv("COLUMNS", "80")
+    good = write_fan(tmp_path, 1, [[(1,)], [(-1,)]], name="good.json")
+    crossing = write_fan(tmp_path, 2, [[(1, 0), (0, 1)], [(1, 1), (-1, 1)]],
+                         name="crossing.json")
+    sequence = [
+        (["frobnicate"], 1),
+        ([], 1),
+        (["validate"], 1),
+        (["--help"], 0),
+        (["validate", "--help"], 0),
+        (["complete", "--fan", good], 0),
+        (["validate", "--fan", crossing], 2),
+        (["atlas", "--fan", good, "--search-bound", "-1"], 1),
+        (["complete", "--fan", good], 0),
+    ]
+    for argv, expected in sequence:
+        got = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fanscheme.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"},
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert got[0] == expected, argv
+    assert json.loads(got[1]) == {"complete": True, "full": True}
+
+
+def test_later_calls_build_no_parser(tmp_path, capsys, monkeypatch):
+    # the first call may build the parser, or find it built by an earlier
+    # test; the calls after it construct none
+    path = write_fan(tmp_path, 1, [[(1,)], [(-1,)]])
+    assert run_cli(capsys, "complete", "--fan", path)[0] == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["complete", "--fan", path], ["frobnicate"],
+                 ["validate", "--fan", path]):
+        assert run_cli(capsys, *argv)[0] in (0, 1)
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "real = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    real(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import fanscheme.cli\n"
+        "print(len(built))\n"
+        "fanscheme.cli.entry(['frobnicate'])\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == "0" and int(after) > 0
 
 
 def test_huge_integers_are_refused_with_a_short_message(tmp_path, capsys):

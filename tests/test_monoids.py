@@ -739,6 +739,24 @@ def test_a_group_needs_no_quotient_cone(monkeypatch):
     assert calls == [3]
 
 
+def test_hilbert_basis_and_membership_share_one_quotient(monkeypatch):
+    calls = []
+
+    def counted(n, gens):
+        calls.append(n)
+        return cone_from_rays(n, gens)
+
+    monkeypatch.setattr(monoids, "cone_from_rays", counted)
+    m = AffineMonoid.from_generators(
+        3, [(1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
+    )
+    assert hilbert_basis(m) == ((1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1))
+    for v in itertools.product(range(-2, 3), repeat=3):
+        assert monoid_contains(m, v) == (v[0] >= v[1] >= 0)
+    # the support cone, then the quotient by its lineality, once
+    assert calls == [3, 2]
+
+
 def test_integral_closedness_is_decided_once_per_monoid(monkeypatch):
     calls = []
     real = monoids._cone_lattice_hilbert
