@@ -110,6 +110,12 @@ def _extremal_filter(rays, processed, lin_rank, n):
     return kept
 
 
+def _flatten(r, v, l0, c0):
+    """The primitive r projected along l0 onto the hyperplane of a
+    constraint worth v on r and c0 > 0 on l0; r itself when v == 0."""
+    return primitive_vector(tuple(c0 * a - v * b for a, b in zip(r, l0))) if v else r
+
+
 def _dual_generator_sets(constraints, n):
     """Generators of {x : <x, c> >= 0 for all c in constraints}.
 
@@ -136,19 +142,13 @@ def _dual_generator_sets(constraints, n):
             if c0 < 0:
                 l0 = tuple(-x for x in l0)
                 c0 = -c0
-            new_lin = []
-            for i, (l, v) in enumerate(zip(lin, lin_vals)):
-                if i == i0:
-                    continue
-                new_lin.append(primitive_vector(tuple(c0 * a - v * b for a, b in zip(l, l0))))
-            new_rays = [l0]
-            for r in rays:
-                v = dot(r, g)
-                vec = tuple(c0 * a - v * b for a, b in zip(r, l0))
-                new_rays.append(primitive_vector(vec))
-            lin = new_lin
+            lin = [
+                _flatten(l, v, l0, c0)
+                for i, (l, v) in enumerate(zip(lin, lin_vals))
+                if i != i0
+            ]
+            rays = [l0] + [_flatten(r, dot(r, g), l0, c0) for r in rays]
             processed.append(g)
-            rays = new_rays
         else:
             plus, zero, minus = [], [], []
             for r in rays:

@@ -253,9 +253,9 @@ def saturate_rows(rows, cols):
     """Canonical basis of the saturation: QQ-span of the rows meet ZZ^cols.
 
     Computed as the orthogonal complement of the orthogonal complement,
-    which lands on the saturated lattice directly.
+    which lands on the saturated lattice directly; no rows span nothing.
     """
-    return perp_rows(perp_rows(rows, cols), cols)
+    return perp_rows(perp_rows(rows, cols), cols) if rows else []
 
 
 def solve_left_rows(rows, cols, target):
@@ -404,8 +404,11 @@ def unimodular_complement_rows(basis, n):
 def complement_coordinates(basis, n):
     """(w, coords): w = unimodular_complement_rows(basis, n), and coords(x)
     the coordinates of x in the rows of w, so x = sum of coords(x)[i] * w[i].
-    The first len(basis) coordinates are along the basis.
+    The first len(basis) coordinates are along the basis.  An empty basis
+    has the identity rows, on which x is its own coordinates.
     """
+    if not basis:
+        return identity_rows(n), tuple
     w = unimodular_complement_rows(basis, n)
     columns = list(zip(*invert_unimodular_rows(w)))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from operator import mul
+from operator import ge, mul
 
 from .cones import (
     cone_from_rays,
@@ -96,12 +96,14 @@ def _pointed_hilbert(cone):
     """Hilbert basis of the lattice points of a pointed cone.
 
     Every irreducible element is an extremal ray or a parallelepiped point
-    of a simplex of a triangulation.  The candidates are reduced in order
-    of the grading by the sum of the facet normals, which is positive on
-    every nonzero point of the cone: a candidate is reducible exactly when
-    it exceeds an irreducible element of strictly smaller degree (Bruns and
-    Ichim, Normaliz: algorithms for affine monoids and rational cones,
-    J. Algebra 2010).
+    of a simplex of a triangulation.  Each candidate is read once as its
+    values on the facet normals, and the candidates are reduced in order of
+    degree, the sum of those values, which is positive on every nonzero
+    point of the cone: a candidate is reducible exactly when its values are
+    at least those of an irreducible element of strictly smaller degree in
+    every entry (Bruns and Ichim, Normaliz: algorithms for affine monoids
+    and rational cones, J. Algebra 2010).  Both lie in the span of the
+    cone, where the normals decide whether their difference is in it.
     """
     assert cone.is_pointed
     n = cone.ambient_rank
@@ -110,53 +112,39 @@ def _pointed_hilbert(cone):
     candidates = set(cone.rays)
     for simplex in _pulling_triangulation(cone):
         candidates.update(_parallelepiped_points(sorted(simplex), n))
-    grade = [sum(col) for col in zip(*cone.normals)]
+    values = {h: tuple([dot(h, u) for u in cone.normals]) for h in candidates}
     basis = []
     smaller = 0  # basis[:smaller] is the kept part of strictly smaller degree
-    for deg, h in sorted((dot(grade, h), h) for h in candidates):
+    for deg, h in sorted((sum(vals), h) for h, vals in values.items()):
         while smaller < len(basis) and basis[smaller][0] < deg:
             smaller += 1
-        if not any(
-            contains_point(cone, tuple(a - b for a, b in zip(h, g)))
-            for _, g in basis[:smaller]
-        ):
-            basis.append((deg, h))
-    return tuple(sorted(h for _, h in basis))
+        vals = values[h]
+        if not any(all(map(ge, vals, g)) for _, _, g in basis[:smaller]):
+            basis.append((deg, h, vals))
+    return tuple(sorted(h for _, h, _ in basis))
 
 
-def _split(cone):
-    """(proj, lift, image): the cone modulo its lineality space L, along a
-    unimodular complement of L.  proj(x) gives the coordinates of x modulo
-    L, lift(y) the point with coordinates y on the complement rows, and
-    image is the pointed cone of the images of the rays.  A pointed cone is
-    its own quotient: proj and lift are tuple, and image is the cone.
-    """
-    if not cone.lineality:
-        return tuple, tuple, cone
-    n, d = cone.ambient_rank, len(cone.lineality)
-    w, coords = complement_coordinates([list(r) for r in cone.lineality], n)
-    columns = list(zip(*w[d:]))
-
-    def proj(x):
-        return coords(x)[d:]
-
-    def lift(y):
-        return tuple([sum(map(mul, y, col)) for col in columns])
-
-    return proj, lift, cone_from_rays(n - d, [proj(r) for r in cone.rays])
-
-
-def _cone_lattice_hilbert(cone, split=None):
+def _cone_lattice_hilbert(cone):
     """Hilbert structure (pointed part, lineality basis) of the full
     lattice-point monoid of a cone.
 
-    The pointed part is computed in the quotient by the lineality space and
-    lifted back along a unimodular complement (split, else _split(cone));
-    any lift works because the cone absorbs its own lineality span.
+    The pointed part is computed in the quotient by the lineality space L:
+    the cone of the ray images in coordinates modulo L along a unimodular
+    complement of L.  It is lifted back along the complement rows; any lift
+    works because the cone absorbs its own lineality span.  A pointed cone
+    is its own quotient.
     """
-    _, lift, image = _split(cone) if split is None else split
-    pointed = tuple(sorted(map(lift, _pointed_hilbert(image))))
-    return pointed, tuple(tuple(r) for r in cone.lineality)
+    lin = tuple(tuple(r) for r in cone.lineality)
+    if not lin:
+        return _pointed_hilbert(cone), lin
+    n, d = cone.ambient_rank, len(lin)
+    w, coords = complement_coordinates([list(r) for r in lin], n)
+    image = cone_from_rays(n - d, [coords(r)[d:] for r in cone.rays])
+    columns = list(zip(*w[d:]))
+    pointed = sorted(
+        tuple([sum(map(mul, y, col)) for col in columns]) for y in _pointed_hilbert(image)
+    )
+    return tuple(pointed), lin
 
 
 @dataclass(frozen=True)
@@ -233,46 +221,27 @@ def _support(m):
     return m._data["support"]
 
 
-def _support_split(m):
-    """_split of the support of m, kept in m._data["split"]."""
-    if "split" not in m._data:
-        m._data["split"] = _split(_support(m))
-    return m._data["split"]
-
-
 def _membership_data(m):
     """What monoid_contains needs of a designated monoid, computed on the
     first call and kept in m._data under these keys.
 
-    support: the cone of the generators (_support).  lineality: the echelon
-    form of the generators that lie in the lineality space of the support.
-    moving: the other generators with their images modulo that space.  A
-    support with rays has some moving generator, and then also: split, the
-    split of the support (_support_split), which hilbert_basis reads too;
-    proj, the map to coordinates modulo the lineality space; qcone, the
-    image of the support, the pointed cone of the images; w, the sum of
-    its facet normals; weights, each image's value on w, which is positive
-    on the nonzero images.  A support without rays is a linear space: every
-    generator is a unit, and no quotient is built.
+    support: the cone of the generators (_support).  moving: the generators
+    on which some facet normal of the support is nonzero, each with its
+    tuple of values on the normals.  lineality: the echelon form of the
+    other generators, those in the lineality space of the support.  A
+    support without rays has no normals, so every generator is a unit.
     """
     data = m._data
     if "lineality" not in data:
-        support = _support(m)
-        lin_gens = list(m.generators)
+        normals = _support(m).normals
+        lin_gens = []
         moving = []
-        if support.rays:
-            proj, _, qcone = _support_split(m)
-            lin_gens = []
-            for g in m.generators:
-                img = proj(g)
-                if any(img):
-                    moving.append((g, img))
-                else:
-                    lin_gens.append(g)
-            assert qcone.normals, "quotient cone of a support cone must be pointed"
-            w = tuple(sum(col) for col in zip(*qcone.normals))
-            data.update(proj=proj, qcone=qcone, w=w,
-                        weights=[dot(w, img) for _, img in moving])
+        for g in m.generators:
+            vals = tuple([dot(g, u) for u in normals])
+            if any(vals):
+                moving.append((g, vals))
+            else:
+                lin_gens.append(g)
         data.update(lineality=_echelon(lin_gens, m.ambient_rank), moving=moving)
     return data
 
@@ -283,9 +252,15 @@ def monoid_contains(m, v):
     Designated monoids are decided by splitting off the unit part: the
     monoid meets the lineality space of its support cone in exactly the
     lattice generated by its lineality generators (a monoid element with a
-    rational inverse direction has an actual inverse in the monoid), and
-    the quotient by that space is pointed, where a strictly positive
-    integral functional bounds the search.  The cones, the split and the
+    rational inverse direction has an actual inverse in the monoid).  After
+    one test that v lies in the support, the search subtracts multiples of
+    the moving generators and carries the residue's values on the facet
+    normals of the support.  Every residue lies in the span of the support,
+    where those values decide: the residue lies in the support when they
+    are nonnegative and in its lineality space when they are zero (Cox,
+    Little and Schenck, Toric Varieties, 1.2).  A generator's values are
+    nonnegative, so its feasible coefficients run from 0 to the least
+    quotient of a residue value by its positive value.  The values and the
     echelon basis of the lineality lattice are computed once per monoid
     (_membership_data); lattice membership is an integer reduction over
     that basis.
@@ -301,32 +276,29 @@ def monoid_contains(m, v):
     if m.cone is not None:
         return contains_point(m.cone, v)
     data = _membership_data(m)
-    if not contains_point(data["support"], v):
+    support = data["support"]
+    if not contains_point(support, v):
         return False
     lattice = data["lineality"]
     moving = data["moving"]
     if not moving:
         # the support is a linear space, so v is in the monoid iff a unit
         return _echelon_coords(*lattice, v) is not None
-    qcone, w, weights = data["qcone"], data["w"], data["weights"]
 
-    def search(i, qres, rest):
-        if not any(qres):
+    def search(i, vals, rest):
+        if not any(vals):
             return _echelon_coords(*lattice, rest) is not None
         if i == len(moving):
             return False
-        g, img = moving[i]
-        bound = dot(w, qres) // weights[i]
-        for a in range(bound + 1):
-            new_q = tuple(x - a * y for x, y in zip(qres, img))
-            if not contains_point(qcone, new_q):
-                continue
-            new_rest = tuple(x - a * y for x, y in zip(rest, g))
-            if search(i + 1, new_q, new_rest):
+        g, gvals = moving[i]
+        for a in range(min(x // y for x, y in zip(vals, gvals) if y) + 1):
+            new_vals = tuple([x - a * y for x, y in zip(vals, gvals)])
+            new_rest = tuple([x - a * y for x, y in zip(rest, g)])
+            if search(i + 1, new_vals, new_rest):
                 return True
         return False
 
-    return search(0, data["proj"](v), v)
+    return search(0, tuple([dot(v, u) for u in support.normals]), v)
 
 
 def hilbert_basis(m):
@@ -335,12 +307,11 @@ def hilbert_basis(m):
     Cone monoids return their stored generator list (sorted pointed part,
     then the lineality basis with both signs).  A designated monoid must
     consist of all lattice points of its cone; otherwise it has no Hilbert
-    basis in the ambient lattice and ValueError is raised.  The split of the
-    support is the one membership reads (_support_split), built once.
+    basis in the ambient lattice and ValueError is raised.
     """
     if m.cone is not None:
         return m.generators
-    pointed, lin = _cone_lattice_hilbert(_support(m), _support_split(m))
+    pointed, lin = _cone_lattice_hilbert(_support(m))
     flat = signed_rows(pointed, lin)
     for g in flat:
         if not monoid_contains(m, g):

@@ -21,6 +21,7 @@ from fanscheme.fans import (
     NonPointedConeError,
     validate_fan,
 )
+from fanscheme.lattice import hnf_rows, perp_rows, primitive_vector
 from helpers import (
     affine_wedge_fan,
     fan_from_ray_lists,
@@ -326,6 +327,48 @@ def test_fullify_degenerate_fans():
     res = fullify(Fan(2, [cone_from_rays(2, [])]))
     assert res.torus_rank == 2
     assert is_complete(res.reduced)
+
+
+def test_fullify_of_an_empty_fan_reduces_no_lattice(monkeypatch):
+    # an empty ray set spans the zero lattice: basis (), identity complement;
+    # the saturation and the complement inverse reduce no matrix
+    calls = []
+
+    def counted(real):
+        def call(rows, cols):
+            calls.append((real.__name__, cols))
+            return real(rows, cols)
+
+        return call
+
+    monkeypatch.setattr("fanscheme.lattice.perp_rows", counted(perp_rows))
+    monkeypatch.setattr("fanscheme.lattice.hnf_rows", counted(hnf_rows))
+    n = 3000
+    res = fullify(Fan(n, []))
+    assert res.basis == () and res.torus_rank == n and res.reduced == Fan(0, [])
+    assert res.complement[0] == (1,) + (0,) * (n - 1) and len(res.complement) == n
+    assert calls == []
+    for n in range(4):
+        res = fullify(Fan(n, []))
+        assert res.complement == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def test_a_lineality_cut_keeps_the_vectors_it_misses(monkeypatch):
+    # a cut by e_i moves no other coordinate vector, so primitive_vector
+    # runs only on the 2n input constraints of each cone, in
+    # _clean_constraints; re-projecting every kept vector made 1,798 calls
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return primitive_vector(v)
+
+    monkeypatch.setattr("fanscheme.cones.primitive_vector", counted)
+    n = 40
+    e1 = (1,) + (0,) * (n - 1)
+    fan = Fan(n, [cone_from_rays(n, [e1]), cone_from_rays(n, [])])
+    validate_fan(fan)
+    assert len(calls) == 4 * n
 
 
 def test_random_staircase_fans_validate():

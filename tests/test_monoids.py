@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from helpers import (
     fm_cone_contains,
     frac_rank,
     height_one_member,
+    random_unimodular,
 )
 
 
@@ -602,24 +604,63 @@ def test_pulling_triangulation_covers_the_cone_with_simplices():
                 assert any(fm_cone_contains(list(s), p, n) for s in simplices)
 
 
+def test_pointed_hilbert_of_random_cones_matches_the_box_oracle():
+    # random small rays in rank 1 to 4, not at height one; cones with
+    # lineality or a box of more than 300 points are skipped
+    rng = random.Random(1105)
+    ranks = collections.Counter()
+    flat = beyond_rays = 0
+    while sum(ranks.values()) < 80:
+        n = rng.randint(1, 4)
+        b = rng.randint(1, 3)
+        rays = [
+            tuple(rng.randint(-b, b) for _ in range(n))
+            for _ in range(rng.randint(1, n + 2))
+        ]
+        c = cone_from_rays(n, rays)
+        box = math.prod(sum(abs(r[a]) for r in rays) + 1 for a in range(n))
+        if not c.is_pointed or not c.rays or box > 300:
+            continue
+        got = _pointed_hilbert(c)
+        assert list(got) == box_hilbert_basis(rays, n, facet_cone_contains(rays, n))
+        ranks[n] += 1
+        flat += not c.is_full
+        beyond_rays += len(got) > len(c.rays)
+    assert min(ranks[n] for n in range(1, 5)) >= 10
+    assert flat >= 20 and beyond_rays >= 15
+
+
+def count_calls(monkeypatch, module, *names):
+    """Replace each named function of module by a wrapper that records its
+    calls; returns {name: list of argument tuples}."""
+    calls = {}
+    for name in names:
+        real = getattr(module, name)
+        calls[name] = []
+
+        def counted(*args, real=real, log=calls[name]):
+            log.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_hilbert_bases_of_wedges_test_membership_linearly(monkeypatch):
-    # the zonotope box of the wedge (1,0),(1,600) took 724,205 calls
-    calls = []
-
-    def counted(cone, point):
-        calls.append(point)
-        return contains_point(cone, point)
-
-    monkeypatch.setattr(monoids, "contains_point", counted)
+    # the zonotope box of the wedge (1,0),(1,600) took 724,205 membership
+    # tests; a reduction test now compares values on the facet normals, at
+    # least one `ge` per pair of candidates compared
+    calls = count_calls(monkeypatch, monoids, "dot", "ge")
     k = 600
     wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
     points = dual_monoid(dual_cone(wedge_k))
     assert points.hilbert_pointed == tuple((1, j) for j in range(k + 1))
-    assert len(calls) <= 3 * k
-    calls.clear()
+    assert len(calls["dot"]) <= 3 * k and len(calls["ge"]) <= 3 * k
+    calls["dot"].clear()
+    calls["ge"].clear()
     dual = dual_monoid(wedge_k)
     assert dual.hilbert_pointed == ((0, 1), (1, 0), (k, -1))
-    assert len(calls) <= 3 * k
+    assert len(calls["dot"]) <= 3 * k and len(calls["ge"]) <= 3 * k
 
 
 def test_cone_monoid_difference_group_is_the_generated_lattice():
@@ -682,6 +723,63 @@ def test_designated_membership_matches_enumeration():
     assert units >= 10
 
 
+def random_embedded_monoid(rng):
+    """A random_height_one_monoid in rank n, padded with zero coordinates
+    to rank n + extra and moved by a random unimodular u: (points, unit,
+    n, image, monoid) with image(x) = x * u, so that image(x) lies in the
+    monoid exactly when x[n:] is zero and x[:n] lies in the height-one
+    monoid."""
+    n = rng.randint(2, 3)
+    points, unit, m = random_height_one_monoid(rng, n)
+    rank = n + rng.randint(0, 2)
+    u = random_unimodular(rng, rank)
+
+    def image(x):
+        return tuple(sum(map(operator.mul, x, col)) for col in zip(*u))
+
+    pad = (0,) * (rank - n)
+    gens = [image(g + pad) for g in m.generators]
+    return points, unit, n, image, AffineMonoid.from_generators(rank, gens)
+
+
+def test_membership_in_embedded_monoids_matches_enumeration():
+    # the support is rarely full-dimensional here, so each residue of the
+    # search relies on lying in the span of the support
+    rng = random.Random(6064)
+    units = flat = 0
+    for _ in range(120):
+        points, unit, n, image, m = random_embedded_monoid(rng)
+        units += unit is not None
+        flat += not monoids._support(m).is_full
+        for _ in range(20):
+            x = random_query(rng, points, n) + tuple(
+                rng.choice((0, 0, 0, 1, -1)) for _ in range(m.ambient_rank - n)
+            )
+            expected = not any(x[n:]) and height_one_member(points, unit, x[:n])
+            assert monoid_contains(m, image(x)) == expected, (m.generators, x)
+    assert units >= 20 and flat >= 60
+
+
+def test_designated_membership_tests_the_support_once(monkeypatch):
+    # the first query builds the support cone; from then on each query
+    # makes one cone test, and the search reads values on its normals
+    calls = count_calls(monkeypatch, monoids, "cone_from_rays", "contains_point")
+    rng = random.Random(6065)
+    queries = 0
+    for _ in range(20):
+        points, unit, n, image, m = random_embedded_monoid(rng)
+        built = len(calls["cone_from_rays"])
+        for _ in range(20):
+            x = random_query(rng, points, n) + (0,) * (m.ambient_rank - n)
+            before = len(calls["contains_point"])
+            expected = height_one_member(points, unit, x[:n])
+            assert monoid_contains(m, image(x)) == expected
+            assert len(calls["contains_point"]) == before + any(x)
+            queries += any(x)
+        assert len(calls["cone_from_rays"]) == built + 1
+    assert queries >= 300
+
+
 def test_membership_data_is_computed_once_per_monoid(monkeypatch):
     calls = []
 
@@ -698,8 +796,8 @@ def test_membership_data_is_computed_once_per_monoid(monkeypatch):
     for _ in range(50):
         v = random_query(rng, points, 3)
         assert monoid_contains(m, v) == height_one_member(points, unit, v)
-    # the support cone, then the quotient by its lineality
-    assert calls == [3, 2]
+    # the support cone only: its normals decide, with no quotient cone
+    assert calls == [3]
 
 
 def test_a_pointed_support_is_its_own_quotient(monkeypatch):
@@ -792,18 +890,15 @@ def test_membership_cache_leaves_equality_hash_and_repr_alone():
 
 def test_pointed_hilbert_of_a_wedge_skips_elements_of_equal_degree(monkeypatch):
     # every candidate of the wedge (1,0),(1,k) has degree k, so none can
-    # reduce another and no membership test is needed
-    calls = []
-
-    def counted(cone, point):
-        calls.append(point)
-        return contains_point(cone, point)
-
-    monkeypatch.setattr(monoids, "contains_point", counted)
+    # reduce another and no two value tuples are compared; each candidate
+    # is read once on each of the two normals, after the triangulation reads
+    # the two rays on them
+    calls = count_calls(monkeypatch, monoids, "dot", "ge")
     k = 2000
     wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
     assert _pointed_hilbert(wedge_k) == tuple((1, j) for j in range(k + 1))
-    assert calls == []
+    assert calls["ge"] == []
+    assert len(calls["dot"]) == 2 * 2 + 2 * (k + 1)
 
 
 # ---------------------------------------------- immersion search against its oracle

@@ -1,7 +1,10 @@
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "fanscheme"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "fanscheme"
+# read by tests only, as rational references for the integer lattice code
+TEST_ONLY = {"det_rows", "lattice_coords_rows", "solve_left_rows"}
 
 
 def _unused_imports(tree):
@@ -15,12 +18,53 @@ def _unused_imports(tree):
             for alias in node.names:
                 bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read.update(_exported(tree))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def _exported(tree):
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            read.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in bound.items() if name not in read)
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _names_read(tree):
+    """Every name a module reads: loaded names, attributes, names imported
+    from other modules and the entries of __all__."""
+    read = set(_exported(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_definitions(modules, readers):
+    """(module, line, name) of each module-level function or class of the
+    parsed modules ({name: tree}) that no reader tree reads.  A name counts
+    as read wherever it appears, so a method or attribute of the same name
+    hides an unread function: the check can miss one, never invent one."""
+    read = set().union(*map(_names_read, readers))
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+    )
+
+
+def _parsed(*dirs):
+    return {
+        p.name: ast.parse(p.read_text(encoding="utf-8"))
+        for d in dirs
+        for p in sorted(d.glob("*.py"))
+    }
 
 
 def test_package_modules_have_no_unused_imports():
@@ -43,3 +87,30 @@ def test_unused_import_finder():
         "print(os.sep)\n"
     )
     assert _unused_imports(tree) == [(3, "sys"), (4, "l")]
+
+
+def test_every_package_definition_has_a_reader():
+    # the package, the demos and the benchmark count as readers; tests do not
+    modules = _parsed(SOURCE)
+    readers = _parsed(SOURCE, ROOT / "demos", ROOT / "perfbench").values()
+    unread = _unread_definitions(modules, readers)
+    assert {name for _, _, name in unread} == TEST_ONLY, unread
+
+
+def test_unread_definition_finder():
+    module = ast.parse(
+        "import os\n"
+        "__all__ = ['exported']\n"
+        "def exported(): pass\n"
+        "def called(): pass\n"
+        "def attribute(): pass\n"
+        "def imported(): pass\n"
+        "def unread(): pass\n"
+        "class Unread: pass\n"
+        "def store(): pass\n"
+        "store = called()\n"
+        "os.attribute\n"
+    )
+    other = ast.parse("from m import imported\n")
+    found = _unread_definitions({"m.py": module}, [module, other])
+    assert found == [("m.py", 7, "unread"), ("m.py", 8, "Unread"), ("m.py", 9, "store")]
