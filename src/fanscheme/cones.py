@@ -285,22 +285,48 @@ class FaceLattice:
         return set(f.rays) <= set(g.rays)
 
 
-def _cone_on_extremal_rays(n, rays):
-    """Pointed cone on known canonical extremal rays (a face of a pointed
-    cone): one double description pass builds the inequality side."""
-    dlin, drays = _dual_generator_sets(rays, n)
-    return Polycone(n, tuple(sorted(rays)), (), drays, dlin)
+def _facet_sets(c):
+    """The ray frozenset of each facet of a pointed cone, one per normal."""
+    return [frozenset(r for r in c.rays if dot(r, u) == 0) for u in c.normals]
+
+
+def _facets_of(face, facet_sets):
+    """Ray sets of the facets of a face (a ray frozenset) of a pointed cone:
+    the maximal proper cuts of it by the cone's facet ray sets."""
+    cuts = {face & fs for fs in facet_sets} - {face}
+    return [g for g in cuts if not any(g < h for h in cuts)]
+
+
+def _cone_on_extremal_rays(n, rays, facet_sets):
+    """The face F of a pointed cone on the ray frozenset `rays`, read off
+    the cone's facet ray sets: its dual lineality is F-perp, and each facet
+    G of F gives the normal spanning span(F) meet G-perp, signed positive
+    on F (Cox-Little-Schenck, Toric Varieties, 1.2).  No double description
+    pass."""
+    ordered = sorted(rays)
+    dlin = [tuple(w) for w in perp_rows(ordered, n)]
+    normals = []
+    for g in _facets_of(rays, facet_sets):
+        (u,) = perp_rows(list(g) + dlin, n)
+        if dot(next(r for r in ordered if r not in g), u) < 0:
+            u = [-x for x in u]
+        normals.append(tuple(u))
+    return Polycone(n, tuple(ordered), (), tuple(sorted(normals)), tuple(dlin))
+
+
+def _witness(c, facet_sets, rayset):
+    """The sum of the normals of c vanishing on the face with these rays."""
+    tight = [u for u, fs in zip(c.normals, facet_sets) if rayset <= fs]
+    return tuple(sum(col) for col in zip(*tight)) if tight else (0,) * c.ambient_rank
 
 
 def _face_lattice(c, known):
     """faces(c), taking face cones from `known` (ray frozenset -> cone) where
-    present and adding the ones it builds."""
+    present and adding the ones it reads off c."""
     if c.lineality:
         raise ValueError("face lattice requires a pointed cone")
     n = c.ambient_rank
-    facet_sets = [
-        frozenset(r for r in c.rays if dot(r, u) == 0) for u in c.normals
-    ]
+    facet_sets = _facet_sets(c)
     full = frozenset(c.rays)
     found = {full, frozenset()}
     frontier = [full]
@@ -311,21 +337,27 @@ def _face_lattice(c, known):
             if nxt not in found:
                 found.add(nxt)
                 frontier.append(nxt)
-    face_list = []
     witnesses = {}
     for rayset in found:
         face = known.get(rayset)
         if face is None:
-            face = known[rayset] = _cone_on_extremal_rays(n, rayset)
-        smax = [u for u, fs in zip(c.normals, facet_sets) if rayset <= fs]
-        if smax:
-            w = tuple(sum(col) for col in zip(*smax))
-        else:
-            w = (0,) * n
-        face_list.append(face)
-        witnesses[face] = w
-    face_list.sort(key=lambda f: (f.dim, f.rays))
+            face = known[rayset] = _cone_on_extremal_rays(n, rayset, facet_sets)
+        witnesses[face] = _witness(c, facet_sets, rayset)
+    face_list = sorted(witnesses, key=lambda f: (f.dim, f.rays))
     return FaceLattice(c, tuple(face_list), witnesses)
+
+
+def _face_sublattice(lattice, c):
+    """faces(c) for a face c of lattice.cone: the lattice's faces on rays
+    of c, with witnesses from the normals of c."""
+    rays = frozenset(c.rays)
+    facet_sets = _facet_sets(c)
+    witnesses = {
+        f: _witness(c, facet_sets, frozenset(f.rays))
+        for f in lattice.faces
+        if rays.issuperset(f.rays)
+    }
+    return FaceLattice(c, tuple(witnesses), witnesses)
 
 
 def faces(c):
@@ -333,12 +365,12 @@ def faces(c):
 
     Every face is an intersection of facets, so the ray subsets of faces
     form the closure of the full ray set under intersection with the facet
-    ray sets.  Each face is built from its ray subset with one double
-    description pass; its witness is the sum of the normals of c vanishing
-    on it.  Cones with lineality are rejected; nothing downstream needs
-    their faces.  A validated fan keeps the lattice of each of its cones in
-    its face index, where validate_fan looks up the meets of its maximal
-    cones, so callers holding a fan read it from there.
+    ray sets.  Each face is read off its ray subset and the facet ray sets
+    of c, with no double description pass (_cone_on_extremal_rays); its
+    witness is the sum of the normals of c vanishing on it.  Cones with
+    lineality are rejected; nothing downstream needs their faces.  A
+    validated fan keeps the lattice of each of its cones in its face index,
+    so callers holding a fan read it from there.
     """
     return _face_lattice(c, {frozenset(c.rays): c})
 

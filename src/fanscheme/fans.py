@@ -3,21 +3,24 @@
 A Fan object only normalizes its cone list; the fan axioms are checked by
 validate_fan, which raises a typed error naming the offending cones.  A fan
 that passes carries its face index: face lattices, face order and meets,
-computed once and read by every later caller.
+computed once and read by every later caller: one face lattice per
+maximal cone, the rest read off them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg, sub
 
 from .cones import (
     _face_lattice,
+    _face_sublattice,
     cone_from_rays,
     intersect_cones,
     intersection_generators,
     Polycone,
 )
-from .lattice import complement_coordinates, saturate_rows, smith_rows
+from .lattice import complement_coordinates, dot, saturate_rows, smith_rows
 
 
 class FanError(ValueError):
@@ -69,6 +72,7 @@ class Fan:
         self.cones = tuple(sorted(set(cones), key=_cone_key))
         self._members = frozenset(self.cones)
         self._face_index = None  # set by validate_fan
+        self._lattices = {}  # cone -> FaceLattice built before validation
 
     def __eq__(self, other):
         return (
@@ -120,15 +124,13 @@ def validate_fan(fan):
     cones and their intersection.  That suffices: every cone is a face of a
     maximal one, and faces a of A and b of B meet in (a meet F) meet
     (b meet F) with F = A meet B.  Both are faces of F, so their meet is a
-    face of a and of b, the cone on the rays a and b share.  Face lattices
-    reuse the fan's cones as faces.  The index is stored on the fan, and
-    later calls return it.
+    face of a and of b, the cone on the rays a and b share.  The index is
+    stored on the fan, and later calls return it.
 
-    A meet of pointed cones is pointed, so it is determined by its rays:
-    each pair of maximal cones needs only the rays of its meet
-    (intersection_generators), looked up among the fan's cones and in both
-    face lattices.  Only a failing pair builds the whole meet
-    (intersect_cones) for the error.
+    By falling dimension, a cone in no lattice seen so far is maximal, and
+    only its lattice is built (unless complete_under_faces left it); the
+    others are down-sets of those.  Lattices reuse the fan's cones as
+    faces.  Only a failing pair builds its meet, for the error.
     """
     if fan._face_index is not None:
         return fan._face_index
@@ -136,19 +138,28 @@ def validate_fan(fan):
         if not c.is_pointed:
             raise NonPointedConeError(c)
     cones = {frozenset(c.rays): c for c in fan.cones}
-    lattices = {}
-    for c in fan.cones:
-        # a face missing from the fan lands in cones only to be reported
-        lattices[c] = _face_lattice(c, cones)
+    lattices = dict(fan._lattices)
+    holder = {}  # face -> the lattice of a maximal cone that holds it
+    tops = []
+    for c in reversed(fan.cones):
+        if c in holder:
+            if c not in lattices:
+                lattices[c] = _face_sublattice(holder[c], c)
+            continue
+        if c not in lattices:
+            lattices[c] = _face_lattice(c, cones)
+        if any(f not in fan for f in lattices[c]):
+            for d in fan.cones:  # name the first cone missing a face
+                for f in _face_lattice(d, cones):
+                    if f not in fan:
+                        raise MissingFaceError(d, f)
+        tops.append(c)
         for f in lattices[c]:
-            if f not in fan:
-                raise MissingFaceError(c, f)
-    lower = {f for c in fan.cones for f in lattices[c] if f != c}
-    tops = [c for c in fan.cones if c not in lower]
+            holder.setdefault(f, lattices[c])
+    tops.reverse()
     for i, a in enumerate(tops):
         for b in tops[i + 1:]:
-            meet = cones.get(frozenset(intersection_generators(a, b)[1]))
-            if meet not in lattices[a] or meet not in lattices[b]:
+            if not _meet_is_common_face(a, b, cones, lattices):
                 raise BadIntersectionError(a, b, intersect_cones(a, b))
     label = {c: i for i, c in enumerate(fan.cones)}
     rays = [frozenset(c.rays) for c in fan.cones]
@@ -161,15 +172,41 @@ def validate_fan(fan):
     return fan._face_index
 
 
+def _meet_is_common_face(a, b, cones, lattices):
+    """Do the maximal cones a and b meet in a common face?
+
+    Say the cone c on their shared rays S is in both lattices, and u among
+    w_a - w_b, w_a and -w_b (c's witnesses) is > 0 on the other rays of a
+    and < 0 on those of b.  As u vanishes on S, x in a meet b has
+    0 <= u(x) <= 0, so x lies in c (Fulton, Introduction to Toric
+    Varieties, 1.2).  Else one double description pass gives the rays of
+    the meet (intersection_generators), to look up in both lattices.
+    """
+    la, lb = lattices[a], lattices[b]
+    shared = frozenset(a.rays) & frozenset(b.rays)
+    c = cones.get(shared)
+    if c in la and c in lb:
+        wa, wb = la.witnesses[c], lb.witnesses[c]
+        for u in (tuple(map(sub, wa, wb)), wa, tuple(map(neg, wb))):
+            if all(dot(r, u) > 0 for r in a.rays if r not in shared) and all(
+                dot(r, u) < 0 for r in b.rays if r not in shared
+            ):
+                return True
+    meet = cones.get(frozenset(intersection_generators(a, b)[1]))
+    return meet in la and meet in lb
+
+
 def complete_under_faces(fan):
-    """Add every face of every cone."""
+    """Add every face of every cone; keep their lattices for validate_fan."""
     known = {frozenset(c.rays): c for c in fan.cones if c.is_pointed}
-    out = set()
+    lattices = {}
     for c in fan.cones:
         if not c.is_pointed:
             raise NonPointedConeError(c)
-        out.update(_face_lattice(c, known))
-    return Fan(fan.rank, out)
+        lattices[c] = _face_lattice(c, known)
+    out = Fan(fan.rank, [f for lattice in lattices.values() for f in lattice])
+    out._lattices = lattices
+    return out
 
 
 def is_full(fan):

@@ -2,7 +2,7 @@
 
 Convention: vectors are rows, a matrix is a sequence of rows, and the
 lattice of a matrix is the ZZ-span of its rows.  Everything is exact;
-integers are unbounded and rational intermediates use fractions.Fraction.
+integers are unbounded.
 
 Two layers live here.  The row layer works on plain sequences of int rows
 plus an explicit column count (so 0-row matrices keep their shape) and is
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 
@@ -258,44 +257,6 @@ def saturate_rows(rows, cols):
     return perp_rows(perp_rows(rows, cols), cols) if rows else []
 
 
-def solve_left_rows(rows, cols, target):
-    """One rational solution x of x * rows == target, or None.
-
-    target entries may be ints or Fractions; the solution is a list of
-    Fractions, one coordinate per row.
-    """
-    if len(target) != cols:
-        raise ValueError("target length does not match column count")
-    h, u, pivot_cols = hnf_rows(rows, cols)
-    t = [Fraction(x) for x in target]
-    y = [Fraction(0)] * len(rows)
-    for k, col in enumerate(pivot_cols):
-        c = t[col] / h[k][col]
-        if c:
-            y[k] = c
-            hk = h[k]
-            for j in range(cols):
-                if hk[j]:
-                    t[j] -= c * hk[j]
-    if any(t):
-        return None
-    m = len(rows)
-    return [sum((y[k] * u[k][j] for k in range(m)), Fraction(0)) for j in range(m)]
-
-
-def lattice_coords_rows(rows, cols, target):
-    """Integer coordinates of target over the rows, or None if target is not
-    in the ZZ-row-span: its expansion over the Hermite basis
-    (_echelon_coords), carried back to the rows along the transform."""
-    if len(target) != cols:
-        raise ValueError("target length does not match column count")
-    h, u, pivot_cols = hnf_rows(rows, cols)
-    y = _echelon_coords(h, pivot_cols, target)
-    if y is None:
-        return None
-    return [sum(map(mul, y, col)) for col in zip(*u)]
-
-
 def _echelon_coords(h, pivot_cols, target):
     """Integer coefficients of target over the echelon rows h (as _echelon
     returns them), one per pivot, or None if target is off their ZZ-span.
@@ -323,36 +284,6 @@ def lattice_member_rows(rows, cols, target):
     if len(target) != cols:
         raise ValueError("target length does not match column count")
     return _echelon_coords(*_echelon(rows, cols), target) is not None
-
-
-def det_rows(rows):
-    """Determinant of a square integer matrix (Bareiss, division-free result)."""
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = -1
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def invert_unimodular_rows(rows):

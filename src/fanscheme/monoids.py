@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement, product
 from operator import ge, mul
 
 from .cones import (
+    _facets_of,
     cone_from_rays,
     contains_point,
     dual_cone,
@@ -43,8 +44,7 @@ def _pulling_triangulation(cone):
 
     A simplicial face is its own triangulation; any other face is the union
     of the cones from its least ray over the triangulated facets that miss
-    it.  The facets of a face are the maximal proper intersections of its
-    ray set with the facet ray sets of the cone.
+    it (cones._facets_of).
     """
     n = cone.ambient_rank
     facet_sets = [
@@ -57,12 +57,11 @@ def _pulling_triangulation(cone):
             if rank_rows(list(face), n) == len(face):
                 memo[face] = [face]
             else:
-                cuts = {face & fs for fs in facet_sets} - {face}
                 v = min(face)
                 memo[face] = [
                     s | {v}
-                    for g in cuts
-                    if v not in g and not any(g < h for h in cuts)
+                    for g in _facets_of(face, facet_sets)
+                    if v not in g
                     for s in pull(g)
                 ]
         return memo[face]

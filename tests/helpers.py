@@ -2,11 +2,14 @@
 
 Everything here is deliberately written from scratch on top of Fractions
 and brute force, not by calling back into the package, so a bug in the
-package cannot hide behind itself.
+package cannot hide behind itself.  The one exception is the last
+section: rational solves that expand along the package's own Hermite
+form, the references for its integer reductions.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from operator import mul
 
 
 def mat_mult(a, b, b_cols):
@@ -425,3 +428,81 @@ def exhaustive_immersion_search(target, source, bound):
         None,
         "no witness with generator coefficient sum up to %d" % bound,
     )
+
+
+# ---------------------------------------------------------------------------
+# references for the integer lattice code: the rational solve and the
+# integer expansion along the package's Hermite form, and a Bareiss
+# determinant
+
+
+def solve_left_rows(rows, cols, target):
+    """One rational solution x of x * rows == target, or None.
+
+    target entries may be ints or Fractions; the solution is a list of
+    Fractions, one coordinate per row.
+    """
+    from fanscheme.lattice import hnf_rows
+
+    if len(target) != cols:
+        raise ValueError("target length does not match column count")
+    h, u, pivot_cols = hnf_rows(rows, cols)
+    t = [Fraction(x) for x in target]
+    y = [Fraction(0)] * len(rows)
+    for k, col in enumerate(pivot_cols):
+        c = t[col] / h[k][col]
+        if c:
+            y[k] = c
+            hk = h[k]
+            for j in range(cols):
+                if hk[j]:
+                    t[j] -= c * hk[j]
+    if any(t):
+        return None
+    m = len(rows)
+    return [sum((y[k] * u[k][j] for k in range(m)), Fraction(0)) for j in range(m)]
+
+
+def lattice_coords_rows(rows, cols, target):
+    """Integer coordinates of target over the rows, or None if target is not
+    in the ZZ-row-span: its expansion over the Hermite basis
+    (_echelon_coords), carried back to the rows along the transform."""
+    from fanscheme.lattice import _echelon_coords, hnf_rows
+
+    if len(target) != cols:
+        raise ValueError("target length does not match column count")
+    h, u, pivot_cols = hnf_rows(rows, cols)
+    y = _echelon_coords(h, pivot_cols, target)
+    if y is None:
+        return None
+    return [sum(map(mul, y, col)) for col in zip(*u)]
+
+
+def det_rows(rows):
+    """Determinant of a square integer matrix (Bareiss, division-free result)."""
+    n = len(rows)
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = -1
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    piv = i
+                    break
+            if piv < 0:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -420,10 +421,23 @@ def cyclic_cone(k):
     return cone_from_rays(3, [(k, 1, 0), (0, k, 1), (1, 0, k)])
 
 
+def _value_shape(u, rays):
+    """The values of u on the rays, scaled to a largest value of 1: two
+    functionals positive somewhere on a cone agree on its span up to a
+    positive factor exactly when their shapes are equal."""
+    vals = [sum(a * b for a, b in zip(u, r)) for r in rays]
+    return tuple(Fraction(v) / max(vals) for v in vals)
+
+
 def test_faces_match_cones_built_from_their_rays():
+    # faces are read off the facet ray sets of their cone with no double
+    # description pass; each must equal the cone built from its rays in all
+    # four fields, and its normals must be the brute-force facets
     rng = random.Random(5001)
     cones = [cyclic_cone(k) for k in (2, 3, 5, 7)]
     cones += [random_pointed_cone(rng, rng.randint(1, 4)) for _ in range(40)]
+    cones += [random_pointed_cone(rng, rng.randint(1, 5), 6) for _ in range(300)]
+    non_simplicial = 0
     for c in cones:
         n = c.ambient_rank
         fl = faces(c)
@@ -432,6 +446,18 @@ def test_faces_match_cones_built_from_their_rays():
             w = fl.witnesses[f]
             tight = sorted(r for r in c.rays if sum(a * b for a, b in zip(r, w)) == 0)
             assert tuple(tight) == f.rays
+            non_simplicial += len(f.rays) > f.dim
+            equations, inequalities = helpers.brute_force_facets(list(f.rays), n)
+            assert len(f.dual_lineality) == len(equations)
+            assert not any(
+                sum(a * b for a, b in zip(e, u))
+                for e in equations
+                for u in f.normals
+            )
+            shapes = [_value_shape(u, f.rays) for u in f.normals]
+            assert len(set(shapes)) == len(shapes)
+            assert set(shapes) == {_value_shape(y, f.rays) for y in inequalities}
+    assert non_simplicial >= 30
 
 
 def _pair_with_common_face(rng, n):

@@ -1,3 +1,4 @@
+import json
 import random
 from operator import mul
 
@@ -7,6 +8,7 @@ from fanscheme.cones import (
     cone_from_rays,
     faces,
     intersect_cones,
+    intersection_generators,
     separating_covector,
 )
 from fanscheme.fans import (
@@ -83,6 +85,13 @@ def test_validation_rejects_missing_faces():
         validate_fan(Fan(2, [quad, cone_from_rays(2, [])]))
     assert info.value.cone == quad
     assert info.value.missing in faces(quad)
+    # the error names the first cone in fan order that misses a face: here
+    # the ray, which lacks the zero cone, and not the maximal cone
+    ray = cone_from_rays(2, [(1, 0)])
+    with pytest.raises(MissingFaceError) as info:
+        validate_fan(Fan(2, [quad, ray]))
+    assert info.value.cone == ray
+    assert info.value.missing == cone_from_rays(2, [])
 
 
 def test_validation_rejects_overlapping_cones():
@@ -165,6 +174,45 @@ def test_validation_builds_a_meet_only_for_a_failing_pair(monkeypatch):
     assert err.intersection == intersect_cones(err.first, err.second)
 
 
+def test_completing_p3_builds_one_lattice_per_given_cone(
+    tmp_path, monkeypatch, capsys
+):
+    # completion builds the lattices of the four given cones and reads
+    # every face off them; validation reuses those lattices and proves
+    # each meet from witnesses, so the only double description passes are
+    # the two of each cone_from_rays call
+    import fanscheme.cones
+    import fanscheme.fans
+    from fanscheme.cli import entry
+
+    counts = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+        counts[name] = 0
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(fanscheme.fans, "_face_lattice")
+    counted(fanscheme.fans, "intersection_generators")
+    counted(fanscheme.cones, "_dual_generator_sets")
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    doc = tmp_path / "p3.json"
+    doc.write_text(json.dumps({
+        "lattice_rank": 3,
+        "cones": [{"rays": rays[:k] + rays[k + 1:]} for k in range(4)],
+    }))
+    assert entry(["complete", "--fan", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"complete": True, "full": True}
+    assert counts == {
+        "_face_lattice": 4, "_dual_generator_sets": 8, "intersection_generators": 0,
+    }
+
+
 def _small_pointed_cone(rng, n, gens=None):
     """Pointed cone on 1 to n + 1 random generators with entries in
     {-2..2}, plus any given generators."""
@@ -202,9 +250,21 @@ def _random_cone_set(rng, n):
     return complete_under_faces(Fan(n, [a] + others))
 
 
-def test_validation_agrees_with_checking_every_pair():
+def test_validation_agrees_with_checking_every_pair(monkeypatch):
+    # a valid pair whose meet no witness covector proves takes one double
+    # description pass (intersection_generators); count those passes
+    import fanscheme.fans
+
+    passes = []
+
+    def counted(a, b):
+        passes.append((a, b))
+        return intersection_generators(a, b)
+
+    monkeypatch.setattr(fanscheme.fans, "intersection_generators", counted)
     rng = random.Random(7070)
     verdicts = []
+    valid_fallbacks = 0
     for _ in range(120):
         fan = _random_cone_set(rng, rng.choice((2, 3)))
         lattices = {c: faces(c) for c in fan}
@@ -223,10 +283,16 @@ def test_validation_agrees_with_checking_every_pair():
             for c in (err.first, err.second):
                 assert not any(c in lattices[d] for d in fan if d != c)
             continue
+        del passes[:]
         index = validate_fan(fan)
+        valid_fallbacks += len(passes)
         for (i, j), k in index.meets.items():
             assert fan.cones[k] == intersect_cones(fan.cones[i], fan.cones[j])
+        for c in fan:
+            assert index.lattices[c].faces == lattices[c].faces
+            assert index.lattices[c].witnesses == lattices[c].witnesses
     assert 30 <= verdicts.count(False) <= 90
+    assert valid_fallbacks >= 1
 
 
 def test_complete_under_faces_recovers_the_golden_fan():

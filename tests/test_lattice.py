@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import det_rows, lattice_coords_rows, solve_left_rows
 from fanscheme.lattice import (
     IntMatrix,
-    det_rows,
     dot,
     hermite_normal_form,
     hnf_rows,
@@ -15,7 +15,6 @@ from fanscheme.lattice import (
     invert_unimodular_rows,
     kernel_basis,
     kernel_rows,
-    lattice_coords_rows,
     lattice_member_rows,
     perp_rows,
     primitive_vector,
@@ -24,7 +23,6 @@ from fanscheme.lattice import (
     saturate_sublattice,
     smith_normal_form,
     smith_rows,
-    solve_left_rows,
     transpose_rows,
     unimodular_complement_rows,
     xgcd,

@@ -15,7 +15,7 @@ from fanscheme.cones import (
     faces,
 )
 from fanscheme import monoids
-from fanscheme.lattice import IntMatrix, invariant_factors, solve_left_rows
+from fanscheme.lattice import IntMatrix, invariant_factors
 from fanscheme.monoids import (
     _diff_basis,
     _parallelepiped_points,
@@ -42,6 +42,7 @@ from helpers import (
     frac_rank,
     height_one_member,
     random_unimodular,
+    solve_left_rows,
 )
 
 

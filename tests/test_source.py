@@ -3,8 +3,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "fanscheme"
-# read by tests only, as rational references for the integer lattice code
-TEST_ONLY = {"det_rows", "lattice_coords_rows", "solve_left_rows"}
 
 
 def _unused_imports(tree):
@@ -93,8 +91,7 @@ def test_every_package_definition_has_a_reader():
     # the package, the demos and the benchmark count as readers; tests do not
     modules = _parsed(SOURCE)
     readers = _parsed(SOURCE, ROOT / "demos", ROOT / "perfbench").values()
-    unread = _unread_definitions(modules, readers)
-    assert {name for _, _, name in unread} == TEST_ONLY, unread
+    assert _unread_definitions(modules, readers) == []
 
 
 def test_unread_definition_finder():
