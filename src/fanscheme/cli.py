@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cones import cone_from_rays
 from .fans import (
@@ -46,8 +47,39 @@ class BaseRejection(Exception):
     """The base description is well-formed but self-contradictory."""
 
 
+def _json_text(x, pad="\n"):
+    """json.dumps(x, sort_keys=True, indent=2) for exactly the types the
+    commands emit: dicts with str keys, lists, tuples, str, int, bool and
+    None.  Any other type, a subclass included, raises TypeError.  The same
+    bytes without the pure-Python encoder that indent selects in json."""
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict:
+        if not x:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(x.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is int:
+        return repr(x)
+    if kind is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    raise TypeError("%s is not JSON serializable" % kind.__name__)
+
+
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _vec_json(v):

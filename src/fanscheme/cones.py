@@ -30,6 +30,7 @@ constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg, sub
 
 from .lattice import (
     _as_int,
@@ -75,6 +76,16 @@ class Polycone:
     @property
     def is_full(self):
         return not self.dual_lineality
+
+    def __hash__(self):
+        # computed once per cone: fans key their sets and dicts by cones
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ambient_rank, self.rays, self.lineality,
+                      self.normals, self.dual_lineality))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def generator_rows(self):
         """Integer generators: rays plus both signs of the lineality basis."""
@@ -375,6 +386,31 @@ def faces(c):
     return _face_lattice(c, {frozenset(c.rays): c})
 
 
+def witness_covector(la, lb, c):
+    """A covector separating a = la.cone and b = lb.cone along c, from c's
+    witnesses w_a in la and w_b in lb, or None.
+
+    It is the first of w_a - w_b, w_a and -w_b that is > 0 on the rays of
+    a off c and < 0 on those of b off c; None when none is, or c is not a
+    face of both.  Such a u vanishes on c, so x in a meet b has
+    0 <= u(x) <= 0 and lies in c: a and b meet in the common face c
+    (Fulton, Introduction to Toric Varieties, 1.2).  fans.validate_fan
+    proves meets of maximal cones with it, and
+    scheme.check_separation_condition takes its separating covectors from
+    it.
+    """
+    wa, wb = la.witnesses.get(c), lb.witnesses.get(c)
+    if wa is None or wb is None:
+        return None
+    shared = frozenset(c.rays)
+    off_a = [r for r in la.cone.rays if r not in shared]
+    off_b = [r for r in lb.cone.rays if r not in shared]
+    for u in (tuple(map(sub, wa, wb)), wa, tuple(map(neg, wb))):
+        if all(dot(r, u) > 0 for r in off_a) and all(dot(r, u) < 0 for r in off_b):
+            return u
+    return None
+
+
 def separating_covector(a, b):
     """u >= 0 on a and u <= 0 on b, in the relative interior of a^v meet
     (-b)^v: the sum of its extremal rays, from one double description pass
@@ -383,8 +419,8 @@ def separating_covector(a, b):
     Separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
     Cox-Little-Schenck, Lemma 1.2.13): a meet b is a face of both cones
     exactly when a meet u-perp == b meet u-perp, and both then equal a meet b.
-    scheme.check_separation_condition computes one per incomparable pair of
-    fan cones, for monoids.separation_certificate.
+    scheme.check_separation_condition falls back to it for an incomparable
+    pair of fan cones that witness_covector does not settle.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")

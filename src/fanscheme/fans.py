@@ -10,7 +10,6 @@ maximal cone, the rest read off them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg, sub
 
 from .cones import (
     _face_lattice,
@@ -19,8 +18,9 @@ from .cones import (
     intersect_cones,
     intersection_generators,
     Polycone,
+    witness_covector,
 )
-from .lattice import complement_coordinates, dot, saturate_rows, smith_rows
+from .lattice import complement_coordinates, saturate_rows, smith_rows
 
 
 class FanError(ValueError):
@@ -175,23 +175,15 @@ def validate_fan(fan):
 def _meet_is_common_face(a, b, cones, lattices):
     """Do the maximal cones a and b meet in a common face?
 
-    Say the cone c on their shared rays S is in both lattices, and u among
-    w_a - w_b, w_a and -w_b (c's witnesses) is > 0 on the other rays of a
-    and < 0 on those of b.  As u vanishes on S, x in a meet b has
-    0 <= u(x) <= 0, so x lies in c (Fulton, Introduction to Toric
-    Varieties, 1.2).  Else one double description pass gives the rays of
-    the meet (intersection_generators), to look up in both lattices.
+    Yes when the cone on their shared rays is in both lattices and its
+    witnesses give a separating covector (cones.witness_covector).  Else
+    one double description pass gives the rays of the meet
+    (intersection_generators), to look up in both lattices.
     """
     la, lb = lattices[a], lattices[b]
-    shared = frozenset(a.rays) & frozenset(b.rays)
-    c = cones.get(shared)
-    if c in la and c in lb:
-        wa, wb = la.witnesses[c], lb.witnesses[c]
-        for u in (tuple(map(sub, wa, wb)), wa, tuple(map(neg, wb))):
-            if all(dot(r, u) > 0 for r in a.rays if r not in shared) and all(
-                dot(r, u) < 0 for r in b.rays if r not in shared
-            ):
-                return True
+    c = cones.get(frozenset(a.rays) & frozenset(b.rays))
+    if witness_covector(la, lb, c) is not None:
+        return True
     meet = cones.get(frozenset(intersection_generators(a, b)[1]))
     return meet in la and meet in lb
 

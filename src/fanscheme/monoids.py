@@ -403,13 +403,14 @@ class LocalizationCertificate:
 def _shift_into(cone, rays, u, gens):
     """Pairs (h, k) with k the least shift making h + k*u >= 0 on every
     ray; ValueError unless h + k*u then lies in cone."""
+    values = [(r, dot(u, r)) for r in rays]
+    ahead = [(r, uv) for r, uv in values if uv > 0]  # only these bound k
     shifts = []
     for h in gens:
         k = 0
-        for r in rays:
-            uv = dot(u, r)
+        for r, uv in ahead:
             hv = dot(h, r)
-            if uv > 0 and hv < 0:
+            if hv < 0:
                 k = max(k, -(hv // uv))
         shifted = tuple(a + k * b for a, b in zip(h, u))
         if not contains_point(cone, shifted):
@@ -450,12 +451,11 @@ def localization_certificate(big, small, sigma, tau, lattice=None):
 def separation_certificate(first, second, meet, u):
     """Certified meet == first + second for the dual monoids of cones
     sigma, tau and sigma meet tau, given u from the separation lemma
-    (cones.separating_covector, which scheme.check_separation_condition
-    computes for each incomparable pair).  Checked with contains_point
-    only: u in first, -u in second, every generator of first and second in
-    meet, and every generator h of meet back in first as h + k*u, so h =
-    (h + k*u) + k*(-u).  Returns (u, shifts); a failed step raises
-    ValueError.
+    (scheme.check_separation_condition finds one for each incomparable
+    pair of a fan).  Checked with contains_point only: u in first, -u in
+    second, every generator of first and second in meet, and every
+    generator h of meet back in first as h + k*u, so h = (h + k*u) +
+    k*(-u).  Returns (u, shifts); a failed step raises ValueError.
     """
     for m in (first, second, meet):
         if m.cone is None:

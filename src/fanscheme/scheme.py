@@ -12,7 +12,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .cones import separating_covector
+from .cones import separating_covector, witness_covector
 from .fans import is_complete, is_regular, validate_fan
 from .monoid_algebra import augmentation
 from .monoids import (
@@ -521,13 +521,19 @@ def check_separation_condition(system):
     lower chart contains the upper, so their sum is the lower chart, which
     is their meet.  Fan systems prove each incomparable pair of cones by
     the separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
-    Cox-Little-Schenck, Lemma 1.2.13) with cones.separating_covector
-    (monoids.separation_certificate); a failed certificate raises
-    ValueError.  Explicit systems compare the meet chart with monoid_sum
-    of the two charts by exact membership.
+    Cox-Little-Schenck, Lemma 1.2.13) with a separating covector checked by
+    monoids.separation_certificate; a failed certificate raises
+    ValueError.  The covector comes from the meet's witnesses in the face
+    index (cones.witness_covector), and only a pair they do not settle
+    takes a double description pass (cones.separating_covector).
+    Explicit systems compare the meet chart with monoid_sum of the two
+    charts by exact membership.
     """
     entries = []
     n = len(system.monoids)
+    if system.source == "fan":
+        cones = system.fan.cones
+        lattices = validate_fan(system.fan).lattices
     for i in range(n):
         for j in range(i + 1, n):
             first, second = system.monoids[i], system.monoids[j]
@@ -536,8 +542,11 @@ def check_separation_condition(system):
             if k in (i, j):
                 ok = True
             elif system.source == "fan":
-                a, b = system.fan.cones[i], system.fan.cones[j]
-                separation_certificate(first, second, meet, separating_covector(a, b))
+                a, b = cones[i], cones[j]
+                u = witness_covector(lattices[a], lattices[b], cones[k])
+                if u is None:
+                    u = separating_covector(a, b)
+                separation_certificate(first, second, meet, u)
                 ok = True
             else:
                 joined = monoid_sum(first, second)

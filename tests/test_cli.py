@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -532,3 +533,50 @@ def test_cli_survives_fuzzed_documents(tmp_path):
         assert code in (0, 1, 2), argv
 
     run()
+
+
+def test_json_writer_matches_json_dumps():
+    # the writer behind every subcommand's stdout must reproduce
+    # json.dumps(..., sort_keys=True, indent=2) byte for byte
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from fanscheme.cli import _json_text
+
+    def dumped(x):
+        return json.dumps(x, sort_keys=True, indent=2)
+
+    # quotes, escapes, control and non-ASCII characters, a lone surrogate
+    awkward = st.sampled_from(list('"\\/\x00\x1f\x7f\b\n\t\u2028é\U0001f600\ud800'))
+    text = st.one_of(st.text(max_size=6), st.text(alphabet=awkward, max_size=6))
+    scalar = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-10 ** 300, 10 ** 300),
+        st.sampled_from([-10 ** 4000, 10 ** 4000 - 1, 0, -1]),
+        text,
+    )
+    tree = st.recursive(
+        scalar,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(text, inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(tree)
+    def run(x):
+        assert _json_text(x) == dumped(x)
+
+    run()
+    for x in ([], {}, (), [[], {}], {"": {"a": ()}}, [True, False, None, 1]):
+        assert _json_text(x) == dumped(x)
+    # no fallback to json: other types, subclasses of the handled ones too
+    for bad in (1.5, {1: "a"}, {"a": {3}}, b"x", [object()],
+                collections.OrderedDict(a="b")):
+        with pytest.raises(TypeError):
+            _json_text(bad)

@@ -337,7 +337,12 @@ def test_canonical_form_is_presentation_independent():
             if any(s):
                 noisy.append(s)
         rng.shuffle(noisy)
-        assert cone_from_rays(n, noisy) == c
+        d = cone_from_rays(n, noisy)
+        assert d == c
+        # the hash is stored on first use and is that of the five fields
+        fields = (c.ambient_rank, c.rays, c.lineality, c.normals, c.dual_lineality)
+        assert hash(d) == hash(c) == hash(c) == hash(fields)
+        assert repr(d) == repr(c) and "_hash" not in repr(c)
 
 
 def test_intersection_random_agreement():

@@ -10,6 +10,7 @@ from fanscheme.cones import (
     intersect_cones,
     intersection_generators,
     separating_covector,
+    witness_covector,
 )
 from fanscheme.fans import (
     BadIntersectionError,
@@ -140,6 +141,55 @@ def test_validation_builds_the_face_index_once():
             tight = {r for r, d in zip(a.rays, dots_a) if d == 0}
             assert tight == {r for r, d in zip(b.rays, dots_b) if d == 0}
             assert tight == set(fan.cones[k].rays)
+
+
+def _perfbench_fans():
+    """The fans of the benchmark's toric_cli workload, from its inputs."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    specs = [inputs.projective_space(n) for n in (2, 3, 4)]
+    specs += [inputs.product_of_lines(n) for n in (2, 3)]
+    specs += [inputs.hirzebruch(a) for a in range(1, 7)]
+    return [
+        fan_from_ray_lists(s.rank, [[s.rays[i] for i in t] for t in s.tops])
+        for s in specs
+    ]
+
+
+def test_witness_covectors_satisfy_the_separation_lemma():
+    # every covector witness_covector returns for an incomparable pair is
+    # >= 0 on one cone and <= 0 on the other, and is tight on exactly the
+    # rays of their meet, built here by its own double description pass
+    rng = random.Random(6061)
+    fans = [projective_line_fan(), projective_plane_fan(), hirzebruch_fan(),
+            affine_wedge_fan()]
+    fans += [random_orthant_subfan(rng) for _ in range(3)]
+    fans += [random_staircase_fan(rng)[0] for _ in range(4)]
+    fans += _perfbench_fans()
+    settled = fallbacks = 0
+    for fan in fans:
+        index = validate_fan(fan)
+        for (i, j), k in index.meets.items():
+            if k in (i, j):
+                continue
+            a, b = fan.cones[i], fan.cones[j]
+            u = witness_covector(index.lattices[a], index.lattices[b], fan.cones[k])
+            if u is None:
+                fallbacks += 1
+                continue
+            settled += 1
+            dots_a = [sum(x * y for x, y in zip(r, u)) for r in a.rays]
+            dots_b = [sum(x * y for x, y in zip(r, u)) for r in b.rays]
+            assert min(dots_a, default=0) >= 0 >= max(dots_b, default=0)
+            meet = set(intersect_cones(a, b).rays)
+            assert {r for r, d in zip(a.rays, dots_a) if d == 0} == meet
+            assert {r for r, d in zip(b.rays, dots_b) if d == 0} == meet
+    assert settled >= 800 and fallbacks > 0
 
 
 def test_validation_builds_a_meet_only_for_a_failing_pair(monkeypatch):

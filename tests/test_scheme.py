@@ -273,14 +273,72 @@ def test_fan_separation_certificates_match_the_explicit_search():
                 == check_separation_condition(explicit).entries)
 
 
+def _hirzebruch_one():
+    rays = [(1, 0), (0, 1), (-1, 1), (0, -1)]
+    return fan_from_ray_lists(2, [[rays[i], rays[(i + 1) % 4]] for i in range(4)])
+
+
 def test_failed_separation_certificate_raises(monkeypatch):
-    fan = projective_plane_fan()
-    system = MonoidSystem.from_fan(fan)
-    monkeypatch.setattr(
-        "fanscheme.scheme.separating_covector", lambda a, b: (0,) * fan.rank
-    )
+    # a wrong covector raises from either source: the face index's
+    # witnesses, which settle every pair of P^2, or the double description
+    # fallback, which two pairs of F1 take
+    import fanscheme.scheme
+
+    def zero(*args):
+        return (0, 0)
+
+    p2 = MonoidSystem.from_fan(projective_plane_fan())
+    f1 = MonoidSystem.from_fan(_hirzebruch_one())
+    assert check_separation_condition(p2).separated
+    assert check_separation_condition(f1).separated
+    with monkeypatch.context() as patch:
+        patch.setattr(fanscheme.scheme, "witness_covector", zero)
+        with pytest.raises(ValueError):
+            check_separation_condition(p2)
+    monkeypatch.setattr(fanscheme.scheme, "separating_covector", zero)
     with pytest.raises(ValueError):
-        check_separation_condition(system)
+        check_separation_condition(f1)
+
+
+def test_atlas_takes_separating_covectors_from_the_face_index(
+    tmp_path, monkeypatch, capsys
+):
+    # every incomparable pair of P^3 and (P^1)^3 is separated by a
+    # covector built from its meet's witnesses; two pairs of F1 are not
+    # and take one double description pass each
+    import json
+
+    import fanscheme.scheme
+    from fanscheme.cli import entry
+
+    calls = []
+    real = fanscheme.scheme.separating_covector
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(fanscheme.scheme, "separating_covector", counted)
+    e = [[int(i == j) for j in range(3)] for i in range(3)]
+    p3 = e + [[-1, -1, -1]]
+    fans = {
+        "p3": (3, [p3[:k] + p3[k + 1:] for k in range(4)], 0),
+        "p1x3": (3, [
+            [[a, 0, 0], [0, b, 0], [0, 0, c]]
+            for a in (1, -1) for b in (1, -1) for c in (1, -1)
+        ], 0),
+        "f1": (2, [[[1, 0], [0, 1]], [[0, 1], [-1, 1]],
+                   [[-1, 1], [0, -1]], [[0, -1], [1, 0]]], 2),
+    }
+    for name, (rank, tops, expected) in fans.items():
+        doc = tmp_path / (name + ".json")
+        doc.write_text(json.dumps({
+            "lattice_rank": rank, "cones": [{"rays": t} for t in tops],
+        }))
+        calls.clear()
+        assert entry(["atlas", "--fan", str(doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["separated"] is True
+        assert len(calls) == expected, name
 
 
 def test_doubled_line_fails_separation():
