@@ -33,13 +33,14 @@ from dataclasses import dataclass
 from operator import neg, sub
 
 from .lattice import (
-    _as_int,
     dot,
     identity_rows,
+    int_vector,
     perp_rows,
     primitive_vector,
     rank_rows,
     signed_rows,
+    sum_rows,
 )
 
 
@@ -202,18 +203,6 @@ def _dual_generator_sets(constraints, n):
     return tuple(lin_basis), tuple(canon)
 
 
-def _validated_gens(ambient_rank, generators):
-    """The generators as tuples, after checking their lengths and that
-    every entry is a plain int; _clean_constraints normalizes them."""
-    gens = [tuple(g) for g in generators]
-    for g in gens:
-        if len(g) != ambient_rank:
-            raise ValueError("generator has wrong length")
-        for x in g:
-            _as_int(x)
-    return gens
-
-
 def cone_from_rays(ambient_rank, generators):
     """Cone generated by integer vectors; redundant input is fine.
 
@@ -221,7 +210,7 @@ def cone_from_rays(ambient_rank, generators):
     results means the generated cones are equal as sets.
     """
     n = ambient_rank
-    gens = _validated_gens(n, generators)
+    gens = [int_vector(g, n, "generator") for g in generators]
     dlin, drays = _dual_generator_sets(gens, n)
     lin, rays = _dual_generator_sets(signed_rows(drays, dlin), n)
     return Polycone(n, rays, lin, drays, dlin)
@@ -233,23 +222,14 @@ def dual_cone(c):
     return Polycone(c.ambient_rank, c.normals, c.dual_lineality, c.rays, c.lineality)
 
 
-def intersection_generators(a, b):
-    """(lineality, rays) of a meet b, canonical as in a Polycone, from one
-    double description pass over the inequalities of both cones.  Enough
-    to tell which cone a meet b is when the answer is looked up by its
-    rays; intersect_cones adds the inequality side."""
+def intersect_cones(a, b):
+    """Intersection: one double description pass over the inequalities of
+    both cones gives its generators, and one more its inequality side."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
-    cons = signed_rows(
-        a.normals + b.normals, a.dual_lineality + b.dual_lineality
-    )
-    return _dual_generator_sets(cons, a.ambient_rank)
-
-
-def intersect_cones(a, b):
-    """Intersection, computed on the inequality side."""
     n = a.ambient_rank
-    lin, rays = intersection_generators(a, b)
+    cons = signed_rows(a.normals + b.normals, a.dual_lineality + b.dual_lineality)
+    lin, rays = _dual_generator_sets(cons, n)
     dlin, drays = _dual_generator_sets(signed_rows(rays, lin), n)
     return Polycone(n, rays, lin, drays, dlin)
 
@@ -328,7 +308,7 @@ def _cone_on_extremal_rays(n, rays, facet_sets):
 def _witness(c, facet_sets, rayset):
     """The sum of the normals of c vanishing on the face with these rays."""
     tight = [u for u, fs in zip(c.normals, facet_sets) if rayset <= fs]
-    return tuple(sum(col) for col in zip(*tight)) if tight else (0,) * c.ambient_rank
+    return sum_rows(tight, c.ambient_rank)
 
 
 def _face_lattice(c, known):
@@ -387,28 +367,37 @@ def faces(c):
 
 
 def witness_covector(la, lb, c):
-    """A covector separating a = la.cone and b = lb.cone along c, from c's
-    witnesses w_a in la and w_b in lb, or None.
+    """A covector u separating a = la.cone and b = lb.cone along c, or None
+    exactly when a meet b is not the common face c.
 
-    It is the first of w_a - w_b, w_a and -w_b that is > 0 on the rays of
-    a off c and < 0 on those of b off c; None when none is, or c is not a
-    face of both.  Such a u vanishes on c, so x in a meet b has
-    0 <= u(x) <= 0 and lies in c: a and b meet in the common face c
-    (Fulton, Introduction to Toric Varieties, 1.2).  fans.validate_fan
-    proves meets of maximal cones with it, and
+    u is the first of w_a - w_b, w_a, -w_b (c's witnesses w_a in la and
+    w_b in lb) and separating_covector(a, b) that is > 0 on the rays of a
+    off c and < 0 on those of b off c.  Such a u vanishes on c, so x in
+    a meet b has 0 <= u(x) <= 0 and lies in c: a and b meet in the common
+    face c (Fulton, Introduction to Toric Varieties, 1.2).  The last
+    candidate lies in the relative interior of a^v meet (-b)^v, so by the
+    lemma it passes whenever a meet b is c.  A common face of a and b is
+    the cone on their shared rays, so when c is not a face of both there
+    is none.  fans.validate_fan proves meets of maximal cones with it, and
     scheme.check_separation_condition takes its separating covectors from
     it.
     """
     wa, wb = la.witnesses.get(c), lb.witnesses.get(c)
     if wa is None or wb is None:
         return None
+    a, b = la.cone, lb.cone
     shared = frozenset(c.rays)
-    off_a = [r for r in la.cone.rays if r not in shared]
-    off_b = [r for r in lb.cone.rays if r not in shared]
+    off_a = [r for r in a.rays if r not in shared]
+    off_b = [r for r in b.rays if r not in shared]
+
+    def separates(u):
+        return all(dot(r, u) > 0 for r in off_a) and all(dot(r, u) < 0 for r in off_b)
+
     for u in (tuple(map(sub, wa, wb)), wa, tuple(map(neg, wb))):
-        if all(dot(r, u) > 0 for r in off_a) and all(dot(r, u) < 0 for r in off_b):
+        if separates(u):
             return u
-    return None
+    u = separating_covector(a, b)
+    return u if separates(u) else None
 
 
 def separating_covector(a, b):
@@ -419,12 +408,12 @@ def separating_covector(a, b):
     Separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
     Cox-Little-Schenck, Lemma 1.2.13): a meet b is a face of both cones
     exactly when a meet u-perp == b meet u-perp, and both then equal a meet b.
-    scheme.check_separation_condition falls back to it for an incomparable
-    pair of fan cones that witness_covector does not settle.
+    witness_covector falls back to it for a pair its witnesses do not
+    settle.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
     n = a.ambient_rank
     gens = a.generator_rows() + [tuple(-x for x in g) for g in b.generator_rows()]
     _, rays = _dual_generator_sets(gens, n)
-    return tuple(sum(col) for col in zip(*rays)) if rays else (0,) * n
+    return sum_rows(rays, n)

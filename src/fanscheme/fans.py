@@ -16,7 +16,6 @@ from .cones import (
     _face_sublattice,
     cone_from_rays,
     intersect_cones,
-    intersection_generators,
     Polycone,
     witness_covector,
 )
@@ -130,7 +129,9 @@ def validate_fan(fan):
     By falling dimension, a cone in no lattice seen so far is maximal, and
     only its lattice is built (unless complete_under_faces left it); the
     others are down-sets of those.  Lattices reuse the fan's cones as
-    faces.  Only a failing pair builds its meet, for the error.
+    faces.  A pair of maximal cones passes when cones.witness_covector
+    separates them along the cone on their shared rays; only a failing
+    pair builds its meet, for the error.
     """
     if fan._face_index is not None:
         return fan._face_index
@@ -159,7 +160,8 @@ def validate_fan(fan):
     tops.reverse()
     for i, a in enumerate(tops):
         for b in tops[i + 1:]:
-            if not _meet_is_common_face(a, b, cones, lattices):
+            shared = cones.get(frozenset(a.rays) & frozenset(b.rays))
+            if witness_covector(lattices[a], lattices[b], shared) is None:
                 raise BadIntersectionError(a, b, intersect_cones(a, b))
     label = {c: i for i, c in enumerate(fan.cones)}
     rays = [frozenset(c.rays) for c in fan.cones]
@@ -170,22 +172,6 @@ def validate_fan(fan):
     }
     fan._face_index = FaceIndex(cones, lattices, meets)
     return fan._face_index
-
-
-def _meet_is_common_face(a, b, cones, lattices):
-    """Do the maximal cones a and b meet in a common face?
-
-    Yes when the cone on their shared rays is in both lattices and its
-    witnesses give a separating covector (cones.witness_covector).  Else
-    one double description pass gives the rays of the meet
-    (intersection_generators), to look up in both lattices.
-    """
-    la, lb = lattices[a], lattices[b]
-    c = cones.get(frozenset(a.rays) & frozenset(b.rays))
-    if witness_covector(la, lb, c) is not None:
-        return True
-    meet = cones.get(frozenset(intersection_generators(a, b)[1]))
-    return meet in la and meet in lb
 
 
 def complete_under_faces(fan):

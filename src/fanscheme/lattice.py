@@ -55,6 +55,22 @@ def primitive_vector(v):
     return tuple(x // g for x in v)
 
 
+def int_vector(v, n, name="vector"):
+    """v as a tuple of n plain ints: ValueError("<name> has wrong length")
+    on another length, TypeError on another entry."""
+    v = tuple(v)
+    if len(v) != n:
+        raise ValueError(name + " has wrong length")
+    for x in v:
+        _as_int(x)
+    return v
+
+
+def sum_rows(rows, n):
+    """The sum of a sequence of rows of length n; zero when it is empty."""
+    return tuple(map(sum, zip(*rows))) if rows else (0,) * n
+
+
 def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement, product
 from operator import ge, mul
 
 from .cones import (
+    _facet_sets,
     _facets_of,
     cone_from_rays,
     contains_point,
@@ -23,14 +24,15 @@ from .cones import (
     Polycone,
 )
 from .lattice import (
-    _as_int,
     _echelon,
     _echelon_coords,
     complement_coordinates,
     dot,
+    int_vector,
     rank_rows,
     signed_rows,
     smith_rows,
+    sum_rows,
 )
 
 
@@ -47,9 +49,7 @@ def _pulling_triangulation(cone):
     it (cones._facets_of).
     """
     n = cone.ambient_rank
-    facet_sets = [
-        frozenset(r for r in cone.rays if dot(r, u) == 0) for u in cone.normals
-    ]
+    facet_sets = _facet_sets(cone)
     memo = {}
 
     def pull(face):
@@ -171,11 +171,7 @@ class AffineMonoid:
         gens = []
         seen = set()
         for g in generators:
-            g = tuple(g)
-            if len(g) != ambient_rank:
-                raise ValueError("generator has wrong length")
-            for x in g:
-                _as_int(x)
+            g = int_vector(g, ambient_rank, "generator")
             if any(g) and g not in seen:
                 seen.add(g)
                 gens.append(g)
@@ -264,12 +260,7 @@ def monoid_contains(m, v):
     (_membership_data); lattice membership is an integer reduction over
     that basis.
     """
-    n = m.ambient_rank
-    v = tuple(v)
-    if len(v) != n:
-        raise ValueError("vector has wrong length")
-    for x in v:
-        _as_int(x)
+    v = int_vector(v, m.ambient_rank)
     if not any(v):
         return True
     if m.cone is not None:
@@ -536,7 +527,7 @@ def check_openly_immersive_pair(target, source, search_bound=6):
     def interior_sums():
         for k in range(search_bound + 1):
             for combo in combinations_with_replacement(face, k):
-                t = tuple(map(sum, zip(*combo))) if combo else (0,) * n
+                t = sum_rows(combo, n)
                 if all(dot(u, t) > 0 for u in walls):
                     yield t
 

@@ -12,7 +12,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .cones import separating_covector, witness_covector
+from .cones import witness_covector
 from .fans import is_complete, is_regular, validate_fan
 from .monoid_algebra import augmentation
 from .monoids import (
@@ -523,11 +523,11 @@ def check_separation_condition(system):
     the separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
     Cox-Little-Schenck, Lemma 1.2.13) with a separating covector checked by
     monoids.separation_certificate; a failed certificate raises
-    ValueError.  The covector comes from the meet's witnesses in the face
-    index (cones.witness_covector), and only a pair they do not settle
-    takes a double description pass (cones.separating_covector).
-    Explicit systems compare the meet chart with monoid_sum of the two
-    charts by exact membership.
+    ValueError.  The covector comes from cones.witness_covector on the
+    face index, the test validate_fan proves meets with, so a validated
+    fan always has one; ValueError if it does not.  Explicit systems
+    compare the meet chart with monoid_sum of the two charts by exact
+    membership.
     """
     entries = []
     n = len(system.monoids)
@@ -545,7 +545,7 @@ def check_separation_condition(system):
                 a, b = cones[i], cones[j]
                 u = witness_covector(lattices[a], lattices[b], cones[k])
                 if u is None:
-                    u = separating_covector(a, b)
+                    raise ValueError("no separating covector for cones %d, %d" % (i, j))
                 separation_certificate(first, second, meet, u)
                 ok = True
             else:

@@ -12,9 +12,9 @@ from fanscheme.cones import (
     dual_cone,
     faces,
     intersect_cones,
-    intersection_generators,
     linear_span_rows,
     separating_covector,
+    witness_covector,
 )
 from fanscheme.lattice import rank_rows, signed_rows
 
@@ -364,18 +364,6 @@ def test_intersection_random_agreement():
             assert helpers.fm_cone_contains(gb, g, n)
 
 
-def test_intersection_generators_are_the_generator_side_of_the_meet():
-    rng = random.Random(4251)
-    for _ in range(150):
-        n = rng.randint(1, 4)
-        a, b = (
-            cone_from_rays(n, random_gens(rng, n, rng.randint(0, 5), bound=3))
-            for _ in range(2)
-        )
-        meet = intersect_cones(a, b)
-        assert intersection_generators(a, b) == (meet.lineality, meet.rays)
-
-
 def test_faces_random_invariants():
     rng = random.Random(4247)
     for _ in range(30):
@@ -514,6 +502,9 @@ def test_separating_covector_decides_meets_like_intersection():
         ok = tight_a == tight_b and meet in faces(a) and meet in faces(b)
         cap = intersect_cones(a, b)
         assert ok == (cap in faces(a) and cap in faces(b))
+        # the one fan test: a covector along the cone on the shared rays
+        shared = cone_from_rays(n, set(a.rays) & set(b.rays))
+        assert (witness_covector(faces(a), faces(b), shared) is not None) == ok
         verdicts.append(ok)
         if not ok:
             continue

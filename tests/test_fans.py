@@ -8,7 +8,6 @@ from fanscheme.cones import (
     cone_from_rays,
     faces,
     intersect_cones,
-    intersection_generators,
     separating_covector,
     witness_covector,
 )
@@ -161,27 +160,36 @@ def _perfbench_fans():
     ]
 
 
-def test_witness_covectors_satisfy_the_separation_lemma():
-    # every covector witness_covector returns for an incomparable pair is
-    # >= 0 on one cone and <= 0 on the other, and is tight on exactly the
-    # rays of their meet, built here by its own double description pass
+def test_witness_covectors_satisfy_the_separation_lemma(monkeypatch):
+    # witness_covector returns a covector for every incomparable pair of a
+    # fan, from the witnesses or from its double description candidate;
+    # each is >= 0 on one cone and <= 0 on the other, and is tight on
+    # exactly the rays of their meet, built here by its own pass
+    import fanscheme.cones
+
+    fallbacks = []
+
+    def counted(a, b):
+        fallbacks.append((a, b))
+        return separating_covector(a, b)
+
+    monkeypatch.setattr(fanscheme.cones, "separating_covector", counted)
     rng = random.Random(6061)
     fans = [projective_line_fan(), projective_plane_fan(), hirzebruch_fan(),
             affine_wedge_fan()]
     fans += [random_orthant_subfan(rng) for _ in range(3)]
     fans += [random_staircase_fan(rng)[0] for _ in range(4)]
     fans += _perfbench_fans()
-    settled = fallbacks = 0
-    for fan in fans:
-        index = validate_fan(fan)
+    indices = [validate_fan(fan) for fan in fans]
+    fallbacks.clear()  # count the pairs checked below only
+    settled = 0
+    for fan, index in zip(fans, indices):
         for (i, j), k in index.meets.items():
             if k in (i, j):
                 continue
             a, b = fan.cones[i], fan.cones[j]
             u = witness_covector(index.lattices[a], index.lattices[b], fan.cones[k])
-            if u is None:
-                fallbacks += 1
-                continue
+            assert u is not None
             settled += 1
             dots_a = [sum(x * y for x, y in zip(r, u)) for r in a.rays]
             dots_b = [sum(x * y for x, y in zip(r, u)) for r in b.rays]
@@ -189,7 +197,7 @@ def test_witness_covectors_satisfy_the_separation_lemma():
             meet = set(intersect_cones(a, b).rays)
             assert {r for r, d in zip(a.rays, dots_a) if d == 0} == meet
             assert {r for r, d in zip(b.rays, dots_b) if d == 0} == meet
-    assert settled >= 800 and fallbacks > 0
+    assert settled >= 800 and fallbacks
 
 
 def test_validation_builds_a_meet_only_for_a_failing_pair(monkeypatch):
@@ -230,7 +238,7 @@ def test_completing_p3_builds_one_lattice_per_given_cone(
     # completion builds the lattices of the four given cones and reads
     # every face off them; validation reuses those lattices and proves
     # each meet from witnesses, so the only double description passes are
-    # the two of each cone_from_rays call
+    # the two of each cone_from_rays call, and no separating_covector runs
     import fanscheme.cones
     import fanscheme.fans
     from fanscheme.cli import entry
@@ -248,7 +256,7 @@ def test_completing_p3_builds_one_lattice_per_given_cone(
         monkeypatch.setattr(module, name, call)
 
     counted(fanscheme.fans, "_face_lattice")
-    counted(fanscheme.fans, "intersection_generators")
+    counted(fanscheme.cones, "separating_covector")
     counted(fanscheme.cones, "_dual_generator_sets")
     rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
     doc = tmp_path / "p3.json"
@@ -259,7 +267,7 @@ def test_completing_p3_builds_one_lattice_per_given_cone(
     assert entry(["complete", "--fan", str(doc)]) == 0
     assert json.loads(capsys.readouterr().out) == {"complete": True, "full": True}
     assert counts == {
-        "_face_lattice": 4, "_dual_generator_sets": 8, "intersection_generators": 0,
+        "_face_lattice": 4, "_dual_generator_sets": 8, "separating_covector": 0,
     }
 
 
@@ -301,17 +309,17 @@ def _random_cone_set(rng, n):
 
 
 def test_validation_agrees_with_checking_every_pair(monkeypatch):
-    # a valid pair whose meet no witness covector proves takes one double
-    # description pass (intersection_generators); count those passes
-    import fanscheme.fans
+    # a valid pair whose meet the witnesses do not prove takes one double
+    # description pass (separating_covector); count those passes
+    import fanscheme.cones
 
     passes = []
 
     def counted(a, b):
         passes.append((a, b))
-        return intersection_generators(a, b)
+        return separating_covector(a, b)
 
-    monkeypatch.setattr(fanscheme.fans, "intersection_generators", counted)
+    monkeypatch.setattr(fanscheme.cones, "separating_covector", counted)
     rng = random.Random(7070)
     verdicts = []
     valid_fallbacks = 0

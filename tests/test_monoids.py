@@ -14,7 +14,7 @@ from fanscheme.cones import (
     dual_cone,
     faces,
 )
-from fanscheme import monoids
+from fanscheme import cones, monoids
 from fanscheme.lattice import IntMatrix, invariant_factors
 from fanscheme.monoids import (
     _diff_basis,
@@ -893,13 +893,14 @@ def test_pointed_hilbert_of_a_wedge_skips_elements_of_equal_degree(monkeypatch):
     # every candidate of the wedge (1,0),(1,k) has degree k, so none can
     # reduce another and no two value tuples are compared; each candidate
     # is read once on each of the two normals, after the triangulation reads
-    # the two rays on them
-    calls = count_calls(monkeypatch, monoids, "dot", "ge")
+    # the two rays on them (cones._facet_sets)
     k = 2000
     wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
+    calls = count_calls(monkeypatch, monoids, "dot", "ge")
+    facet_dots = count_calls(monkeypatch, cones, "dot")["dot"]
     assert _pointed_hilbert(wedge_k) == tuple((1, j) for j in range(k + 1))
     assert calls["ge"] == []
-    assert len(calls["dot"]) == 2 * 2 + 2 * (k + 1)
+    assert len(facet_dots) + len(calls["dot"]) == 2 * 2 + 2 * (k + 1)
 
 
 # ---------------------------------------------- immersion search against its oracle

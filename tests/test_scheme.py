@@ -279,9 +279,11 @@ def _hirzebruch_one():
 
 
 def test_failed_separation_certificate_raises(monkeypatch):
-    # a wrong covector raises from either source: the face index's
-    # witnesses, which settle every pair of P^2, or the double description
-    # fallback, which two pairs of F1 take
+    # a wrong covector raises: from the certificate when it comes from the
+    # face index's witnesses, which settle every pair of P^2, and from the
+    # sign test of witness_covector when it is the double description
+    # candidate, which two pairs of F1 take
+    import fanscheme.cones
     import fanscheme.scheme
 
     def zero(*args):
@@ -295,7 +297,7 @@ def test_failed_separation_certificate_raises(monkeypatch):
         patch.setattr(fanscheme.scheme, "witness_covector", zero)
         with pytest.raises(ValueError):
             check_separation_condition(p2)
-    monkeypatch.setattr(fanscheme.scheme, "separating_covector", zero)
+    monkeypatch.setattr(fanscheme.cones, "separating_covector", zero)
     with pytest.raises(ValueError):
         check_separation_condition(f1)
 
@@ -308,17 +310,17 @@ def test_atlas_takes_separating_covectors_from_the_face_index(
     # and take one double description pass each
     import json
 
-    import fanscheme.scheme
+    import fanscheme.cones
     from fanscheme.cli import entry
 
     calls = []
-    real = fanscheme.scheme.separating_covector
+    real = fanscheme.cones.separating_covector
 
     def counted(a, b):
         calls.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(fanscheme.scheme, "separating_covector", counted)
+    monkeypatch.setattr(fanscheme.cones, "separating_covector", counted)
     e = [[int(i == j) for j in range(3)] for i in range(3)]
     p3 = e + [[-1, -1, -1]]
     fans = {
