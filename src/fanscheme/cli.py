@@ -27,6 +27,7 @@ from .fans import (
 from .monoids import _cone_lattice_hilbert, dual_monoid
 from .scheme import (
     BaseDescriptor,
+    InconsistentBaseError,
     _int_from_json,
     build_atlas,
     check_separation_condition,
@@ -41,10 +42,6 @@ EXIT_REJECTED = 2
 
 class DocumentError(Exception):
     """The input cannot be read or does not follow the format."""
-
-
-class BaseRejection(Exception):
-    """The base description is well-formed but self-contradictory."""
 
 
 def _json_text(x, pad="\n"):
@@ -170,11 +167,10 @@ def load_base_document(path):
     doc = _load_json(path)
     try:
         return BaseDescriptor.from_json_dict(doc)
+    except InconsistentBaseError:
+        raise
     except ValueError as e:
-        msg = str(e)
-        if msg.startswith("inconsistent base description"):
-            raise BaseRejection(msg)
-        raise DocumentError("%s: %s" % (path, msg))
+        raise DocumentError("%s: %s" % (path, e))
 
 
 def _load_valid_fan(args):
@@ -372,14 +368,11 @@ def entry(argv=None):
     except DocumentError as e:
         print(str(e), file=sys.stderr)
         return EXIT_DOCUMENT
-    except FanError as e:
+    except (FanError, InconsistentBaseError) as e:
         rejected = {"error": str(e), "kind": e.kind}
         if args.command == "validate":
             rejected["valid"] = False
         _emit(rejected)
-        return EXIT_REJECTED
-    except BaseRejection as e:
-        _emit({"error": str(e), "kind": "inconsistent-base"})
         return EXIT_REJECTED
     _emit(payload)
     return EXIT_OK

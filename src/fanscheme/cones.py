@@ -22,9 +22,13 @@ so redundant input never leaks into the output.  Nothing else needs one:
   extremal one lies on a 2-face of the old cone, and so do both summands:
   only the two rays of that face yield it.
 
-A pointed result needs no Hermite reassembly: each kept ray is already
-primitive, spans the kernel of its tight set and is nonnegative on every
-constraint.
+Equations go in as equations: a pass starts from the saturated kernel of
+its equations, which count as processed, and never splits one into a +-
+pair of inequalities.  A pointed result is canonical as it stands: each
+kept ray is already primitive, spans the kernel of its tight set and is
+nonnegative on every constraint.  A result that keeps a lineality L is
+re-run with L's canonical basis among the equations; as C = L + (C meet
+L-perp), that pass is pointed, so every pass ends the same way.
 """
 
 from __future__ import annotations
@@ -128,23 +132,28 @@ def _flatten(r, v, l0, c0):
     return primitive_vector(tuple(c0 * a - v * b for a, b in zip(r, l0))) if v else r
 
 
-def _dual_generator_sets(constraints, n):
-    """Generators of {x : <x, c> >= 0 for all c in constraints}.
+def _dual_generator_sets(constraints, n, equations=()):
+    """Generators of {x : <x, c> >= 0 for c in constraints, <x, e> == 0 for
+    e in equations}.
 
     Returns (lineality, rays): the canonical saturated basis of the
     lineality lattice, and sorted primitive extremal rays of the pointed
     part, each orthogonal to the lineality span.
 
-    Only the combinations of a positive and a negative ray go through the
-    rank test (the module docstring says why).  When no lineality is left,
-    the kept rays are the canonical ones; else each is rebuilt from its
-    tight set in the complement of the lineality lattice.
+    The pass starts from the saturated kernel of the equations, with the
+    equations already processed.  Only the combinations of a positive and a
+    negative ray go through the rank test (the module docstring says why).
+    When a lineality L is left, one more pass over the same constraints,
+    with L's canonical basis added to the equations, gives the rays of C
+    meet L-perp, the canonical ones.
     """
     cons = _clean_constraints(constraints)
-    lin = [tuple(r) for r in identity_rows(n)]
+    processed = list(equations)
+    lin = perp_rows(processed, n) if processed else identity_rows(n)
+    lin = [tuple(r) for r in lin]
     rays = []
-    processed = []
     for g in cons:
+        processed.append(g)
         lin_vals = [dot(l, g) for l in lin]
         if any(lin_vals):
             # g cuts the lineality space: one basis vector becomes a ray,
@@ -160,7 +169,6 @@ def _dual_generator_sets(constraints, n):
                 if i != i0
             ]
             rays = [l0] + [_flatten(r, dot(r, g), l0, c0) for r in rays]
-            processed.append(g)
         else:
             plus, zero, minus = [], [], []
             for r in rays:
@@ -177,42 +185,26 @@ def _dual_generator_sets(constraints, n):
                 for rm, vm in minus:
                     vec = tuple(vp * a - vm * b for a, b in zip(rm, rp))
                     combos.append(primitive_vector(vec))
-            processed.append(g)
             rays = kept + _extremal_filter(combos, processed, len(lin), n)
 
-    if not lin:
-        return (), tuple(sorted(rays))
-    # canonical reassembly: the lineality from scratch as a kernel lattice,
-    # then one canonical primitive representative per extremal ray (their
-    # tight sets differ), in the orthogonal complement of the lineality
-    lin_basis = [tuple(r) for r in perp_rows(processed, n)]
-    canon = []
-    for r in rays:
-        tight = [c for c in processed if dot(r, c) == 0]
-        basis = perp_rows(tight + lin_basis, n)
-        assert len(basis) == 1, "extremal ray is not one-dimensional mod lineality"
-        rep = tuple(basis[0])
-        for c in processed:
-            v = dot(rep, c)
-            if v:
-                if v < 0:
-                    rep = tuple(-x for x in rep)
-                break
-        canon.append(rep)
-    canon.sort()
-    return tuple(lin_basis), tuple(canon)
+    if lin:
+        lin = [tuple(r) for r in perp_rows(processed, n)]
+        rays = _dual_generator_sets(cons, n, list(equations) + lin)[1]
+    return tuple(lin), tuple(sorted(rays))
 
 
 def cone_from_rays(ambient_rank, generators):
     """Cone generated by integer vectors; redundant input is fine.
 
-    Both sides of the stored form are recomputed canonically, so == on the
-    results means the generated cones are equal as sets.
+    One double description pass gives the dual side, and a second one over
+    the normals, with the dual lineality as equations, the generator side.
+    Both are canonical, so == on the results means the generated cones are
+    equal as sets.
     """
     n = ambient_rank
     gens = [int_vector(g, n, "generator") for g in generators]
     dlin, drays = _dual_generator_sets(gens, n)
-    lin, rays = _dual_generator_sets(signed_rows(drays, dlin), n)
+    lin, rays = _dual_generator_sets(drays, n, dlin)
     return Polycone(n, rays, lin, drays, dlin)
 
 
@@ -223,14 +215,16 @@ def dual_cone(c):
 
 
 def intersect_cones(a, b):
-    """Intersection: one double description pass over the inequalities of
-    both cones gives its generators, and one more its inequality side."""
+    """Intersection: one double description pass over the normals of both
+    cones, with both dual linealities as equations, gives its generators,
+    and one more, with its lineality as equations, its inequality side."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
     n = a.ambient_rank
-    cons = signed_rows(a.normals + b.normals, a.dual_lineality + b.dual_lineality)
-    lin, rays = _dual_generator_sets(cons, n)
-    dlin, drays = _dual_generator_sets(signed_rows(rays, lin), n)
+    lin, rays = _dual_generator_sets(
+        a.normals + b.normals, n, a.dual_lineality + b.dual_lineality
+    )
+    dlin, drays = _dual_generator_sets(rays, n, lin)
     return Polycone(n, rays, lin, drays, dlin)
 
 
@@ -403,7 +397,7 @@ def witness_covector(la, lb, c):
 def separating_covector(a, b):
     """u >= 0 on a and u <= 0 on b, in the relative interior of a^v meet
     (-b)^v: the sum of its extremal rays, from one double description pass
-    over the generators of a and -b.
+    over the rays of a and -b with the linealities of both as equations.
 
     Separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
     Cox-Little-Schenck, Lemma 1.2.13): a meet b is a face of both cones
@@ -414,6 +408,6 @@ def separating_covector(a, b):
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
     n = a.ambient_rank
-    gens = a.generator_rows() + [tuple(-x for x in g) for g in b.generator_rows()]
-    _, rays = _dual_generator_sets(gens, n)
+    gens = a.rays + tuple(tuple(-x for x in r) for r in b.rays)
+    _, rays = _dual_generator_sets(gens, n, a.lineality + b.lineality)
     return sum_rows(rays, n)

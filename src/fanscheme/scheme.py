@@ -110,12 +110,18 @@ _IMPLICATIONS = (
 _EMPTY_FORCES_NO = ("irreducible", "integral")
 
 
+class InconsistentBaseError(ValueError):
+    """A well-formed base description that contradicts itself."""
+
+    kind = "inconsistent-base"  # the CLI reports it as "kind"
+
+
 def _force(vals, flag, want, why):
     have = vals[flag]
     if have == want:
         return False
     if have != UNKNOWN:
-        raise ValueError(
+        raise InconsistentBaseError(
             "inconsistent base description: %s, but %s=%s was given"
             % (why, flag, have)
         )
@@ -186,7 +192,7 @@ class BaseDescriptor:
                     )
         if vals["empty"] == YES:
             if dim.kind == "range":
-                raise ValueError(
+                raise InconsistentBaseError(
                     "inconsistent base description: empty=yes with a "
                     "dimension range"
                 )

@@ -7,6 +7,7 @@ section: rational solves that expand along the package's own Hermite
 form, the references for its integer reductions.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from operator import mul
@@ -207,6 +208,41 @@ def frac_kernel(rows, n):
             y[col] = -work[k][free]
         basis.append(y)
     return basis
+
+
+def slice_extremal_rays(gens, lineality, n):
+    """Primitive extremal rays of C meet L-perp, sorted, for the cone C on
+    `gens` and a basis `lineality` of its lineality space L.
+
+    C meet L-perp is the orthogonal projection of C onto L-perp, so it is
+    the cone on the projected generators, and it is pointed.  Each
+    generator is projected with Fractions along a Gram-Schmidt basis of L
+    and made primitive; one is extremal when the cone on the others
+    excludes it (fm_cone_contains).
+    """
+    ortho = []
+    for l in lineality:
+        ortho.append(_project_off([Fraction(x) for x in l], ortho))
+    projected = set()
+    for g in gens:
+        v = _project_off([Fraction(x) for x in g], ortho)
+        if any(v):
+            den = math.lcm(*(x.denominator for x in v))
+            ints = [int(x * den) for x in v]
+            g = math.gcd(*ints)
+            projected.add(tuple(x // g for x in ints))
+    return sorted(
+        p for p in projected
+        if not fm_cone_contains([q for q in projected if q != p], p, n)
+    )
+
+
+def _project_off(v, ortho):
+    """v minus its components along the pairwise orthogonal rows ortho."""
+    for q in ortho:
+        f = sum(a * b for a, b in zip(v, q)) / sum(b * b for b in q)
+        v = [a - f * b for a, b in zip(v, q)]
+    return v
 
 
 def brute_force_facets(rays, n):

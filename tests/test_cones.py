@@ -267,6 +267,106 @@ def test_double_description_matches_brute_force_facets_and_rays():
     assert cut >= 100
 
 
+def _with_lineality(rng, n, k, bound=3):
+    """Random generators plus one or two +- pairs of nonzero vectors."""
+    gens = random_gens(rng, n, k, bound)
+    for _ in range(rng.randint(1, 2)):
+        v = tuple(rng.randint(-bound, bound) for _ in range(n))
+        if any(v):
+            gens += [v, tuple(-x for x in v)]
+    return gens
+
+
+def test_rays_of_a_cone_with_lineality_are_those_of_its_slice():
+    # C = L + (C meet L-perp): the rays are the extremal rays of the slice,
+    # built here by projecting the generators onto L-perp with Fractions
+    rng = random.Random(4251)
+    non_pointed = 0
+    for _ in range(240):
+        n = rng.randint(2, 4)
+        gens = _with_lineality(rng, n, rng.randint(0, 4))
+        c = cone_from_rays(n, gens)
+        if c.is_pointed:
+            continue
+        non_pointed += 1
+        prim = [g for g in gens if any(g)]
+        for l in c.lineality:
+            assert helpers.fm_cone_contains(prim, l, n)
+            assert helpers.fm_cone_contains(prim, tuple(-x for x in l), n)
+        for r in c.rays:
+            assert _primitive(r) == r
+            assert all(_dot(r, l) == 0 for l in c.lineality)
+        assert list(c.rays) == helpers.slice_extremal_rays(prim, c.lineality, n)
+    assert non_pointed >= 100
+
+
+def _gens_along_a_common_line(rng, n):
+    """Generators of two cones on either side of the last coordinate
+    hyperplane that meet in a common face holding a line, inside that
+    hyperplane, in random coordinates."""
+    line = tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (0,)
+    shared = [line, tuple(-x for x in line)]
+    shared += [tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (0,)
+               for _ in range(rng.randint(0, 1))]
+    sides = [[tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (sign * rng.randint(1, 3),)
+              for _ in range(rng.randint(1, 2))] for sign in (1, -1)]
+    basis = helpers.random_unimodular(rng, n)
+
+    def move(v):
+        return tuple(sum(v[i] * basis[i][j] for i in range(n)) for j in range(n))
+
+    return [[move(v) for v in shared + side] for side in sides]
+
+
+def test_intersections_and_covectors_of_cones_with_lineality():
+    # a has lineality; b has lineality too, or is random, or meets a in a
+    # common face holding a line
+    rng = random.Random(4252)
+    common = 0
+    for case in range(90):
+        n = rng.randint(2, 3)
+        if case % 3 == 2:
+            ga, gb = _gens_along_a_common_line(rng, n)
+        else:
+            ga = _with_lineality(rng, n, rng.randint(1, 3))
+            gb = (_with_lineality if case % 3 else random_gens)(rng, n, rng.randint(1, 3), 3)
+        a, b = cone_from_rays(n, ga), cone_from_rays(n, gb)
+        if a.is_pointed:
+            continue
+
+        both = intersect_cones(a, b)
+        for g in both.generator_rows():
+            assert helpers.fm_cone_contains(ga, g, n)
+            assert helpers.fm_cone_contains(gb, g, n)
+        points = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(8)]
+        for p in points:
+            in_both = helpers.fm_cone_contains(ga, p, n) and helpers.fm_cone_contains(gb, p, n)
+            assert contains_point(both, p) == in_both
+
+        # u >= 0 on a, u <= 0 on b, and u in the relative interior of
+        # a^v meet (-b)^v: u vanishes on a generator g of a exactly when -g
+        # lies in a - b (and on h of b exactly when h does)
+        u = separating_covector(a, b)
+        diff = ga + [tuple(-x for x in h) for h in gb]
+        for g in ga:
+            assert _dot(u, g) >= 0
+            assert (_dot(u, g) == 0) == helpers.fm_cone_contains(diff, tuple(-x for x in g), n)
+        for h in gb:
+            assert _dot(u, h) <= 0
+            assert (_dot(u, h) == 0) == helpers.fm_cone_contains(diff, h, n)
+        # the lemma: when a meet u-perp == b meet u-perp, both are a meet b
+        face_a = cone_from_rays(n, [g for g in ga if _dot(u, g) == 0])
+        face_b = cone_from_rays(n, [h for h in gb if _dot(u, h) == 0])
+        if face_a == face_b:
+            common += 1
+            assert face_a == both
+            for p in points:
+                assert contains_point(face_a, p) == contains_point(both, p)
+        else:
+            assert case % 3 != 2
+    assert common >= 30
+
+
 def test_membership_matches_fourier_motzkin():
     rng = random.Random(4242)
     for _ in range(60):

@@ -12,6 +12,7 @@ from fanscheme.scheme import (
     YES,
     BaseDescriptor,
     DimRange,
+    InconsistentBaseError,
     MonoidSystem,
     build_atlas,
     check_separation_condition,
@@ -94,6 +95,24 @@ def test_base_conflicts_are_rejected():
         BaseDescriptor(empty=YES, dim=DimRange.exact(1))
     with pytest.raises(ValueError):
         BaseDescriptor(regular="maybe")
+
+
+def test_base_conflicts_raise_their_own_value_error():
+    # the CLI tells a contradictory base (exit 2) from a malformed one
+    # (exit 1) by this type alone
+    for kwargs in ({"integral": YES, "reduced": NO},
+                   {"empty": YES, "irreducible": YES},
+                   {"empty": YES, "dim": DimRange.between(0, 1)}):
+        with pytest.raises(InconsistentBaseError) as info:
+            BaseDescriptor(**kwargs)
+        assert isinstance(info.value, ValueError)
+        assert info.value.kind == "inconsistent-base"
+    with pytest.raises(InconsistentBaseError):
+        BaseDescriptor.from_json_dict({"empty": "yes", "dim": ["0", "1"]})
+    for bad in ({"shiny": "yes"}, {"regular": "definitely"}, []):
+        with pytest.raises(ValueError) as info:
+            BaseDescriptor.from_json_dict(bad)
+        assert not isinstance(info.value, InconsistentBaseError)
 
 
 def test_empty_base_convention():

@@ -1,0 +1,215 @@
+"""Compare the answers of the working tree with those of a git revision.
+
+    python3 tools/same_answers.py REV [--seed S] [--cones N] [--fans N]
+
+Exports src/ at REV with `git archive` into a temporary directory and
+imports both trees side by side, under the package names fanscheme_rev
+and fanscheme_work.  Then it runs one seeded corpus through both:
+
+- random cones of rank 1-5, many with lineality, through cone_from_rays,
+  with all four fields compared, and each consecutive pair of equal rank
+  through intersect_cones and separating_covector;
+- command lines of every subcommand, with and without --no-auto-close,
+  over random fan documents (complete, non-full, non-pointed, embedded,
+  empty, crossing and malformed ones), with stdout, stderr and the exit
+  code compared byte for byte.
+
+Prints the counts and the first difference, and exits 1 on any
+difference.  Standard library only.
+"""
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import json
+import pathlib
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_tree(src, name):
+    """Import the package under src/fanscheme as `name`; return its cones
+    and cli modules."""
+    pkg = pathlib.Path(src) / "fanscheme"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return [importlib.import_module(name + "." + m) for m in ("cones", "cli")]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type name and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as e:  # noqa: BLE001 - a raise is an answer too
+        return type(e).__name__, str(e)
+
+
+def fields(c):
+    return c.ambient_rank, c.rays, c.lineality, c.normals, c.dual_lineality
+
+
+def vec(rng, n, bound=3):
+    return tuple(rng.randint(-bound, bound) for _ in range(n))
+
+
+def random_generators(rng, n):
+    gens = [vec(rng, n) for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.5:
+        v = vec(rng, n)
+        gens += [v, tuple(-x for x in v)]
+    return gens
+
+
+def cone_answers(cones, rng, count):
+    """Answers of one tree on `count` seeded cones, with the pairs."""
+    out, made = [], []
+    for _ in range(count):
+        n = rng.randint(1, 5) if not made or rng.random() < 0.5 else made[-1][0]
+        gens = random_generators(rng, n)
+        kind, c = outcome(cones.cone_from_rays, n, gens)
+        out.append(("cone", n, gens, kind, fields(c) if kind == "ok" else c))
+        if kind != "ok":
+            continue
+        if made and made[-1][0] == n:
+            a = made[-1][1]
+            kind, both = outcome(cones.intersect_cones, a, c)
+            out.append(("meet", n, gens, kind, fields(both) if kind == "ok" else both))
+            out.append(("covector", n, gens, *outcome(cones.separating_covector, a, c)))
+        made.append((n, c))
+    return out
+
+
+def embed(rng, rays, n, m):
+    """The rays moved by a random unimodular map of ZZ^n, then padded with
+    m - n zero coordinates."""
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((-1, 1))
+            basis[i] = [a + k * b for a, b in zip(basis[i], basis[j])]
+    moved = [tuple(sum(r[i] * basis[i][j] for i in range(n)) for j in range(n)) for r in rays]
+    return [r + (0,) * (m - n) for r in moved]
+
+
+def random_fan_document(rng, kind):
+    n = rng.randint(1, 3)
+    if kind == 0:  # the complete fan of projective n-space
+        e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rays = e + [tuple(-1 for _ in range(n))]
+        cones = [[r for r in rays if r != skip] for skip in rays]
+    elif kind == 1:  # a subfan of the fan of (P^1)^n
+        cones = []
+        for _ in range(rng.randint(1, 3)):
+            axes = rng.sample(range(n), rng.randint(0, n))
+            cones.append([tuple(rng.choice((-1, 1)) * int(i == a) for i in range(n))
+                          for a in axes])
+    elif kind == 2:  # random cones: crossing, overlapping or fine
+        cones = [[vec(rng, n, 2) for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(1, 3))]
+    elif kind == 3:  # a cone holding a line
+        v = vec(rng, n, 2)
+        cones = [[v, tuple(-x for x in v)] + [vec(rng, n, 2)]]
+    else:  # empty fans
+        cones = [[]] * rng.randint(0, 1)
+    m = n + (rng.random() < 0.4)
+    cones = [embed(rng, c, n, m) for c in cones]
+    doc = {"lattice_rank": m, "cones": [{"rays": [list(r) for r in c]} for c in cones]}
+    if rng.random() < 0.05:
+        doc["cones"].append({"rays": [["x"]]})
+    return doc
+
+
+def argvs(path, cone_count, bases):
+    runs = [["validate"], ["complete"], ["regularity"], ["fullify"],
+            ["atlas", "--search-bound", "2"], ["report"]]
+    runs += [["report", "--base", b] for b in bases]
+    for i in sorted({0, cone_count - 1, cone_count}):
+        runs += [[cmd, "--cone", str(i)] for cmd in ("faces", "hilbert", "dual")]
+    for argv in runs:
+        for extra in ([], ["--no-auto-close"]):
+            yield [argv[0], "--fan", path] + argv[1:] + extra
+
+
+def cli_answers(cli, runs):
+    out = []
+    for argv in runs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            kind, code = outcome(cli.entry, argv)
+        out.append((argv, kind, code, stdout.getvalue(), stderr.getvalue()))
+    return out
+
+
+def first_difference(old, new, rev):
+    if len(old) != len(new):
+        return "the answer counts, %d and %d" % (len(old), len(new))
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            return "case %d\n  %s: %r\n  working tree: %r" % (i, rev, a, b)
+    return None
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--cones", type=int, default=6000)
+    ap.add_argument("--fans", type=int, default=120)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        tar = subprocess.run(["git", "archive", "--format=tar", args.rev, "src"],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+            t.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        trees = [load_tree(pathlib.Path(tmp) / "src", "fanscheme_rev"),
+                 load_tree(ROOT / "src", "fanscheme_work")]
+
+        rng = random.Random(args.seed)
+        runs = []
+        bases = []
+        for i, base in enumerate(({"reduced": "yes", "dim": [0, "inf"]},
+                                  {"integral": "yes", "reduced": "no"},
+                                  {"shiny": "yes"})):
+            bases.append(str(pathlib.Path(tmp) / ("base%d.json" % i)))
+            pathlib.Path(bases[-1]).write_text(json.dumps(base))
+        for i in range(args.fans):
+            doc = random_fan_document(rng, i % 5)
+            path = str(pathlib.Path(tmp) / ("fan%d.json" % i))
+            pathlib.Path(path).write_text(json.dumps(doc))
+            runs += argvs(path, len(doc["cones"]), bases)
+
+        answers = []
+        for cones, cli in trees:
+            answers.append(cone_answers(cones, random.Random(args.seed), args.cones)
+                           + cli_answers(cli, runs))
+    old, new = answers
+    cone_rows = [a for a in new if a[0] == "cone" and a[3] == "ok"]
+    with_lin = sum(1 for a in cone_rows if a[4][2])
+    codes = [a[2] for a in new if isinstance(a[0], list)]
+    print("cones %d (%d with lineality), intersections %d, covectors %d"
+          % (len(cone_rows), with_lin, sum(a[0] == "meet" for a in new),
+             sum(a[0] == "covector" for a in new)))
+    print("cli runs %d on %d documents: exit 0 %d, exit 1 %d, exit 2 %d, raised %d"
+          % (len(runs), args.fans, codes.count(0), codes.count(1), codes.count(2),
+             sum(a[1] != "ok" for a in new if isinstance(a[0], list))))
+    diff = first_difference(old, new, args.rev)
+    if diff:
+        print("DIFFERENT, first at " + diff)
+        return 1
+    print("same answers")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
