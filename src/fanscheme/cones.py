@@ -372,9 +372,9 @@ def witness_covector(la, lb, c):
     candidate lies in the relative interior of a^v meet (-b)^v, so by the
     lemma it passes whenever a meet b is c.  A common face of a and b is
     the cone on their shared rays, so when c is not a face of both there
-    is none.  fans.validate_fan proves meets of maximal cones with it, and
-    scheme.check_separation_condition takes its separating covectors from
-    it.
+    is none.  Its one caller in the package, fans.validate_fan, proves
+    meets of maximal cones with it and keeps each covector in
+    FaceIndex.separators, where scheme.check_separation_condition reads it.
     """
     wa, wb = la.witnesses.get(c), lb.witnesses.get(c)
     if wa is None or wb is None:

@@ -107,11 +107,19 @@ class FaceIndex:
     lattices: cone -> its FaceLattice.
     meets: (i, j), i < j -> label of the meet of cones i and j, the cone on
         their shared rays.
+    separators: (i, j), i < j, for each pair of maximal cones -> the
+        covector witness_covector found: >= 0 on cone i, <= 0 on cone j,
+        vanishing exactly on their meet (the separation lemma).
+
+    The index owns a fan's chart system: MonoidSystem.from_fan reads its
+    order and meets here, and check_separation_condition certifies the
+    separators and derives every other pair from them.
     """
 
     cones: dict
     lattices: dict
     meets: dict
+    separators: dict
 
 
 def validate_fan(fan):
@@ -130,8 +138,9 @@ def validate_fan(fan):
     only its lattice is built (unless complete_under_faces left it); the
     others are down-sets of those.  Lattices reuse the fan's cones as
     faces.  A pair of maximal cones passes when cones.witness_covector
-    separates them along the cone on their shared rays; only a failing
-    pair builds its meet, for the error.
+    separates them along the cone on their shared rays; the index keeps
+    that covector in separators.  Only a failing pair builds its meet, for
+    the error.
     """
     if fan._face_index is not None:
         return fan._face_index
@@ -158,19 +167,22 @@ def validate_fan(fan):
         for f in lattices[c]:
             holder.setdefault(f, lattices[c])
     tops.reverse()
+    label = {c: i for i, c in enumerate(fan.cones)}
+    separators = {}
     for i, a in enumerate(tops):
         for b in tops[i + 1:]:
             shared = cones.get(frozenset(a.rays) & frozenset(b.rays))
-            if witness_covector(lattices[a], lattices[b], shared) is None:
+            u = witness_covector(lattices[a], lattices[b], shared)
+            if u is None:
                 raise BadIntersectionError(a, b, intersect_cones(a, b))
-    label = {c: i for i, c in enumerate(fan.cones)}
+            separators[(label[a], label[b])] = u
     rays = [frozenset(c.rays) for c in fan.cones]
     meets = {
         (i, j): label[cones[rays[i] & rays[j]]]
         for i in range(len(rays))
         for j in range(i + 1, len(rays))
     }
-    fan._face_index = FaceIndex(cones, lattices, meets)
+    fan._face_index = FaceIndex(cones, lattices, meets, separators)
     return fan._face_index
 
 

@@ -12,7 +12,6 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .cones import witness_covector
 from .fans import is_complete, is_regular, validate_fan
 from .monoid_algebra import augmentation
 from .monoids import (
@@ -297,25 +296,18 @@ class MonoidSystem:
 
     (i, j) in the order means label i sits below label j; for fan systems
     that is the face order on cones, and the monoid of i then contains the
-    monoid of j.  Explicit systems must satisfy the same inclusion rule.
+    monoid of j.  An explicit system, MonoidSystem(monoids, leq, inf), is
+    checked in full: the order is closed transitively and must have no
+    two-way pair, every pair in it must satisfy the inclusion rule, and
+    every incomparable pair needs a recorded meet.  A recorded meet, given
+    under (i, j) or (j, i), must be the greatest lower bound, also for a
+    comparable pair, and one pair may not record two meets.  Meets are
+    stored once per pair i < j.
     """
 
     def __init__(self, monoids, leq=(), inf=None):
-        monoids = tuple(monoids)
-        for m in monoids:
-            if not isinstance(m, AffineMonoid):
-                raise TypeError("system entries must be affine monoids")
-        ranks = {m.ambient_rank for m in monoids}
-        if len(ranks) > 1:
-            raise ValueError("system monoids live in different lattices")
-        self.monoids = monoids
-        self.labels = tuple(range(len(monoids)))
-        self.source = "explicit"
-        self.fan = None
-        # (lower, upper) -> LocalizationCertificate; filled by from_fan
-        self.localizations = {}
-        self.r = max((len(m.diff_basis) for m in monoids), default=0)
-        n = len(monoids)
+        self._charts(monoids)
+        n = len(self.monoids)
 
         def label(x):
             if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
@@ -336,29 +328,27 @@ class MonoidSystem:
                 if i != j and rel[i][j] and rel[j][i]:
                     raise ValueError("the order has a two-way pair")
         self._rel = rel
-        for i in range(n):
-            for j in range(n):
-                if i != j and rel[i][j]:
-                    for g in monoids[j].generators:
-                        if not monoid_contains(monoids[i], g):
-                            raise ValueError(
-                                "label %d is below %d but its monoid does "
-                                "not contain the other" % (i, j)
-                            )
+        for i, j in self.strict_pairs():
+            for g in self.monoids[j].generators:
+                if not monoid_contains(self.monoids[i], g):
+                    raise ValueError(
+                        "label %d is below %d but its monoid does "
+                        "not contain the other" % (i, j)
+                    )
         table = {}
-        if inf:
-            for (i, j), k in inf.items():
-                table[(label(i), label(j))] = label(k)
-                table[(label(j), label(i))] = label(k)
+        for (i, j), k in (inf or {}).items():
+            pair = tuple(sorted((label(i), label(j))))
+            if table.setdefault(pair, label(k)) != k:
+                raise ValueError("two meets recorded for the pair (%d, %d)" % pair)
         self._inf = {}
         for i in range(n):
-            for j in range(n):
-                if rel[i][j]:
+            for j in range(i, n):
+                if (i, j) in table:
+                    k = table[(i, j)]
+                elif rel[i][j]:
                     k = i
                 elif rel[j][i]:
                     k = j
-                elif (i, j) in table:
-                    k = table[(i, j)]
                 else:
                     raise ValueError(
                         "no meet recorded for the incomparable pair "
@@ -375,21 +365,42 @@ class MonoidSystem:
                             "the recorded meet of (%d, %d) is not the "
                             "greatest lower bound" % (i, j)
                         )
-                self._inf[(i, j)] = k
+                if i < j:
+                    self._inf[(i, j)] = k
+
+    def _charts(self, monoids):
+        """Set the fields every system has; the caller sets _rel and _inf."""
+        monoids = tuple(monoids)
+        for m in monoids:
+            if not isinstance(m, AffineMonoid):
+                raise TypeError("system entries must be affine monoids")
+        if len({m.ambient_rank for m in monoids}) > 1:
+            raise ValueError("system monoids live in different lattices")
+        self.monoids = monoids
+        self.labels = tuple(range(len(monoids)))
+        self.source = "explicit"
+        self.fan = None
+        # (lower, upper) -> LocalizationCertificate; filled by from_fan
+        self.localizations = {}
+        self.r = max((len(m.diff_basis) for m in monoids), default=0)
 
     @classmethod
     def from_fan(cls, fan):
-        """Chart system of a fan: dual monoids, with the order, meets and a
-        localization certificate per strict pair from its face index."""
+        """Chart system of a fan: dual monoids, read off its face index.
+
+        validate_fan has proved the fan, so none of the checks of an
+        explicit system runs: label i sits below j exactly when the rays of
+        cone i are among those of cone j (a cone of the fan on some of a
+        cone's rays is a face of it), and the meets are the index's.  Each
+        strict pair gets a localization certificate.
+        """
         index = validate_fan(fan)
         cones = fan.cones
-        leq = []
-        for (i, j), k in index.meets.items():
-            if k == i:
-                leq.append((i, j))
-            elif k == j:
-                leq.append((j, i))
-        system = cls([dual_monoid(c) for c in cones], leq=leq, inf=index.meets)
+        system = cls.__new__(cls)
+        system._charts(dual_monoid(c) for c in cones)
+        rays = [frozenset(c.rays) for c in cones]
+        system._rel = [[a <= b for b in rays] for a in rays]
+        system._inf = index.meets
         system.fan = fan
         system.source = "fan"
         for i, j in system.strict_pairs():
@@ -406,7 +417,9 @@ class MonoidSystem:
         return self._rel[i][j]
 
     def inf(self, i, j):
-        return self._inf[(i, j)]
+        if i == j:
+            return i
+        return self._inf[(i, j) if i < j else (j, i)]
 
     def strict_pairs(self):
         return tuple(
@@ -523,43 +536,49 @@ class SeparationReport:
 def check_separation_condition(system):
     """For every pair, the meet chart must equal the sum of the two charts.
 
-    A comparable pair holds outright: MonoidSystem admits one only when the
-    lower chart contains the upper, so their sum is the lower chart, which
-    is their meet.  Fan systems prove each incomparable pair of cones by
-    the separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
-    Cox-Little-Schenck, Lemma 1.2.13) with a separating covector checked by
-    monoids.separation_certificate; a failed certificate raises
-    ValueError.  The covector comes from cones.witness_covector on the
-    face index, the test validate_fan proves meets with, so a validated
-    fan always has one; ValueError if it does not.  Explicit systems
-    compare the meet chart with monoid_sum of the two charts by exact
+    A fan system is proved with one certificate per pair of maximal cones
+    sigma, tau: monoids.separation_certificate checks S_(sigma meet tau) =
+    S_sigma + S_tau with the covector validate_fan found for them by the
+    separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
+    Cox-Little-Schenck, Lemma 1.2.13), kept in FaceIndex.separators; a
+    failed certificate raises ValueError.  Every other pair follows.  Each
+    cone is a face of a maximal one, so write the pair as sigma' = sigma
+    meet w'-perp and tau' = tau meet w''-perp, with w', w'' the witnesses of
+    the face index (sigma = tau when both are faces of one maximal cone;
+    S_sigma + S_sigma = S_sigma).  Both witnesses are >= 0 on sigma meet tau,
+    so sigma' meet tau' = (sigma meet tau) meet w'-perp meet w''-perp, and
+    Cox-Little-Schenck Prop. 1.3.16 (S_(rho meet m-perp) = S_rho + N(-m)
+    for m in S_rho), applied twice, gives S_(sigma' meet tau') =
+    S_(sigma meet tau) + N(-w') + N(-w'') = (S_sigma + N(-w')) + (S_tau +
+    N(-w'')) = S_sigma' + S_tau'.  The entries still list every pair.
+
+    An explicit system settles a comparable pair outright: MonoidSystem
+    admits one only when the lower chart contains the upper, so their sum
+    is the lower chart, which is their meet.  It compares the meet chart of
+    an incomparable pair with monoid_sum of the two charts by exact
     membership.
     """
-    entries = []
     n = len(system.monoids)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    charts = system.monoids
     if system.source == "fan":
-        cones = system.fan.cones
-        lattices = validate_fan(system.fan).lattices
-    for i in range(n):
-        for j in range(i + 1, n):
-            first, second = system.monoids[i], system.monoids[j]
-            k = system.inf(i, j)
-            meet = system.monoids[k]
-            if k in (i, j):
-                ok = True
-            elif system.source == "fan":
-                a, b = cones[i], cones[j]
-                u = witness_covector(lattices[a], lattices[b], cones[k])
-                if u is None:
-                    raise ValueError("no separating covector for cones %d, %d" % (i, j))
-                separation_certificate(first, second, meet, u)
-                ok = True
-            else:
-                joined = monoid_sum(first, second)
-                ok = all(
-                    monoid_contains(joined, g) for g in meet.generators
-                ) and all(monoid_contains(meet, g) for g in joined.generators)
-            entries.append((i, j, ok))
+        for (i, j), u in validate_fan(system.fan).separators.items():
+            separation_certificate(charts[i], charts[j], charts[system.inf(i, j)], u)
+        return SeparationReport(
+            separated=True, entries=tuple((i, j, True) for i, j in pairs)
+        )
+    entries = []
+    for i, j in pairs:
+        first, second = charts[i], charts[j]
+        k = system.inf(i, j)
+        meet = charts[k]
+        ok = k in (i, j)
+        if not ok:
+            joined = monoid_sum(first, second)
+            ok = all(
+                monoid_contains(joined, g) for g in meet.generators
+            ) and all(monoid_contains(meet, g) for g in joined.generators)
+        entries.append((i, j, ok))
     return SeparationReport(
         separated=all(ok for _, _, ok in entries), entries=tuple(entries)
     )

@@ -398,6 +398,33 @@ def random_orthant_subfan(rng):
 
 
 # ---------------------------------------------------------------------------
+# fan separation pair by pair; oracle for check_separation_condition
+
+
+def separation_by_every_pair(system):
+    """The entries of check_separation_condition on a fan system, with no
+    derivation: every incomparable pair of cones gets its own covector from
+    cones.witness_covector and its own separation_certificate (which raises
+    on failure); a comparable pair holds outright."""
+    from fanscheme.cones import witness_covector
+    from fanscheme.fans import validate_fan
+    from fanscheme.monoids import separation_certificate
+
+    lattices = validate_fan(system.fan).lattices
+    cones, charts = system.fan.cones, system.monoids
+    entries = []
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            k = system.inf(i, j)
+            if k not in (i, j):
+                u = witness_covector(lattices[cones[i]], lattices[cones[j]], cones[k])
+                assert u is not None, (i, j)
+                separation_certificate(charts[i], charts[j], charts[k], u)
+            entries.append((i, j, True))
+    return tuple(entries)
+
+
+# ---------------------------------------------------------------------------
 # monoid membership by enumeration; independent oracle for monoid_contains
 
 

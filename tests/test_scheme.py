@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fanscheme.cones import cone_from_rays
-from fanscheme.fans import Fan, is_complete, is_regular
+from fanscheme.fans import Fan, is_complete, is_regular, validate_fan
 from fanscheme.monoid_algebra import CoeffRing, exp_map
 from fanscheme.monoids import AffineMonoid
 from fanscheme.scheme import (
@@ -32,6 +32,7 @@ from helpers import (
     projective_plane_fan,
     random_orthant_subfan,
     random_staircase_fan,
+    separation_by_every_pair,
 )
 
 
@@ -189,6 +190,11 @@ def test_explicit_system_validation():
             leq=[(0, 3), (3, 1), (3, 2), (0, 1), (0, 2)],
             inf={(1, 2): 0},
         )
+    # a recorded meet must agree with the order, and a pair records one
+    with pytest.raises(ValueError):
+        MonoidSystem([Z, N], leq=[(0, 1)], inf={(0, 1): 1})
+    with pytest.raises(ValueError):
+        MonoidSystem([Z, N, N], leq=[(0, 1), (0, 2)], inf={(2, 1): 2, (1, 2): 0})
 
 
 def test_fan_systems_are_openly_immersive():
@@ -292,74 +298,97 @@ def test_fan_separation_certificates_match_the_explicit_search():
                 == check_separation_condition(explicit).entries)
 
 
+def test_fan_separation_matches_certifying_every_pair():
+    # one certificate per pair of maximal cones, and the rest derived,
+    # gives the entries of certifying every incomparable pair; the order
+    # and meets read off the face index pass the checked constructor of
+    # explicit systems unchanged
+    rng = random.Random(3004)
+    e = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    p3 = e + [(-1, -1, -1)]
+    fans = [projective_line_fan(), projective_plane_fan(), hirzebruch_fan(),
+            affine_wedge_fan(),
+            fan_from_ray_lists(3, [p3[:k] + p3[k + 1:] for k in range(4)])]
+    fans += [random_staircase_fan(rng)[0] for _ in range(4)]
+    fans += [random_orthant_subfan(rng) for _ in range(4)]
+    for fan in fans:
+        system = MonoidSystem.from_fan(fan)
+        assert (check_separation_condition(system).entries
+                == separation_by_every_pair(system))
+        explicit = _explicit_copy(system)
+        assert system.strict_pairs() == explicit.strict_pairs()
+        for i in system.labels:
+            for j in system.labels:
+                assert system.leq(i, j) == explicit.leq(i, j)
+                assert system.inf(i, j) == explicit.inf(i, j)
+
+
 def _hirzebruch_one():
     rays = [(1, 0), (0, 1), (-1, 1), (0, -1)]
     return fan_from_ray_lists(2, [[rays[i], rays[(i + 1) % 4]] for i in range(4)])
 
 
-def test_failed_separation_certificate_raises(monkeypatch):
-    # a wrong covector raises: from the certificate when it comes from the
-    # face index's witnesses, which settle every pair of P^2, and from the
-    # sign test of witness_covector when it is the double description
-    # candidate, which two pairs of F1 take
-    import fanscheme.cones
-    import fanscheme.scheme
-
-    def zero(*args):
-        return (0, 0)
-
-    p2 = MonoidSystem.from_fan(projective_plane_fan())
-    f1 = MonoidSystem.from_fan(_hirzebruch_one())
-    assert check_separation_condition(p2).separated
-    assert check_separation_condition(f1).separated
-    with monkeypatch.context() as patch:
-        patch.setattr(fanscheme.scheme, "witness_covector", zero)
+def test_failed_separation_certificate_raises():
+    # a wrong covector among the face index's separators fails its
+    # certificate: zero cannot shift the meet chart into the first chart,
+    # and a negated covector is missing from the first chart
+    for fan, spoil in ((projective_plane_fan(), lambda u: (0, 0)),
+                       (_hirzebruch_one(), lambda u: tuple(-x for x in u))):
+        system = MonoidSystem.from_fan(fan)
+        assert check_separation_condition(system).separated
+        separators = validate_fan(fan).separators
+        pair = min(separators)
+        separators[pair] = spoil(separators[pair])
         with pytest.raises(ValueError):
-            check_separation_condition(p2)
-    monkeypatch.setattr(fanscheme.cones, "separating_covector", zero)
-    with pytest.raises(ValueError):
-        check_separation_condition(f1)
+            check_separation_condition(system)
 
 
 def test_atlas_takes_separating_covectors_from_the_face_index(
     tmp_path, monkeypatch, capsys
 ):
-    # every incomparable pair of P^3 and (P^1)^3 is separated by a
-    # covector built from its meet's witnesses; two pairs of F1 are not
-    # and take one double description pass each
+    # validate_fan separates every pair of maximal cones of P^3, (P^1)^3
+    # and F1 by a covector built from its meet's witnesses, with no double
+    # description pass, and the atlas certifies those pairs alone
     import json
 
     import fanscheme.cones
+    import fanscheme.scheme
     from fanscheme.cli import entry
 
-    calls = []
-    real = fanscheme.cones.separating_covector
+    calls = {"separating_covector": 0, "separation_certificate": 0}
 
-    def counted(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(fanscheme.cones, "separating_covector", counted)
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(fanscheme.cones, "separating_covector")
+    counted(fanscheme.scheme, "separation_certificate")
     e = [[int(i == j) for j in range(3)] for i in range(3)]
     p3 = e + [[-1, -1, -1]]
     fans = {
-        "p3": (3, [p3[:k] + p3[k + 1:] for k in range(4)], 0),
+        "p3": (3, [p3[:k] + p3[k + 1:] for k in range(4)], 6),
         "p1x3": (3, [
             [[a, 0, 0], [0, b, 0], [0, 0, c]]
             for a in (1, -1) for b in (1, -1) for c in (1, -1)
-        ], 0),
+        ], 28),
         "f1": (2, [[[1, 0], [0, 1]], [[0, 1], [-1, 1]],
-                   [[-1, 1], [0, -1]], [[0, -1], [1, 0]]], 2),
+                   [[-1, 1], [0, -1]], [[0, -1], [1, 0]]], 6),
     }
-    for name, (rank, tops, expected) in fans.items():
+    for name, (rank, tops, certificates) in fans.items():
         doc = tmp_path / (name + ".json")
         doc.write_text(json.dumps({
             "lattice_rank": rank, "cones": [{"rays": t} for t in tops],
         }))
-        calls.clear()
+        calls.update(separating_covector=0, separation_certificate=0)
         assert entry(["atlas", "--fan", str(doc)]) == 0
         assert json.loads(capsys.readouterr().out)["separated"] is True
-        assert len(calls) == expected, name
+        assert calls == {"separating_covector": 0,
+                         "separation_certificate": certificates}, name
 
 
 def test_doubled_line_fails_separation():

@@ -12,7 +12,11 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
 - command lines of every subcommand, with and without --no-auto-close,
   over random fan documents (complete, non-full, non-pointed, embedded,
   empty, crossing and malformed ones), with stdout, stderr and the exit
-  code compared byte for byte.
+  code compared byte for byte;
+- the chart system of each of those documents that loads and validates:
+  the order and meets of MonoidSystem.from_fan, the entries of
+  check_separation_condition and the witnesses of is_openly_immersive,
+  none of which the CLI prints.
 
 Prints the counts and the first difference, and exits 1 on any
 difference.  Standard library only.
@@ -35,15 +39,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def load_tree(src, name):
-    """Import the package under src/fanscheme as `name`; return its cones
-    and cli modules."""
+    """Import the package under src/fanscheme as `name`; return its cones,
+    cli, fans and scheme modules."""
     pkg = pathlib.Path(src) / "fanscheme"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return [importlib.import_module(name + "." + m) for m in ("cones", "cli")]
+    return [importlib.import_module(name + "." + m)
+            for m in ("cones", "cli", "fans", "scheme")]
 
 
 def outcome(fn, *args):
@@ -151,6 +156,25 @@ def cli_answers(cli, runs):
     return out
 
 
+def system_answers(cli, fans, scheme, paths):
+    """Order, meets, separation entries and immersion witnesses of the chart
+    system of each document that loads and validates."""
+    out = []
+    for path in paths:
+        kind, fan = outcome(cli.load_fan_document, path)
+        if kind != "ok" or outcome(fans.validate_fan, fan)[0] != "ok":
+            continue
+        system = scheme.MonoidSystem.from_fan(fan)
+        labels = system.labels
+        out.append(("system", path, len(labels),
+                    [(i, j) for i in labels for j in labels if system.leq(i, j)],
+                    [system.inf(i, j) for i in labels for j in labels],
+                    scheme.check_separation_condition(system).entries,
+                    [(i, j, c.verdict, c.witness)
+                     for i, j, c in scheme.is_openly_immersive(system).entries]))
+    return out
+
+
 def first_difference(old, new, rev):
     if len(old) != len(new):
         return "the answer counts, %d and %d" % (len(old), len(new))
@@ -177,6 +201,7 @@ def main():
 
         rng = random.Random(args.seed)
         runs = []
+        paths = []
         bases = []
         for i, base in enumerate(({"reduced": "yes", "dim": [0, "inf"]},
                                   {"integral": "yes", "reduced": "no"},
@@ -187,12 +212,14 @@ def main():
             doc = random_fan_document(rng, i % 5)
             path = str(pathlib.Path(tmp) / ("fan%d.json" % i))
             pathlib.Path(path).write_text(json.dumps(doc))
+            paths.append(path)
             runs += argvs(path, len(doc["cones"]), bases)
 
         answers = []
-        for cones, cli in trees:
+        for cones, cli, fans, scheme in trees:
             answers.append(cone_answers(cones, random.Random(args.seed), args.cones)
-                           + cli_answers(cli, runs))
+                           + cli_answers(cli, runs)
+                           + system_answers(cli, fans, scheme, paths))
     old, new = answers
     cone_rows = [a for a in new if a[0] == "cone" and a[3] == "ok"]
     with_lin = sum(1 for a in cone_rows if a[4][2])
@@ -203,6 +230,10 @@ def main():
     print("cli runs %d on %d documents: exit 0 %d, exit 1 %d, exit 2 %d, raised %d"
           % (len(runs), args.fans, codes.count(0), codes.count(1), codes.count(2),
              sum(a[1] != "ok" for a in new if isinstance(a[0], list))))
+    systems = [a for a in new if a[0] == "system"]
+    print("chart systems %d: %d labels, %d separation pairs, %d immersion witnesses"
+          % (len(systems), sum(a[2] for a in systems),
+             sum(len(a[5]) for a in systems), sum(len(a[6]) for a in systems)))
     diff = first_difference(old, new, args.rev)
     if diff:
         print("DIFFERENT, first at " + diff)
