@@ -1,10 +1,11 @@
 """JSON command line for fans, chart monoids, and property reports.
 
-Exit codes: 0 on success, 1 for unreadable or malformed documents and
-usage errors, 2 when the input is well-formed but mathematically rejected
-(fan validation failures, inconsistent base descriptions).  Integer
-vectors travel as arrays of decimal strings; plain integers are accepted
-on input.
+Exit codes: 0 on success, 1 for unreadable or malformed documents, usage
+errors and Hilbert bases over their work budget
+(monoids.HILBERT_POINT_BUDGET), 2 when the input is well-formed but
+mathematically rejected (fan validation failures, inconsistent base
+descriptions).  Integer vectors travel as arrays of decimal strings; plain
+integers are accepted on input.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .fans import (
     is_regular,
     validate_fan,
 )
-from .monoids import _cone_lattice_hilbert, dual_monoid
+from .monoids import HilbertBudgetError, _cone_lattice_hilbert, dual_monoid
 from .scheme import (
     BaseDescriptor,
     InconsistentBaseError,
@@ -365,7 +366,7 @@ def entry(argv=None):
         return EXIT_DOCUMENT if e.code else EXIT_OK
     try:
         payload = args.run(args)
-    except DocumentError as e:
+    except (DocumentError, HilbertBudgetError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_DOCUMENT
     except (FanError, InconsistentBaseError) as e:

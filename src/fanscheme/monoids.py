@@ -10,7 +10,9 @@ this module rounds or bounds heuristically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from functools import cache
+from itertools import combinations, combinations_with_replacement, product
+from math import gcd, prod
 from operator import ge, mul
 
 from .cones import (
@@ -33,6 +35,7 @@ from .lattice import (
     signed_rows,
     smith_rows,
     sum_rows,
+    xgcd,
 )
 
 
@@ -69,10 +72,74 @@ def _pulling_triangulation(cone):
     return pull(frozenset(cone.rays))
 
 
-def _parallelepiped_points(rays, n):
+# The most parallelepiped points one Hilbert basis computation lists: the
+# multiplicities of the simplices it enumerates may not sum to more.  The
+# largest such simplex of the tests and the benchmark has multiplicity 344
+# (the cyclic cone with k = 7); the cyclic cone with k = 46, of
+# multiplicity 97,337, takes about 20 s.
+HILBERT_POINT_BUDGET = 10**5
+
+
+class HilbertBudgetError(ValueError):
+    """A Hilbert basis would list more parallelepiped points than
+    HILBERT_POINT_BUDGET; bound is that limit and value the total that
+    exceeded it."""
+
+    def __init__(self, bound, value):
+        super().__init__(
+            "Hilbert basis needs more than %d parallelepiped points (the "
+            "simplices to enumerate have multiplicity %d in total)" % (bound, value)
+        )
+        self.bound = bound
+        self.value = value
+
+
+def _unit_covector(x):
+    """An integer covector t with t.x == 1, for a primitive vector x."""
+    t = [0] * len(x)
+    g = 0
+    for j, xj in enumerate(x):
+        if xj:
+            g, s, t[j] = xgcd(g, xj)
+            t[:j] = [s * e for e in t[:j]]
+    return t
+
+
+def _walk(x, y):
+    """(b, [u_0, ..., u_m]) for independent primitive x and y: b is the
+    multiplicity of cone(x, y), and u_0 = x, ..., u_m = y are the lattice
+    points on the compact edges of the convex hull of its nonzero lattice
+    points, the continued-fraction walk that is its Hilbert basis;
+    consecutive u_i are a basis of the plane lattice (Cox, Little and
+    Schenck, Toric Varieties, 10.2).
+
+    With t.x == 1, y = a*x + b*w for a = t.y and w = (y - a*x)/b primitive,
+    so (x, w) is a basis of span(x, y) meet ZZ^n and b is the content of
+    y - a*x.  lam(alpha*x + beta*w) = b*alpha - a*beta vanishes on y and is
+    b on x.  u_1 = w + ceil(a/b)*x, and u_{i+1} = ceil(lam(u_{i-1}) /
+    lam(u_i))*u_i - u_{i-1} until lam(u_i) = 0; lam falls strictly and
+    follows the same recurrence, so it is never evaluated on a point.
+    """
+    a = sum(map(mul, _unit_covector(x), y))
+    v = [q - a * p for p, q in zip(x, y)]
+    b = gcd(*v)
+    if b == 1:
+        return b, [x, y]
+    c = -(-a // b)
+    path = [x, tuple([q // b + c * p for p, q in zip(x, v)])]
+    prev, lam = b, c * b - a
+    while lam:
+        c = -(-prev // lam)
+        path.append(tuple([c * p - q for p, q in zip(path[-1], path[-2])]))
+        prev, lam = lam, c * lam - prev
+    return b, path
+
+
+def _parallelepiped_points(rays, n, smith=None):
     """The nonzero lattice points sum c_j * rays[j] with 0 <= c_j < 1, for
     linearly independent rays: one per nonzero class of (span meet ZZ^n)
-    modulo the lattice the rays generate.
+    modulo the lattice the rays generate.  smith is smith_rows(rays, n)
+    when the caller has it.
 
     With p * rays * q == d in Smith form, row i of q^-1 is f_i = sum_j
     p[i][j] * rays[j] / d_i, and the f_i form a basis of span meet ZZ^n, so
@@ -81,7 +148,7 @@ def _parallelepiped_points(rays, n):
     integers.
     """
     k = len(rays)
-    d, p, _ = smith_rows(rays, n)
+    d, p, _ = smith or smith_rows(rays, n)
     factors = [d[i][i] for i in range(k)]
     top = factors[-1]
     scaled = [[x * (top // f) for x in row] for f, row in zip(factors, p)]
@@ -91,26 +158,83 @@ def _parallelepiped_points(rays, n):
             yield tuple(sum(map(mul, num, col)) // top for col in zip(*rays))
 
 
+def _hilbert_candidates(cone):
+    """Lattice points of a pointed cone that hold its Hilbert basis besides
+    its rays, found simplex by simplex of the pulling triangulation, each
+    simplex refined on a worklist.
+
+    A simplex of multiplicity 1 gives nothing; a 2-dimensional one gives
+    its walk (_walk).  A larger one with a 2-face {x, y} of multiplicity
+    b > 1 is cut along the walk u_0, ..., u_m of that face into the pieces
+    s - {x, y} + {u_i, u_(i+1)}: they cover s, as cone(x, y) is covered by
+    the cones on consecutive u_i, and each has multiplicity mult(s)/b.  Only
+    a simplex with every 2-face unimodular has its parallelepiped points
+    listed, and only after every simplex is refined, so that
+    HILBERT_POINT_BUDGET, which bounds the sum of the multiplicities of
+    those to list, stops a computation before it lists a point.  Every
+    lattice point of s lies in a piece, so an irreducible one is a ray of a
+    piece (a walk point) or a parallelepiped point of a listed piece.  This
+    is the bottom decomposition of Bruns, Ichim and Soeger (The power of
+    pyramid decomposition in Normaliz, J. Symbolic Comput. 2016), split
+    along Hirzebruch-Jung continued fractions.
+    """
+    n = cone.ambient_rank
+    walk = cache(_walk)  # pieces share 2-faces, within one computation
+    listed = []
+    total = 0
+    for simplex in _pulling_triangulation(cone):
+        work = [(sorted(simplex), None)]
+        while work:
+            rays, mult = work.pop()
+            if len(rays) == 2:
+                yield from walk(*rays)[1]
+                continue
+            smith = None
+            if mult is None:
+                smith = smith_rows(rays, n)
+                mult = prod(smith[0][i][i] for i in range(len(rays)))
+            if mult == 1:
+                continue
+            for x, y in combinations(rays, 2):
+                b, path = walk(x, y)
+                if b > 1:
+                    rest = [r for r in rays if r != x and r != y]
+                    work.extend((sorted(rest + list(u)), mult // b)
+                                for u in zip(path, path[1:]))
+                    yield from path[1:-1]
+                    break
+            else:
+                total += mult
+                if total > HILBERT_POINT_BUDGET:
+                    raise HilbertBudgetError(HILBERT_POINT_BUDGET, total)
+                listed.append((rays, smith))
+    for rays, smith in listed:
+        yield from _parallelepiped_points(rays, n, smith)
+
+
 def _pointed_hilbert(cone):
     """Hilbert basis of the lattice points of a pointed cone.
 
-    Every irreducible element is an extremal ray or a parallelepiped point
-    of a simplex of a triangulation.  Each candidate is read once as its
-    values on the facet normals, and the candidates are reduced in order of
-    degree, the sum of those values, which is positive on every nonzero
-    point of the cone: a candidate is reducible exactly when its values are
-    at least those of an irreducible element of strictly smaller degree in
-    every entry (Bruns and Ichim, Normaliz: algorithms for affine monoids
-    and rational cones, J. Algebra 2010).  Both lie in the span of the
-    cone, where the normals decide whether their difference is in it.
+    Every irreducible element is an extremal ray or a candidate of
+    _hilbert_candidates: a point of the continued-fraction walk of a 2-face
+    (Cox, Little and Schenck, Toric Varieties, 10.2) along which a simplex
+    of the triangulation is cut, or a parallelepiped point of a piece whose
+    2-faces are all unimodular.  So the work follows the answer, not the
+    multiplicity: the dual of the wedge (1,0),(1,k) lists no parallelepiped
+    point.  Each candidate is read once as its values on the facet normals,
+    and the candidates are reduced in order of degree, the sum of those
+    values, which is positive on every nonzero point of the cone: a
+    candidate is reducible exactly when its values are at least those of an
+    irreducible element of strictly smaller degree in every entry (Bruns
+    and Ichim, Normaliz: algorithms for affine monoids and rational cones,
+    J. Algebra 2010).  Both lie in the span of the cone, where the normals
+    decide whether their difference is in it.
     """
     assert cone.is_pointed
-    n = cone.ambient_rank
     if not cone.rays:
         return ()
     candidates = set(cone.rays)
-    for simplex in _pulling_triangulation(cone):
-        candidates.update(_parallelepiped_points(sorted(simplex), n))
+    candidates.update(_hilbert_candidates(cone))
     values = {h: tuple([dot(h, u) for u in cone.normals]) for h in candidates}
     basis = []
     smaller = 0  # basis[:smaller] is the kept part of strictly smaller degree

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -428,6 +429,26 @@ def test_huge_integers_are_refused_with_a_short_message(tmp_path, capsys):
             assert "has 5000 digits" in proc.stderr, proc.stderr
             limit = "at most %d digits" % sys.get_int_max_str_digits()
             assert limit in proc.stderr, proc.stderr
+
+
+def test_hilbert_bases_past_the_budget_exit_one(tmp_path, capsys):
+    # the cyclic cone (k,1,0),(0,k,1),(1,0,k) is a simplex of multiplicity
+    # k^3 + 1 with unimodular 2-faces, so at k = 200 it would list 8,000,000
+    # parallelepiped points; `dual` of its dual cone meets the same simplex.
+    # Cone 7 is the top cone of the face-closed fan
+    k = 200
+    cyclic = [(k, 1, 0), (0, k, 1), (1, 0, k)]
+    dual = [(1, -k, k * k), (k * k, 1, -k), (-k, k * k, 1)]
+    for command, rays in (("hilbert", cyclic), ("dual", dual)):
+        path = write_fan(tmp_path, 3, [rays], name=command + ".json")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--fan", path, "--cone", "7")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err == (
+            "Hilbert basis needs more than 100000 parallelepiped points (the "
+            "simplices to enumerate have multiplicity 8000001 in total)\n"
+        )
 
 
 def test_cli_survives_fuzzed_documents(tmp_path):

@@ -903,6 +903,183 @@ def test_pointed_hilbert_of_a_wedge_skips_elements_of_equal_degree(monkeypatch):
     assert len(facet_dots) + len(calls["dot"]) == 2 * 2 + 2 * (k + 1)
 
 
+# ------------------------------------------------ walks, splits and the budget
+
+
+def listed_points(monkeypatch):
+    """Replace monoids._parallelepiped_points by a wrapper that records
+    every point it lists; returns the list."""
+    listed = []
+    real = monoids._parallelepiped_points
+
+    def counted(*args):
+        for p in real(*args):
+            listed.append(p)
+            yield p
+
+    monkeypatch.setattr(monoids, "_parallelepiped_points", counted)
+    return listed
+
+
+def plane_multiplicity(x, y):
+    """gcd of the 2x2 minors: the index of the lattice x and y generate in
+    the lattice points of their plane."""
+    return math.gcd(*(
+        x[i] * y[j] - x[j] * y[i] for i, j in itertools.combinations(range(len(x)), 2)
+    ))
+
+
+def test_walks_are_the_hilbert_bases_of_plane_cones():
+    # in rank 2 against brute_force_hilbert, and moved into rank 3 and 4
+    # by a unimodular map and a zero column, against the box oracle
+    rng = random.Random(1729)
+    long_walks = 0
+    for _ in range(60):
+        r1, r2 = sample_wedge(rng)
+        b, path = monoids._walk(r1, r2)
+        assert b == abs(r1[0] * r2[1] - r1[1] * r2[0])
+        assert path[0] == r1 and path[-1] == r2
+        assert len(set(path)) == len(path)
+        assert set(path) == brute_force_hilbert(r1, r2)
+        long_walks += len(path) > 2
+        n = rng.randint(3, 4)
+        u = random_unimodular(rng, n - 1, steps=3)
+        x, y = (tuple(sum(r[i] * u[i][j] for i in range(2)) for j in range(n - 1)) + (0,)
+                for r in (r1, r2))
+        b, path = monoids._walk(x, y)
+        assert b == plane_multiplicity(x, y)
+        assert sorted(path) == box_hilbert_basis([x, y], n, facet_cone_contains([x, y], n))
+    assert long_walks >= 20
+
+
+def random_simplicial_rays(rng, n):
+    """n independent primitive vectors, half of their entries zero and the
+    rest in [-3, 3]; one in three such cones of rank 3 or 4 has a 2-face of
+    multiplicity > 1."""
+    while True:
+        rays = [tuple(rng.randint(-3, 3) * (rng.random() < 0.5) for _ in range(n))
+                for _ in range(n)]
+        if frac_rank(rays) == n:
+            return [tuple(x // math.gcd(*r) for x in r) for r in rays]
+
+
+def test_hilbert_candidates_of_simplicial_cones_hold_the_oracle_basis(monkeypatch):
+    # every candidate is a lattice point of the cone, the candidates hold
+    # the box oracle's Hilbert basis (brute_force_hilbert's in rank 2), and
+    # a simplex lists its parallelepiped only when its 2-faces are all
+    # unimodular; cones with a box of more than 600 points are skipped
+    listed = count_calls(monkeypatch, monoids, "_parallelepiped_points")
+    rng = random.Random(5040)
+    ranks = collections.Counter()
+    wide_faces = split = 0
+    while min(ranks[n] for n in (2, 3, 4)) < 20:
+        n = rng.randint(2, 4)
+        rays = random_simplicial_rays(rng, n)
+        box = math.prod(sum(abs(r[a]) for r in rays) + 1 for a in range(n))
+        if box > 600 or ranks[n] == 20:
+            continue
+        ranks[n] += 1
+        c = cone_from_rays(n, rays)
+        inside = facet_cone_contains(rays, n)
+        oracle = box_hilbert_basis(rays, n, inside)
+        if n == 2:
+            assert set(oracle) == brute_force_hilbert(*rays)
+        candidates = set(monoids._hilbert_candidates(c))
+        assert all(inside(p) for p in candidates)
+        assert set(oracle) <= candidates | set(c.rays), rays
+        assert list(_pointed_hilbert(c)) == oracle
+        wide = sum(plane_multiplicity(x, y) > 1
+                   for x, y in itertools.combinations(c.rays, 2))
+        if n > 2:
+            wide_faces += wide
+            split += wide > 0
+    for simplex, _, _ in listed["_parallelepiped_points"]:
+        assert all(plane_multiplicity(x, y) == 1
+                   for x, y in itertools.combinations(simplex, 2))
+    assert wide_faces >= 25 and split >= 20
+    assert len(listed["_parallelepiped_points"]) >= 20
+
+
+def test_dual_of_a_long_wedge_lists_no_parallelepiped_point(monkeypatch):
+    # the dual cone((0,1),(k,-1)) is cut at (1,0) into two unimodular cones
+    listed = listed_points(monkeypatch)
+    k = 10**5
+    m = dual_monoid(cone_from_rays(2, [(1, 0), (1, k)]))
+    assert m.hilbert_pointed == ((0, 1), (1, 0), (k, -1))
+    assert listed == []
+
+
+def test_dual_of_the_roadmap_family_lists_no_parallelepiped_point(monkeypatch):
+    # the dual of cone((1,0,0),(0,1,0),(1,1,D)) is a simplex of multiplicity
+    # D^2 with D + 4 Hilbert basis elements; its 2-faces of multiplicity D
+    # cut it down to unimodular pieces through D - 1 walk points
+    listed = listed_points(monkeypatch)
+    d = 1000
+    m = dual_monoid(cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, d)]))
+    expected = [(0, 0, 1), (0, 1, 0), (1, 0, 0)] + [(a, d - a, -1) for a in range(d + 1)]
+    assert m.hilbert_pointed == tuple(sorted(expected))
+    assert len(m.hilbert_pointed) == d + 4
+    assert listed == []
+
+
+def cyclic_cone(k):
+    # a simplex of multiplicity k^3 + 1 whose 2-faces are all unimodular
+    return cone_from_rays(3, [(k, 1, 0), (0, k, 1), (1, 0, k)])
+
+
+def test_a_listed_simplex_takes_one_smith_form(monkeypatch):
+    # the multiplicity that decides whether to list is read off the Smith
+    # form the listing then uses
+    calls = count_calls(monkeypatch, monoids, "smith_rows")
+    listed = listed_points(monkeypatch)
+    assert len(_pointed_hilbert(cyclic_cone(3))) == 22
+    assert len(calls["smith_rows"]) == 1 and len(listed) == 27
+
+
+def test_the_budget_bounds_the_listed_multiplicity(monkeypatch):
+    # the largest listed simplex of the tests and the benchmark (cyclic,
+    # k = 7) has multiplicity 344; at a budget of 343 it raises before
+    # listing a point, naming the bound and the total
+    assert monoids.HILBERT_POINT_BUDGET >= 344
+    listed = listed_points(monkeypatch)
+    monkeypatch.setattr(monoids, "HILBERT_POINT_BUDGET", 344)
+    assert len(_pointed_hilbert(cyclic_cone(7))) == 130
+    assert len(listed) == 343
+    listed.clear()
+    monkeypatch.setattr(monoids, "HILBERT_POINT_BUDGET", 343)
+    with pytest.raises(monoids.HilbertBudgetError) as caught:
+        dual_monoid(dual_cone(cyclic_cone(7)))
+    assert isinstance(caught.value, ValueError)
+    assert (caught.value.bound, caught.value.value) == (343, 344)
+    assert "343" in str(caught.value) and "344" in str(caught.value)
+    assert listed == []
+
+
+def test_the_budget_is_a_total_over_one_computation(monkeypatch):
+    # the cone on the cyclic cone k = 3 and (1,-1,1) triangulates into two
+    # simplices that list points; the budget counts their sum, and a new
+    # computation starts from zero
+    c = cone_from_rays(3, [(3, 1, 0), (0, 3, 1), (1, 0, 3), (1, -1, 1)])
+    sizes = []
+    real = monoids._parallelepiped_points
+
+    def sized(*args):
+        points = list(real(*args))
+        sizes.append(len(points) + 1)
+        return iter(points)
+
+    monkeypatch.setattr(monoids, "_parallelepiped_points", sized)
+    basis = _pointed_hilbert(c)
+    assert sizes == [13, 5]
+    monkeypatch.setattr(monoids, "HILBERT_POINT_BUDGET", 18)
+    assert _pointed_hilbert(c) == basis
+    assert _pointed_hilbert(c) == basis
+    monkeypatch.setattr(monoids, "HILBERT_POINT_BUDGET", 17)
+    with pytest.raises(monoids.HilbertBudgetError) as caught:
+        _pointed_hilbert(c)
+    assert caught.value.value == 18
+
+
 # ---------------------------------------------- immersion search against its oracle
 
 

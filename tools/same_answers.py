@@ -16,7 +16,15 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
 - the chart system of each of those documents that loads and validates:
   the order and meets of MonoidSystem.from_fan, the entries of
   check_separation_condition and the witnesses of is_openly_immersive,
-  none of which the CLI prints.
+  none of which the CLI prints;
+- the Hilbert bases of each pointed cone of the cone corpus of rank at
+  most HILBERT_RANK, through dual_monoid (all its fields) and
+  _cone_lattice_hilbert.  A cone is skipped in both trees when REV would
+  list the parallelepiped of a simplex of multiplicity above
+  HILBERT_POINTS: a random cone of rank 4 can have a dual simplex of
+  multiplicity in the millions, which REV may enumerate point by point.
+  Rank 5 is left out because lattice.smith_rows can take minutes on the
+  dual cones of some of those cones.
 
 Prints the counts and the first difference, and exits 1 on any
 difference.  Standard library only.
@@ -28,6 +36,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import pathlib
 import random
 import subprocess
@@ -36,11 +45,13 @@ import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+HILBERT_RANK = 4
+HILBERT_POINTS = 20000
 
 
 def load_tree(src, name):
     """Import the package under src/fanscheme as `name`; return its cones,
-    cli, fans and scheme modules."""
+    cli, fans, scheme and monoids modules."""
     pkg = pathlib.Path(src) / "fanscheme"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
@@ -48,7 +59,7 @@ def load_tree(src, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return [importlib.import_module(name + "." + m)
-            for m in ("cones", "cli", "fans", "scheme")]
+            for m in ("cones", "cli", "fans", "scheme", "monoids")]
 
 
 def outcome(fn, *args):
@@ -175,6 +186,44 @@ def system_answers(cli, fans, scheme, paths):
     return out
 
 
+class OverLimit(Exception):
+    """REV would list too many parallelepiped points for a cone."""
+
+
+def limit_listing(monoids):
+    """Make monoids._parallelepiped_points raise OverLimit, before listing
+    a point, on a simplex of multiplicity above HILBERT_POINTS."""
+    real = monoids._parallelepiped_points
+
+    def limited(rays, n, *rest):
+        d = monoids.smith_rows(rays, n)[0]
+        if math.prod(d[i][i] for i in range(len(rays))) > HILBERT_POINTS:
+            raise OverLimit()
+        return real(rays, n, *rest)
+
+    monoids._parallelepiped_points = limited
+
+
+def hilbert_answers(cones, monoids, corpus, skip=()):
+    """dual_monoid and _cone_lattice_hilbert of each (rank, generators) of
+    the corpus; a "skipped" row for a position in skip or over the limit."""
+    out = []
+    for i, (n, gens) in enumerate(corpus):
+        if i in skip:
+            out.append(("skipped", n, gens))
+            continue
+        c = cones.cone_from_rays(n, gens)
+        kind, m = outcome(monoids.dual_monoid, c)
+        if kind == "ok":
+            m = (m.generators, m.hilbert_pointed, m.hilbert_lineality,
+                 m.diff_basis, fields(m.cone))
+        answer = ("hilbert", n, gens, kind, m,
+                  *outcome(monoids._cone_lattice_hilbert, c))
+        out.append(("skipped", n, gens) if "OverLimit" in (answer[3], answer[5])
+                   else answer)
+    return out
+
+
 def first_difference(old, new, rev):
     if len(old) != len(new):
         return "the answer counts, %d and %d" % (len(old), len(new))
@@ -216,10 +265,18 @@ def main():
             runs += argvs(path, len(doc["cones"]), bases)
 
         answers = []
-        for cones, cli, fans, scheme in trees:
+        for cones, cli, fans, scheme, _ in trees:
             answers.append(cone_answers(cones, random.Random(args.seed), args.cones)
                            + cli_answers(cli, runs)
                            + system_answers(cli, fans, scheme, paths))
+        pointed = [(a[1], a[2]) for a in answers[0] if a[0] == "cone"
+                   and a[3] == "ok" and not a[4][2] and a[1] <= HILBERT_RANK]
+        (rev_cones, *_, rev_monoids), (cones, *_, monoids) = trees
+        limit_listing(rev_monoids)
+        hilbert = hilbert_answers(rev_cones, rev_monoids, pointed)
+        skip = {i for i, a in enumerate(hilbert) if a[0] == "skipped"}
+        answers[0] += hilbert
+        answers[1] += hilbert_answers(cones, monoids, pointed, skip)
     old, new = answers
     cone_rows = [a for a in new if a[0] == "cone" and a[3] == "ok"]
     with_lin = sum(1 for a in cone_rows if a[4][2])
@@ -234,6 +291,8 @@ def main():
     print("chart systems %d: %d labels, %d separation pairs, %d immersion witnesses"
           % (len(systems), sum(a[2] for a in systems),
              sum(len(a[5]) for a in systems), sum(len(a[6]) for a in systems)))
+    print("hilbert bases of %d pointed cones, %d skipped (over %d points at %s)"
+          % (len(pointed) - len(skip), len(skip), HILBERT_POINTS, args.rev))
     diff = first_difference(old, new, args.rev)
     if diff:
         print("DIFFERENT, first at " + diff)
