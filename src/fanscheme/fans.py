@@ -19,7 +19,13 @@ from .cones import (
     Polycone,
     witness_covector,
 )
-from .lattice import complement_coordinates, saturate_rows, smith_rows
+from .lattice import (
+    _echelon,
+    complement_coordinates,
+    identity_rows,
+    saturate_rows,
+    transpose_rows,
+)
 
 
 class FanError(ValueError):
@@ -239,13 +245,19 @@ class RegularityReport:
 
 
 def is_regular(fan):
-    """Check that each cone's rays extend to a basis of the lattice."""
+    """Check that each cone's rays extend to a basis of the lattice.
+
+    Independent rays extend to a basis exactly when their columns span
+    ZZ^k, k the number of rays: when the Hermite form of the transpose has
+    the identity on top.
+    """
     entries = []
     for c in fan.cones:
-        ok = len(c.rays) == c.dim
-        if ok and c.rays:
-            d = smith_rows([list(r) for r in c.rays], fan.rank)[0]
-            ok = all(d[i][i] == 1 for i in range(len(c.rays)))
+        k = len(c.rays)
+        ok = k == c.dim
+        if ok and k:
+            h = _echelon(transpose_rows(c.rays, fan.rank), k)[0]
+            ok = h[:k] == identity_rows(k)
         entries.append((c, ok))
     return RegularityReport(
         regular=all(ok for _, ok in entries), entries=tuple(entries)

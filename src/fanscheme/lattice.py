@@ -146,102 +146,43 @@ def rank_rows(rows, cols):
     return len(_echelon(rows, cols)[1])
 
 
+def _is_diagonal(d):
+    return all(x == 0 for i, r in enumerate(d) for j, x in enumerate(r) if i != j)
+
+
 def smith_rows(rows, cols):
     """Smith normal form with transforms.
 
     Returns (d, p, q): p and q unimodular with p * rows * q == d, where d is
     diagonal with nonnegative entries and each diagonal entry divides the
     next one.
+
+    Row and column Hermite passes alternate until d is diagonal (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979): p rides along the row pass as
+    appended columns, and the column pass is a row pass on the transpose,
+    with q transposed riding along.  Each pass leaves positive pivots and
+    the nonzero rows or columns first.  Where d[i][i] does not divide
+    d[i+1][i+1], column i+1 is added to column i, and the passes turn that
+    pair into its gcd and lcm; d[i][i] shrinks each time, so the loop ends.
     """
     nr = len(rows)
-    d = [list(r) for r in rows]
-    p = identity_rows(nr)
-    q = identity_rows(cols)
-
-    def row_combine(i, k, c):
-        di, dk = d[i], d[k]
-        for j in range(cols):
-            di[j] -= c * dk[j]
-        pi, pk = p[i], p[k]
-        for j in range(nr):
-            pi[j] -= c * pk[j]
-
-    def col_combine(j, k, c):
-        for r in d:
-            r[j] -= c * r[k]
-        for r in q:
-            r[j] -= c * r[k]
-
-    def row_swap(i, k):
-        d[i], d[k] = d[k], d[i]
-        p[i], p[k] = p[k], p[i]
-
-    def col_swap(j, k):
-        for r in d:
-            r[j], r[k] = r[k], r[j]
-        for r in q:
-            r[j], r[k] = r[k], r[j]
-
-    t = 0
-    while t < nr and t < cols:
-        best_i, best_j = -1, -1
-        for i in range(t, nr):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best_i < 0 or abs(d[i][j]) < abs(d[best_i][best_j])):
-                    best_i, best_j = i, j
-        if best_i < 0:
-            break
-        if best_i != t:
-            row_swap(t, best_i)
-        if best_j != t:
-            col_swap(t, best_j)
-        while True:
-            again = False
-            for i in range(t + 1, nr):
-                if d[i][t] != 0:
-                    row_combine(i, t, d[i][t] // d[t][t])
-                    if d[i][t] != 0:
-                        # the remainder is strictly smaller; make it the pivot
-                        row_swap(t, i)
-                        again = True
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    col_combine(j, t, d[t][j] // d[t][t])
-                    if d[t][j] != 0:
-                        col_swap(t, j)
-                        again = True
-            if not again:
-                break
-        t += 1
-
-    rank = t
-    for i in range(rank):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            p[i] = [-x for x in p[i]]
-    # enforce d[i][i] | d[i+1][i+1] with an explicit unimodular 2x2 fix that
-    # replaces diag(a, b) by diag(gcd, a*b/gcd); each fix strictly shrinks
-    # d[i][i], a lexicographic descent, so the loop terminates
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
-            if b % a == 0:
+    d, p, qt = [list(r) for r in rows], identity_rows(nr), identity_rows(cols)
+    while True:
+        h = _echelon([r + e for r, e in zip(d, p)], cols)[0]
+        d, p = [r[:cols] for r in h], [r[cols:] for r in h]
+        if not _is_diagonal(d):
+            h = _echelon([c + e for c, e in zip(transpose_rows(d, cols), qt)], nr)[0]
+            d, qt = transpose_rows([r[:nr] for r in h], nr), [r[nr:] for r in h]
+            if not _is_diagonal(d):
                 continue
-            g, s, tt = xgcd(a, b)
-            af, bf = a // g, b // g
-            new_pi = [s * x + tt * y for x, y in zip(p[i], p[i + 1])]
-            new_pj = [-bf * x + af * y for x, y in zip(p[i], p[i + 1])]
-            p[i], p[i + 1] = new_pi, new_pj
-            d[i][i], d[i][i + 1] = g, 0
-            d[i + 1][i], d[i + 1][i + 1] = 0, af * b
-            for r in q:
-                ci, cj = r[i], r[i + 1]
-                r[i] = ci + cj
-                r[i + 1] = -tt * bf * ci + s * af * cj
-            changed = True
-    return d, p, q
+        for i in range(min(nr, cols) - 1):
+            a, b = d[i][i], d[i + 1][i + 1]
+            if a and b % a:
+                d[i + 1][i] = b
+                qt[i] = [x + y for x, y in zip(qt[i], qt[i + 1])]
+                break
+        else:
+            return d, p, transpose_rows(qt, cols)
 
 
 def kernel_rows(rows, cols):
@@ -333,17 +274,59 @@ def unimodular_complement_rows(basis, n):
     """Extend a saturated basis to a full unimodular n x n matrix.
 
     The first len(basis) rows of the result are exactly `basis`; the added
-    rows come from the inverse column transform of the Smith decomposition.
-    Raises ValueError if the rows are dependent or the lattice they span is
-    not saturated (some invariant factor != 1).
+    rows are rows of the inverse of a unimodular column transform q that
+    takes basis * q to a diagonal of units.  q comes from a Euclid loop
+    that takes the least entry of the remaining block as pivot, not from
+    smith_rows, whose transforms give other rows: fullify prints these
+    rows, and the chart of every non-full cone is lifted along them.
+    Raises ValueError if the rows are dependent or the lattice they span
+    is not saturated (some invariant factor != 1).
     """
     k = len(basis)
     if k == 0:
         return identity_rows(n)
-    d, _, q = smith_rows(basis, n)
-    for i in range(k):
-        if d[i][i] != 1:
-            raise ValueError("basis rows must be independent and saturated")
+    bad = ValueError("basis rows must be independent and saturated")
+    if k > n:
+        raise bad
+    d = [list(r) for r in basis]
+    q = identity_rows(n)
+
+    def col_combine(j, t, c):
+        # column j -= c * column t, in d and q
+        for r in d + q:
+            r[j] -= c * r[t]
+
+    def col_swap(j, t):
+        for r in d + q:
+            r[j], r[t] = r[t], r[j]
+
+    for t in range(k):
+        least = [(abs(x), i, j) for i in range(t, k)
+                 for j, x in enumerate(d[i]) if j >= t and x]
+        if not least:
+            raise bad
+        _, i, j = min(least)
+        d[t], d[i] = d[i], d[t]
+        col_swap(t, j)
+        again = True
+        while again:
+            again = False
+            for i in range(t + 1, k):
+                if d[i][t]:
+                    c = d[i][t] // d[t][t]
+                    d[i] = [a - c * b for a, b in zip(d[i], d[t])]
+                    if d[i][t]:
+                        # the remainder is strictly smaller; make it the pivot
+                        d[t], d[i] = d[i], d[t]
+                        again = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    col_combine(j, t, d[t][j] // d[t][t])
+                    if d[t][j]:
+                        col_swap(t, j)
+                        again = True
+        if abs(d[t][t]) != 1:
+            raise bad
     qinv = invert_unimodular_rows(q)
     return [list(r) for r in basis] + [list(qinv[i]) for i in range(k, n)]
 

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+import helpers
 from fanscheme.cli import entry
+from fanscheme.cones import cone_from_rays, dual_cone
 
 
 def write_fan(tmp_path, rank, ray_lists, name="fan.json", options=None):
@@ -449,6 +451,23 @@ def test_hilbert_bases_past_the_budget_exit_one(tmp_path, capsys):
             "Hilbert basis needs more than 100000 parallelepiped points (the "
             "simplices to enumerate have multiplicity 8000001 in total)\n"
         )
+
+
+def test_dual_of_a_rank_five_cone_finishes(tmp_path, capsys):
+    # the Smith form of a quotient of this cone's dual once grew without
+    # bound; cone 15 is the 4-ray cone, the top of the 16 cones after closing
+    rays = [(-3, 2, 0, -2, 3), (3, 3, 3, -1, 1), (2, 1, -2, 1, 3), (1, -3, 0, 0, 2)]
+    path = write_fan(tmp_path, 5, [rays])
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "dual", "--fan", path, "--cone", "15")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    doc = json.loads(out)
+    dual = dual_cone(cone_from_rays(5, rays)).generator_rows()
+    pointed = [tuple(int(x) for x in g) for g in doc["hilbert_basis"]]
+    assert pointed and doc["lineality_basis"]
+    for g in pointed:
+        assert helpers.fm_cone_contains(dual, g, 5), g
 
 
 def test_cli_survives_fuzzed_documents(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from fanscheme.lattice import (
     dot,
     hermite_normal_form,
     hnf_rows,
+    identity_rows,
     invariant_factors,
     invert_unimodular_rows,
     kernel_basis,
@@ -116,6 +118,20 @@ def test_unimodular_complement_known():
         unimodular_complement_rows([(2, 0)], 2)
     with pytest.raises(ValueError):
         unimodular_complement_rows([(1, 0), (2, 0)], 2)
+    with pytest.raises(ValueError, match="independent and saturated"):
+        unimodular_complement_rows([(1, 0), (0, 1), (1, 1)], 2)
+    # fullify prints these rows and charts of non-full cones are lifted
+    # along them; a complement read off smith_rows would differ, e.g. give
+    # (-27, 4, 41, 74, 19), e_3, e_4, e_5 for the rank-5 basis
+    for basis, added in [
+        ([(2, 4, -3)], [[0, 1, 0], [1, 2, -2]]),
+        ([(115, -17, -175, -314, -83)],
+         [[-7, 1, 0, 0, 0], [1, 0, 43, 0, 0], [0, 0, 1, 104, 0], [0, 0, 0, 1, 41]]),
+        ([(1, 3, -1), (0, 15, -4)], [[0, -4, 1]]),
+        ([(3, 0, 1), (0, 1, -1)], [[1, 0, 0]]),
+    ]:
+        n = len(basis[0])
+        assert unimodular_complement_rows(basis, n) == [list(r) for r in basis] + added
 
 
 def test_intmatrix_validation():
@@ -143,6 +159,20 @@ def test_degenerate_shapes():
     assert solve_left_rows([], 2, (1, 0)) is None
     d, p, q = smith_rows([], 2)
     assert d == [] and p == [] and q == [[1, 0], [0, 1]]
+
+
+def test_smith_of_a_matrix_whose_entries_grew_without_bound():
+    # the quotient image of the dual of the rank-5 cone on (-3,2,0,-2,3),
+    # (3,3,3,-1,1), (2,1,-2,1,3), (1,-3,0,0,2); a Euclid loop on the least
+    # entry grew a quotient to millions of bits here and did not finish
+    m = [[-4755816, -1119017, -839196, -566331], [391756, 92178, 69128, 46651],
+         [1495930, 351984, 263967, 178138], [2280139, 536504, 402346, 271523]]
+    start = time.perf_counter()
+    d, p, q = smith_rows(m, 4)
+    assert time.perf_counter() - start < 1
+    assert helpers.mat_mult(helpers.mat_mult(p, m, 4), q, 4) == d
+    assert helpers.is_unimodular(p) and helpers.is_unimodular(q)
+    assert d == identity_rows(4)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +339,42 @@ def test_smith_diagonal_matches_sympy_invariant_factors():
         want = [int(x) for x in sympy_factors(matrix)]
         want += [0] * (k - len(want))
         assert [d[i][i] for i in range(k)] == want, rows
+
+
+def test_smith_of_large_entries_matches_sympy_invariant_factors():
+    # U * D * V with U, V products of three unit triangular matrices with
+    # entries in [-9, 9]: 4 x 4 and 5 x 5 matrices with 6- to 8-digit
+    # entries and known invariant factors D
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    def unit_triangular(rng, n, lower):
+        return [[1 if i == j else rng.randint(-9, 9) * ((i > j) == lower)
+                 for j in range(n)] for i in range(n)]
+
+    def unimodular(rng, n):
+        u = unit_triangular(rng, n, True)
+        for lower in (False, True):
+            u = helpers.mat_mult(u, unit_triangular(rng, n, lower), n)
+        return u
+
+    rng = random.Random(9013)
+    for case in range(12):
+        n = 4 + case % 2
+        factors = [1]
+        for _ in range(n - 1):
+            factors.append(factors[-1] * rng.choice((1, 2, 3, 5)))
+        diag = [[factors[i] * (i == j) for j in range(n)] for i in range(n)]
+        m = helpers.mat_mult(helpers.mat_mult(unimodular(rng, n), diag, n),
+                             unimodular(rng, n), n)
+        assert 10 ** 5 <= max(abs(x) for r in m for x in r) < 10 ** 8
+        start = time.perf_counter()
+        d, p, q = smith_rows(m, n)
+        assert time.perf_counter() - start < 1
+        assert helpers.mat_mult(helpers.mat_mult(p, m, n), q, n) == d
+        assert helpers.is_unimodular(p) and helpers.is_unimodular(q)
+        want = [int(x) for x in sympy_factors(sympy.Matrix(m))]
+        assert [d[i][i] for i in range(n)] == want == factors, m
 
 
 def test_hnf_spans_the_row_lattice_of_the_sympy_hermite_form():

@@ -9,6 +9,9 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
 - random cones of rank 1-5, many with lineality, through cone_from_rays,
   with all four fields compared, and each consecutive pair of equal rank
   through intersect_cones and separating_covector;
+- lattice.unimodular_complement_rows on the lineality basis and on the
+  saturated span of each of those cones: fullify prints these rows, and
+  the chart of a non-full cone is lifted along them;
 - command lines of every subcommand, with and without --no-auto-close,
   over random fan documents (complete, non-full, non-pointed, embedded,
   empty, crossing and malformed ones), with stdout, stderr and the exit
@@ -23,8 +26,10 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   list the parallelepiped of a simplex of multiplicity above
   HILBERT_POINTS: a random cone of rank 4 can have a dual simplex of
   multiplicity in the millions, which REV may enumerate point by point.
-  Rank 5 is left out because lattice.smith_rows can take minutes on the
-  dual cones of some of those cones.
+  Rank 5 is left out only because a REV from before smith_rows was built
+  on Hermite passes can take minutes on the Smith forms of the dual cones
+  of some rank-5 cones; against a REV that has those passes, HILBERT_RANK
+  can be raised to 5.
 
 Prints the counts and the first difference, and exits 1 on any
 difference.  Standard library only.
@@ -51,7 +56,7 @@ HILBERT_POINTS = 20000
 
 def load_tree(src, name):
     """Import the package under src/fanscheme as `name`; return its cones,
-    cli, fans, scheme and monoids modules."""
+    cli, fans, scheme, monoids and lattice modules."""
     pkg = pathlib.Path(src) / "fanscheme"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
@@ -59,7 +64,7 @@ def load_tree(src, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return [importlib.import_module(name + "." + m)
-            for m in ("cones", "cli", "fans", "scheme", "monoids")]
+            for m in ("cones", "cli", "fans", "scheme", "monoids", "lattice")]
 
 
 def outcome(fn, *args):
@@ -86,8 +91,9 @@ def random_generators(rng, n):
     return gens
 
 
-def cone_answers(cones, rng, count):
-    """Answers of one tree on `count` seeded cones, with the pairs."""
+def cone_answers(cones, lattice, rng, count):
+    """Answers of one tree on `count` seeded cones, with the pairs and the
+    complements."""
     out, made = [], []
     for _ in range(count):
         n = rng.randint(1, 5) if not made or rng.random() < 0.5 else made[-1][0]
@@ -96,6 +102,10 @@ def cone_answers(cones, rng, count):
         out.append(("cone", n, gens, kind, fields(c) if kind == "ok" else c))
         if kind != "ok":
             continue
+        span = lattice.saturate_rows(c.rays + c.lineality, n)
+        out.append(("complement", n, gens,
+                     *outcome(lattice.unimodular_complement_rows, c.lineality, n),
+                     *outcome(lattice.unimodular_complement_rows, span, n)))
         if made and made[-1][0] == n:
             a = made[-1][1]
             kind, both = outcome(cones.intersect_cones, a, c)
@@ -265,13 +275,13 @@ def main():
             runs += argvs(path, len(doc["cones"]), bases)
 
         answers = []
-        for cones, cli, fans, scheme, _ in trees:
-            answers.append(cone_answers(cones, random.Random(args.seed), args.cones)
+        for cones, cli, fans, scheme, _, lattice in trees:
+            answers.append(cone_answers(cones, lattice, random.Random(args.seed), args.cones)
                            + cli_answers(cli, runs)
                            + system_answers(cli, fans, scheme, paths))
         pointed = [(a[1], a[2]) for a in answers[0] if a[0] == "cone"
                    and a[3] == "ok" and not a[4][2] and a[1] <= HILBERT_RANK]
-        (rev_cones, *_, rev_monoids), (cones, *_, monoids) = trees
+        (rev_cones, *_, rev_monoids, _), (cones, *_, monoids, _) = trees
         limit_listing(rev_monoids)
         hilbert = hilbert_answers(rev_cones, rev_monoids, pointed)
         skip = {i for i, a in enumerate(hilbert) if a[0] == "skipped"}
@@ -281,9 +291,11 @@ def main():
     cone_rows = [a for a in new if a[0] == "cone" and a[3] == "ok"]
     with_lin = sum(1 for a in cone_rows if a[4][2])
     codes = [a[2] for a in new if isinstance(a[0], list)]
-    print("cones %d (%d with lineality), intersections %d, covectors %d"
+    print("cones %d (%d with lineality), intersections %d, covectors %d, "
+          "complements %d"
           % (len(cone_rows), with_lin, sum(a[0] == "meet" for a in new),
-             sum(a[0] == "covector" for a in new)))
+             sum(a[0] == "covector" for a in new),
+             2 * sum(a[0] == "complement" for a in new)))
     print("cli runs %d on %d documents: exit 0 %d, exit 1 %d, exit 2 %d, raised %d"
           % (len(runs), args.fans, codes.count(0), codes.count(1), codes.count(2),
              sum(a[1] != "ok" for a in new if isinstance(a[0], list))))
