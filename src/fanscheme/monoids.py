@@ -368,7 +368,9 @@ def _membership_data(m):
 def monoid_contains(m, v):
     """Exact membership of an integer vector, complete in all cases.
 
-    Designated monoids are decided by splitting off the unit part: the
+    A cone monoid makes one cone test.  A designated monoid answers a query
+    that is one of its generators from the presentation, before any cone is
+    built; other queries are decided by splitting off the unit part: the
     monoid meets the lineality space of its support cone in exactly the
     lattice generated by its lineality generators (a monoid element with a
     rational inverse direction has an actual inverse in the monoid).  After
@@ -379,7 +381,10 @@ def monoid_contains(m, v):
     are nonnegative and in its lineality space when they are zero (Cox,
     Little and Schenck, Toric Varieties, 1.2).  A generator's values are
     nonnegative, so its feasible coefficients run from 0 to the least
-    quotient of a residue value by its positive value.  The values and the
+    quotient of a residue value by its positive value.  The last moving
+    generator needs no such range: at most one multiple of it zeroes the
+    residue values, the quotient at its first nonzero value, so one
+    comparison and one lattice test finish the search.  The values and the
     echelon basis of the lineality lattice are computed once per monoid
     (_membership_data); lattice membership is an integer reduction over
     that basis.
@@ -389,6 +394,8 @@ def monoid_contains(m, v):
         return True
     if m.cone is not None:
         return contains_point(m.cone, v)
+    if v in m.generators:
+        return True
     data = _membership_data(m)
     support = data["support"]
     if not contains_point(support, v):
@@ -402,9 +409,16 @@ def monoid_contains(m, v):
     def search(i, vals, rest):
         if not any(vals):
             return _echelon_coords(*lattice, rest) is not None
-        if i == len(moving):
-            return False
         g, gvals = moving[i]
+        if i == len(moving) - 1:
+            # one multiple of g at most zeroes the values, and it is
+            # nonnegative because the values are
+            k = next(k for k, y in enumerate(gvals) if y)
+            a = vals[k] // gvals[k]
+            if vals != tuple([a * y for y in gvals]):
+                return False
+            rest = tuple([x - a * y for x, y in zip(rest, g)])
+            return _echelon_coords(*lattice, rest) is not None
         for a in range(min(x // y for x, y in zip(vals, gvals) if y) + 1):
             new_vals = tuple([x - a * y for x, y in zip(vals, gvals)])
             new_rest = tuple([x - a * y for x, y in zip(rest, g)])

@@ -41,6 +41,7 @@ from helpers import (
     fm_cone_contains,
     frac_rank,
     height_one_member,
+    lattice_coords_rows,
     random_unimodular,
     solve_left_rows,
 )
@@ -689,10 +690,17 @@ def random_height_one_monoid(rng, n):
         unit = tuple(rng.randint(-2, 2) for _ in range(n - 1))
         if not any(unit):
             unit = (1,) + (0,) * (n - 2)
+    gens = height_one_generators(points, unit)
+    return points, unit, AffineMonoid.from_generators(n, gens)
+
+
+def height_one_generators(points, unit):
+    """The generators (1, p) for p in points and, when unit is given,
+    (0, unit) and (0, -unit)."""
     gens = [(1,) + p for p in points]
     if unit is not None:
         gens += [(0,) + unit, (0,) + tuple(-x for x in unit)]
-    return points, unit, AffineMonoid.from_generators(n, gens)
+    return gens
 
 
 def random_query(rng, points, n):
@@ -762,23 +770,124 @@ def test_membership_in_embedded_monoids_matches_enumeration():
 
 
 def test_designated_membership_tests_the_support_once(monkeypatch):
-    # the first query builds the support cone; from then on each query
-    # makes one cone test, and the search reads values on its normals
+    # a generator is a member with no cone test; every other nonzero query
+    # makes one cone test, the first of them builds the support cone, and
+    # the search reads values on its normals
     calls = count_calls(monkeypatch, monoids, "cone_from_rays", "contains_point")
     rng = random.Random(6065)
-    queries = 0
+    queries = generators = searched = 0
     for _ in range(20):
         points, unit, n, image, m = random_embedded_monoid(rng)
         built = len(calls["cone_from_rays"])
-        for _ in range(20):
-            x = random_query(rng, points, n) + (0,) * (m.ambient_rank - n)
+        reached = False
+        xs = [random_query(rng, points, n) for _ in range(20)]
+        xs += height_one_generators(points, unit)
+        rng.shuffle(xs)
+        for x in xs:
+            x += (0,) * (m.ambient_rank - n)
+            v = image(x)
             before = len(calls["contains_point"])
             expected = height_one_member(points, unit, x[:n])
-            assert monoid_contains(m, image(x)) == expected
-            assert len(calls["contains_point"]) == before + any(x)
-            queries += any(x)
-        assert len(calls["cone_from_rays"]) == built + 1
-    assert queries >= 300
+            assert monoid_contains(m, v) == expected
+            generator = v in m.generators
+            asked = any(x) and not generator
+            assert len(calls["contains_point"]) == before + asked
+            reached |= asked
+            queries += asked
+            generators += generator
+        assert len(calls["cone_from_rays"]) == built + reached
+        searched += reached
+    assert queries >= 300 and generators >= 40 and searched == 20
+
+
+def test_a_monoid_asked_only_about_its_generators_builds_no_support(monkeypatch):
+    calls = count_calls(monkeypatch, monoids, "cone_from_rays", "contains_point")
+    rng = random.Random(6066)
+    for _ in range(40):
+        _, _, _, _, m = random_embedded_monoid(rng)
+        for g in m.generators:
+            assert monoid_contains(m, g)
+            assert monoid_contains(m, list(g))
+        assert m._data == {}
+    assert calls == {"cone_from_rays": [], "contains_point": []}
+
+
+def test_the_solved_last_coefficient_matches_enumeration():
+    # the search solves for the coefficient of its last moving generator;
+    # with a single moving generator that level is also the first
+    rng = random.Random(6067)
+    seen = collections.Counter()
+    for _ in range(200):
+        points, unit, n, image, m = random_embedded_monoid(rng)
+        rank = m.ambient_rank
+        gens = [g + (0,) * (rank - n) for g in height_one_generators(points, unit)]
+        xs = list(gens)
+        for _ in range(12):
+            x = [0] * rank
+            for g in gens:
+                a = rng.randint(0, 3)
+                x = [p + a * q for p, q in zip(x, g)]
+            x[rng.randrange(rank)] += rng.choice((-1, 0, 1))
+            xs.append(tuple(x))
+        for x in xs:
+            expected = not any(x[n:]) and height_one_member(points, unit, x[:n])
+            assert monoid_contains(m, image(x)) == expected, (m.generators, x)
+            seen["member"] += expected
+            seen["off the lattice"] += lattice_coords_rows(gens, rank, x) is None
+        seen["generators"] += len(gens)
+        seen["single moving"] += len(monoids._membership_data(m)["moving"]) == 1
+        seen["units"] += unit is not None
+    assert seen["single moving"] >= 20 and seen["units"] >= 40
+    assert seen["member"] >= 1000 and seen["off the lattice"] >= 500
+    assert seen["generators"] >= 400
+
+
+FOUND_RANK_FOUR = [(-2, -4, 4, 0), (1, 9, -8, 0), (2, -7, 5, 0), (4, 2, -3, 0)]
+
+
+def degree_bounded_member(gens, degree, v):
+    """Is v a sum of gens, each of positive degree?  Every sum giving v has
+    coefficients a_i with sum(a_i * degree(g_i)) == degree(v): each such
+    choice of all coefficients but the last is tried, and what is left must
+    then be the last generator times the degree left over its degree."""
+    def deg(x):
+        return sum(map(operator.mul, degree, x))
+
+    assert all(deg(g) > 0 for g in gens)
+    *first, last = gens
+
+    def tries(i, rest, left):
+        if i == len(first):
+            c, r = divmod(left, deg(last))
+            return r == 0 and rest == tuple(c * x for x in last)
+        g = first[i]
+        return any(
+            tries(i + 1, tuple(x - a * y for x, y in zip(rest, g)), left - a * deg(g))
+            for a in range(left // deg(g) + 1)
+        )
+
+    return tries(0, tuple(v), deg(v))
+
+
+def test_membership_in_the_rank_four_monoid_matches_enumeration():
+    # the monoid on which 20 queries once took 16.7 s; its support is
+    # three-dimensional, so the degree is the sum of the three normals
+    m = AffineMonoid.from_generators(4, FOUND_RANK_FOUR)
+    degree = tuple(map(sum, zip(*monoids._support(m).normals)))
+    assert degree == (-15, -40, -47, 0)
+    gens = sorted(FOUND_RANK_FOUR, key=lambda g: -sum(map(operator.mul, degree, g)))
+    rng = random.Random(3)
+    answers = []
+    while len(answers) < 20:
+        v = [0] * 4
+        for g in FOUND_RANK_FOUR:
+            a = rng.randint(0, 8)
+            v = [x + a * y for x, y in zip(v, g)]
+        v = tuple(x + rng.choice((-1, 0, 1)) for x in v[:3]) + (0,)
+        if fm_cone_contains(FOUND_RANK_FOUR, v, 4):
+            answers.append(monoid_contains(m, v))
+            assert answers[-1] == degree_bounded_member(gens, degree, v), v
+    assert 0 < sum(answers) < 20
 
 
 def test_membership_data_is_computed_once_per_monoid(monkeypatch):

@@ -20,6 +20,13 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   the order and meets of MonoidSystem.from_fan, the entries of
   check_separation_condition and the witnesses of is_openly_immersive,
   none of which the CLI prints;
+- MONOIDS seeded designated monoids of rank 2-4, some with a pair v, -v
+  and some with a generator replaced by its doubles and triples, which
+  are seldom normal: monoid_contains on every generator, on sums of the
+  generators and on those sums with noise, is_integrally_closed,
+  hilbert_basis (its value or its ValueError) and
+  check_openly_immersive_pair on m + NN*(-g) and m for a generator g, and
+  on m + NN*h and m for a noisy sum h;
 - the Hilbert bases of each pointed cone of the cone corpus of rank at
   most HILBERT_RANK, through dual_monoid (all its fields) and
   _cone_lattice_hilbert.  A cone is skipped in both trees when REV would
@@ -52,6 +59,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HILBERT_RANK = 4
 HILBERT_POINTS = 20000
+MONOIDS = 600
 
 
 def load_tree(src, name):
@@ -196,6 +204,55 @@ def system_answers(cli, fans, scheme, paths):
     return out
 
 
+def random_monoid(rng):
+    """(rank, generators, kind) of a seeded designated monoid of rank 2-4:
+    a few small vectors, with a pair v, -v four times in ten and, half the
+    time, one of them g replaced by 2g and 3g, which seldom leaves the
+    monoid normal."""
+    n = rng.randint(2, 4)
+    gens = [vec(rng, n, 2) for _ in range(rng.randint(1, 4))]
+    pair = rng.random() < 0.4
+    if pair:
+        v = vec(rng, n, 2)
+        gens += [v, tuple(-x for x in v)]
+    scaled = rng.random() < 0.5
+    if scaled:
+        g = gens.pop(rng.randrange(len(gens)))
+        gens += [tuple(2 * x for x in g), tuple(3 * x for x in g)]
+    return n, gens, ("pair" if pair else "") + ("scaled" if scaled else "")
+
+
+def membership_answers(monoids, rng, count):
+    """Membership of generators, sums and noisy sums, closedness, the
+    Hilbert basis, and the immersion of m into m + NN*(-g) for a generator
+    g and into m + NN*h for a noisy sum h, on `count` seeded designated
+    monoids."""
+    out = []
+    for _ in range(count):
+        n, gens, kind = random_monoid(rng)
+        m = monoids.AffineMonoid.from_generators(n, gens)
+        queries = [("generator", g) for g in m.generators]
+        for _ in range(6):
+            s = [0] * n
+            for g in m.generators:
+                a = rng.randint(0, 3)
+                s = [x + a * y for x, y in zip(s, g)]
+            queries.append(("sum", tuple(s)))
+            queries.append(("noise", tuple(x + rng.randint(-1, 1) for x in s)))
+        out.append(("monoid", n, gens, kind,
+                    [(q, v, monoids.monoid_contains(m, v)) for q, v in queries],
+                    monoids.is_integrally_closed(m),
+                    *outcome(monoids.hilbert_basis, m)))
+        if m.generators:
+            # inverting a generator, and adjoining a noisy sum, which may
+            # change the group or leave no witness
+            for g in (tuple(-x for x in rng.choice(m.generators)), queries[-1][1]):
+                target = monoids.AffineMonoid.from_generators(n, m.generators + (g,))
+                c = monoids.check_openly_immersive_pair(target, m)
+                out.append(("immersion", n, gens, g, c.verdict, c.witness, c.reason))
+    return out
+
+
 class OverLimit(Exception):
     """REV would list too many parallelepiped points for a cone."""
 
@@ -275,10 +332,12 @@ def main():
             runs += argvs(path, len(doc["cones"]), bases)
 
         answers = []
-        for cones, cli, fans, scheme, _, lattice in trees:
+        for cones, cli, fans, scheme, monoids, lattice in trees:
             answers.append(cone_answers(cones, lattice, random.Random(args.seed), args.cones)
                            + cli_answers(cli, runs)
-                           + system_answers(cli, fans, scheme, paths))
+                           + system_answers(cli, fans, scheme, paths)
+                           + membership_answers(monoids, random.Random(args.seed),
+                                                MONOIDS))
         pointed = [(a[1], a[2]) for a in answers[0] if a[0] == "cone"
                    and a[3] == "ok" and not a[4][2] and a[1] <= HILBERT_RANK]
         (rev_cones, *_, rev_monoids, _), (cones, *_, monoids, _) = trees
@@ -303,6 +362,20 @@ def main():
     print("chart systems %d: %d labels, %d separation pairs, %d immersion witnesses"
           % (len(systems), sum(a[2] for a in systems),
              sum(len(a[5]) for a in systems), sum(len(a[6]) for a in systems)))
+    monoid_rows = [a for a in new if a[0] == "monoid"]
+    queries = [q for a in monoid_rows for q in a[4]]
+    verdicts = [a[4] for a in new if a[0] == "immersion"]
+    print("designated monoids %d (%d with a pair v, -v, %d with 2g and 3g, %d not "
+          "integrally closed, %d without a Hilbert basis): %d queries (%d generators, "
+          "%d sums, %d noisy sums; %d members), immersion pairs %d: yes %d, no %d, "
+          "unknown %d"
+          % (len(monoid_rows), sum("pair" in a[3] for a in monoid_rows),
+             sum("scaled" in a[3] for a in monoid_rows),
+             sum(not a[5] for a in monoid_rows),
+             sum(a[6] != "ok" for a in monoid_rows), len(queries),
+             *(sum(q[0] == k for q in queries) for k in ("generator", "sum", "noise")),
+             sum(q[2] for q in queries), len(verdicts),
+             *(verdicts.count(k) for k in ("yes", "no", "unknown"))))
     print("hilbert bases of %d pointed cones, %d skipped (over %d points at %s)"
           % (len(pointed) - len(skip), len(skip), HILBERT_POINTS, args.rev))
     diff = first_difference(old, new, args.rev)
