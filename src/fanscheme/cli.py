@@ -1,11 +1,11 @@
 """JSON command line for fans, chart monoids, and property reports.
 
 Exit codes: 0 on success, 1 for unreadable or malformed documents, usage
-errors and Hilbert bases over their work budget
-(monoids.HILBERT_POINT_BUDGET), 2 when the input is well-formed but
-mathematically rejected (fan validation failures, inconsistent base
-descriptions).  Integer vectors travel as arrays of decimal strings; plain
-integers are accepted on input.
+errors, Hilbert bases over their work budget (monoids.HILBERT_POINT_BUDGET)
+and output integers past the interpreter's int/str digit limit, 2 when the
+input is well-formed but mathematically rejected (fan validation failures,
+inconsistent base descriptions).  Integer vectors travel as arrays of
+decimal strings; plain integers are accepted on input.
 """
 
 import argparse
@@ -29,7 +29,9 @@ from .monoids import HilbertBudgetError, _cone_lattice_hilbert, dual_monoid
 from .scheme import (
     BaseDescriptor,
     InconsistentBaseError,
+    _DigitLimitError,
     _int_from_json,
+    _int_to_json,
     build_atlas,
     check_separation_condition,
     is_openly_immersive,
@@ -81,7 +83,7 @@ def _emit(payload):
 
 
 def _vec_json(v):
-    return [str(c) for c in v]
+    return [_int_to_json(c) for c in v]
 
 
 def _vecs_json(vs):
@@ -366,7 +368,7 @@ def entry(argv=None):
         return EXIT_DOCUMENT if e.code else EXIT_OK
     try:
         payload = args.run(args)
-    except (DocumentError, HilbertBudgetError) as e:
+    except (DocumentError, HilbertBudgetError, _DigitLimitError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_DOCUMENT
     except (FanError, InconsistentBaseError) as e:

@@ -220,8 +220,6 @@ def is_complete(fan):
     """
     index = validate_fan(fan)
     n = fan.rank
-    if n == 0:
-        return len(fan.cones) > 0
     tops = [c for c in fan.cones if c.dim == n]
     if not tops:
         return False

@@ -47,9 +47,7 @@ def dot(u, v):
 
 def primitive_vector(v):
     """Divide an integer vector by the gcd of its entries, keeping direction."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -194,8 +192,6 @@ def kernel_rows(rows, cols):
     """
     h, u, _ = hnf_rows(rows, cols)
     rel = [u[i] for i in range(len(rows)) if not any(h[i])]
-    if not rel:
-        return []
     kh = _echelon(rel, len(rows))[0]
     return [row for row in kh if any(row)]
 
@@ -275,12 +271,15 @@ def unimodular_complement_rows(basis, n):
 
     The first len(basis) rows of the result are exactly `basis`; the added
     rows are rows of the inverse of a unimodular column transform q that
-    takes basis * q to a diagonal of units.  q comes from a Euclid loop
-    that takes the least entry of the remaining block as pivot, not from
-    smith_rows, whose transforms give other rows: fullify prints these
-    rows, and the chart of every non-full cone is lifted along them.
-    Raises ValueError if the rows are dependent or the lattice they span
-    is not saturated (some invariant factor != 1).
+    takes the canonical echelon form of the basis (_echelon), times q, to
+    a diagonal of units.  q comes from a Euclid loop that takes the least
+    entry of the remaining block as pivot, not from smith_rows, whose
+    transforms give other rows: fullify prints these rows, and the chart
+    of every non-full cone is lifted along them.  The loop can grow its
+    entries without bound on a basis that is not canonical; the package
+    passes canonical bases, whose rows the echelon pass keeps.  Raises
+    ValueError if the rows are dependent or the lattice they span is not
+    saturated (some invariant factor != 1).
     """
     k = len(basis)
     if k == 0:
@@ -288,7 +287,9 @@ def unimodular_complement_rows(basis, n):
     bad = ValueError("basis rows must be independent and saturated")
     if k > n:
         raise bad
-    d = [list(r) for r in basis]
+    d, pivot_cols = _echelon(basis, n)
+    if len(pivot_cols) < k:
+        raise bad
     q = identity_rows(n)
 
     def col_combine(j, t, c):
@@ -303,8 +304,6 @@ def unimodular_complement_rows(basis, n):
     for t in range(k):
         least = [(abs(x), i, j) for i in range(t, k)
                  for j, x in enumerate(d[i]) if j >= t and x]
-        if not least:
-            raise bad
         _, i, j = min(least)
         d[t], d[i] = d[i], d[t]
         col_swap(t, j)

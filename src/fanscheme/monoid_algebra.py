@@ -114,13 +114,13 @@ class AlgebraElement:
 
     @classmethod
     def from_terms(cls, ring, monoid, terms):
-        acc = {}
-        for e, c in terms:
+        def checked(e):
             e = tuple(e)
             if not monoid_contains(monoid, e):
                 raise ValueError("exponent is not in the monoid")
-            acc[e] = ring.add(acc.get(e, ring.zero), c)
-        return _assemble(ring, monoid, acc)
+            return e
+
+        return _collect(ring, monoid, ((checked(e), c) for e, c in terms))
 
     def _match(self, other):
         if not isinstance(other, AlgebraElement):
@@ -130,10 +130,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._match(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = self.ring.add(acc.get(e, self.ring.zero), c)
-        return _assemble(self.ring, self.monoid, acc)
+        return _collect(self.ring, self.monoid, self.terms + other.terms)
 
     def __neg__(self):
         return AlgebraElement(
@@ -153,7 +150,12 @@ class AlgebraElement:
         return not self.terms
 
 
-def _assemble(ring, monoid, acc):
+def _collect(ring, monoid, terms):
+    """The element with the given (exponent, coefficient) terms: equal
+    exponents summed in ring, zero sums dropped, exponents sorted."""
+    acc = {}
+    for e, c in terms:
+        acc[e] = ring.add(acc.get(e, ring.zero), c)
     terms = tuple((e, acc[e]) for e in sorted(acc) if not ring.is_zero(acc[e]))
     return AlgebraElement(ring=ring, monoid=monoid, terms=terms)
 
@@ -167,12 +169,11 @@ def multiply(a, b):
     """Convolution product; exponent sums stay in the monoid, so no
     membership recheck is needed."""
     a._match(b)
-    acc = {}
-    for e1, c1 in a.terms:
-        for e2, c2 in b.terms:
-            e = tuple(x + y for x, y in zip(e1, e2))
-            acc[e] = a.ring.add(acc.get(e, a.ring.zero), a.ring.mul(c1, c2))
-    return _assemble(a.ring, a.monoid, acc)
+    return _collect(a.ring, a.monoid, (
+        (tuple(x + y for x, y in zip(e1, e2)), a.ring.mul(c1, c2))
+        for e1, c1 in a.terms
+        for e2, c2 in b.terms
+    ))
 
 
 def augmentation(a):
@@ -200,7 +201,4 @@ def base_change(a, target, morphism=None):
         morphism = coefficient_morphism(a.ring, target)
     if morphism.source != a.ring or morphism.target != target:
         raise ValueError("morphism endpoints do not match")
-    acc = {}
-    for e, c in a.terms:
-        acc[e] = target.add(acc.get(e, target.zero), morphism(c))
-    return _assemble(target, a.monoid, acc)
+    return _collect(target, a.monoid, ((e, morphism(c)) for e, c in a.terms))

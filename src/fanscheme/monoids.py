@@ -9,9 +9,10 @@ this module rounds or bounds heuristically.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import gcd, prod
 from operator import ge, mul
 
@@ -86,9 +87,13 @@ class HilbertBudgetError(ValueError):
     exceeded it."""
 
     def __init__(self, bound, value):
+        try:
+            total = str(value)
+        except ValueError:  # past the interpreter's int/str digit limit
+            total = "of more than %d digits" % sys.get_int_max_str_digits()
         super().__init__(
             "Hilbert basis needs more than %d parallelepiped points (the "
-            "simplices to enumerate have multiplicity %d in total)" % (bound, value)
+            "simplices to enumerate have multiplicity %s in total)" % (bound, total)
         )
         self.bound = bound
         self.value = value
@@ -402,9 +407,6 @@ def monoid_contains(m, v):
         return False
     lattice = data["lineality"]
     moving = data["moving"]
-    if not moving:
-        # the support is a linear space, so v is in the monoid iff a unit
-        return _echelon_coords(*lattice, v) is not None
 
     def search(i, vals, rest):
         if not any(vals):
@@ -631,13 +633,18 @@ def check_openly_immersive_pair(target, source, search_bound=6):
     normal of the source cone that is not zero on F*.  Every such sum
     inverts to the same monoid, source + gp(F* meet source) (Bruns and
     Gubeladze, Polytopes, Rings, and K-Theory, 2009, ch. 2), so the first
-    one, in the order of combinations_with_replacement, decides: it is
-    the witness or there is none.  That is the first witness of the
-    search over all generators, because a sum of cone elements lies in a
-    face only if every summand does, the combinations of a subsequence
-    come in the same relative order, and no sum off the relative interior
-    inverts to the target.  The search ends by coefficient sum len(face),
-    whatever search_bound is.
+    one decides: it is the witness or there is none.  The search tries
+    sets of generators on F*, by size and then in the order of
+    combinations.  A sum is positive on such a normal when one of its
+    summands is, so a sum that repeats a generator lies in the relative
+    interior exactly when the sum of its set does, and that set has a
+    smaller coefficient sum: the first sum in the relative interior, by
+    coefficient sum and then in the order of combinations_with_replacement,
+    repeats none.  That is also the first witness of the search over all
+    generators, because a sum of cone elements lies in a face only if
+    every summand does, the combinations of a subsequence come in the same
+    relative order, and no sum off the relative interior inverts to the
+    target.  The search ends by size len(face), whatever search_bound is.
 
     Integral closedness is compared only when no witness is found: a
     localization of an integrally closed monoid is integrally closed, so
@@ -664,7 +671,7 @@ def check_openly_immersive_pair(target, source, search_bound=6):
 
     def interior_sums():
         for k in range(search_bound + 1):
-            for combo in combinations_with_replacement(face, k):
+            for combo in combinations(face, k):
                 t = sum_rows(combo, n)
                 if all(dot(u, t) > 0 for u in walls):
                     yield t

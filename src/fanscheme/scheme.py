@@ -81,7 +81,8 @@ class DimRange:
 
     def to_json(self):
         if self.kind == "range":
-            return [str(self.lo), "inf" if self.hi is None else str(self.hi)]
+            hi = "inf" if self.hi is None else _int_to_json(self.hi)
+            return [_int_to_json(self.lo), hi]
         return self.kind
 
 
@@ -259,6 +260,23 @@ def _int_from_json(value, what):
                 shown += "... (%d characters)" % len(value)
             raise ValueError("%s is not a decimal integer: %s" % (what, shown))
     raise ValueError("%s must be an integer or a decimal string" % what)
+
+
+class _DigitLimitError(ValueError):
+    """An output integer past the interpreter's int/str digit limit."""
+
+
+def _int_to_json(x):
+    """The decimal string of an output integer, or _DigitLimitError past
+    the interpreter's int/str digit limit.  The limit is process-wide, so
+    sys.set_int_max_str_digits is left alone."""
+    try:
+        return str(x)
+    except ValueError:
+        raise _DigitLimitError(
+            "an output integer has more than %d digits, the most this "
+            "interpreter writes" % sys.get_int_max_str_digits()
+        ) from None
 
 
 def _dim_from_json(value):
@@ -459,24 +477,15 @@ def is_openly_immersive(system, search_bound=6):
                 system.monoids[i], system.monoids[j], search_bound=search_bound
             )
         entries.append((i, j, check))
-    for i, j, check in entries:
-        if check.verdict == "no":
-            return SystemImmersionReport(
-                verdict=NO,
-                entries=tuple(entries),
-                reason="pair (%d, %d): %s" % (i, j, check.reason),
-            )
-    for i, j, check in entries:
-        if check.verdict == "unknown":
-            return SystemImmersionReport(
-                verdict=UNKNOWN,
-                entries=tuple(entries),
-                reason="pair (%d, %d): %s" % (i, j, check.reason),
-            )
+    entries = tuple(entries)
+    for verdict in (NO, UNKNOWN):
+        for i, j, check in entries:
+            if check.verdict == verdict:
+                return SystemImmersionReport(
+                    verdict, entries, "pair (%d, %d): %s" % (i, j, check.reason)
+                )
     return SystemImmersionReport(
-        verdict=YES,
-        entries=tuple(entries),
-        reason="every comparable pair is a witnessed localization",
+        YES, entries, "every comparable pair is a witnessed localization"
     )
 
 
@@ -554,8 +563,10 @@ def check_separation_condition(system):
 
     An explicit system settles a comparable pair outright: MonoidSystem
     admits one only when the lower chart contains the upper, so their sum
-    is the lower chart, which is their meet.  It compares the meet chart of
-    an incomparable pair with monoid_sum of the two charts by exact
+    is the lower chart, which is their meet.  For an incomparable pair the
+    meet chart lies below both, so MonoidSystem has proved that it contains
+    both charts and hence their sum; what is left is that monoid_sum of the
+    two charts holds every generator of the meet chart, by exact
     membership.
     """
     n = len(system.monoids)
@@ -575,9 +586,7 @@ def check_separation_condition(system):
         ok = k in (i, j)
         if not ok:
             joined = monoid_sum(first, second)
-            ok = all(
-                monoid_contains(joined, g) for g in meet.generators
-            ) and all(monoid_contains(meet, g) for g in joined.generators)
+            ok = all(monoid_contains(joined, g) for g in meet.generators)
         entries.append((i, j, ok))
     return SeparationReport(
         separated=all(ok for _, _, ok in entries), entries=tuple(entries)
@@ -590,8 +599,6 @@ def check_separation_condition(system):
 def dimension_bounds(fan, base):
     """Dimension interval of the total space over the described base."""
     if len(fan.cones) == 0 or base.empty == YES:
-        return DimRange.empty()
-    if base.dim.kind == "empty":
         return DimRange.empty()
     if base.dim.kind == "unknown":
         return DimRange.unknown()

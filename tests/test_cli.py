@@ -470,6 +470,45 @@ def test_dual_of_a_rank_five_cone_finishes(tmp_path, capsys):
         assert helpers.fm_cone_contains(dual, g, 5), g
 
 
+def test_hostile_integers_exit_zero_or_one_without_a_traceback(tmp_path):
+    # the one cone on (B,1,0), (0,B,1), (1,0,B) with B = 10**2500: its face
+    # witnesses, and the multiplicity its Hilbert basis would list, are
+    # past the interpreter's int/str digit limit; so is the dimension
+    # interval over a base of dimension up to 4,300 nines.  `dual` and
+    # `atlas` stay out: the 2-face walks have no work bound yet and end in
+    # a MemoryError on this document
+    resource = pytest.importorskip("resource")
+    b = 10**2500
+    big = write_fan(tmp_path, 3, [[(b, 1, 0), (0, b, 1), (1, 0, b)]])
+    plane = write_fan(tmp_path, 2, [[(1, 0), (0, 1)]], name="plane.json")
+    base = write_base(tmp_path, {"dim": ["0", "9" * 4300]})
+    runs = [[c, "--fan", big] for c in
+            ("validate", "complete", "regularity", "fullify", "report")]
+    runs += [[c, "--fan", big, "--cone", str(i)]
+             for c in ("faces", "hilbert") for i in range(8)]
+    runs.append(["report", "--fan", plane, "--base", base])
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    refused = 0
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanscheme.cli"] + argv,
+            capture_output=True, text=True, timeout=60, preexec_fn=capped,
+        )
+        assert proc.returncode in (0, 1), (argv, proc.stderr[-300:])
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr[-300:])
+        if hasattr(sys, "get_int_max_str_digits") and proc.returncode:
+            limit = "more than %d digits" % sys.get_int_max_str_digits()
+            assert limit in proc.stderr, (argv, proc.stderr)
+            refused += 1
+    if hasattr(sys, "get_int_max_str_digits"):
+        # faces of the three 2-faces and the cone, hilbert of the cone, and
+        # the report over the long base
+        assert refused == 6
+
+
 def test_cli_survives_fuzzed_documents(tmp_path):
     # every subcommand on generated fan and base documents, well-formed and
     # not: no traceback, and an exit code from the documented three

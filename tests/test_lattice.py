@@ -161,18 +161,32 @@ def test_degenerate_shapes():
     assert d == [] and p == [] and q == [[1, 0], [0, 1]]
 
 
+# the quotient image of the dual of the rank-5 cone on (-3,2,0,-2,3),
+# (3,3,3,-1,1), (2,1,-2,1,3), (1,-3,0,0,2); a Euclid loop on the least entry
+# grew a quotient to millions of bits here and did not finish
+GROWING = [[-4755816, -1119017, -839196, -566331], [391756, 92178, 69128, 46651],
+           [1495930, 351984, 263967, 178138], [2280139, 536504, 402346, 271523]]
+
+
 def test_smith_of_a_matrix_whose_entries_grew_without_bound():
-    # the quotient image of the dual of the rank-5 cone on (-3,2,0,-2,3),
-    # (3,3,3,-1,1), (2,1,-2,1,3), (1,-3,0,0,2); a Euclid loop on the least
-    # entry grew a quotient to millions of bits here and did not finish
-    m = [[-4755816, -1119017, -839196, -566331], [391756, 92178, 69128, 46651],
-         [1495930, 351984, 263967, 178138], [2280139, 536504, 402346, 271523]]
+    m = GROWING
     start = time.perf_counter()
     d, p, q = smith_rows(m, 4)
     assert time.perf_counter() - start < 1
     assert helpers.mat_mult(helpers.mat_mult(p, m, 4), q, 4) == d
     assert helpers.is_unimodular(p) and helpers.is_unimodular(q)
     assert d == identity_rows(4)
+
+
+def test_complement_of_a_basis_the_euclid_loop_grew_on():
+    # the same rows padded into ZZ^5, a saturated basis of rank 4: the loop
+    # alone had not finished after 5 s; their echelon form is e1, ..., e4
+    basis = [r + [0] for r in GROWING]
+    start = time.perf_counter()
+    w = unimodular_complement_rows(basis, 5)
+    assert time.perf_counter() - start < 1
+    assert w[:4] == basis
+    assert helpers.is_unimodular(w)
 
 
 # ---------------------------------------------------------------------------

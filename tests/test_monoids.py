@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -423,6 +424,24 @@ def test_immersion_search_ends_on_the_face_whatever_the_bound():
     target = AffineMonoid.from_generators(2, [(1, 0), (0, 1), (-1, 0)])
     res = check_openly_immersive_pair(target, source, search_bound=10**9)
     assert (res.verdict, res.witness) == ("yes", (1, 0))
+
+
+def test_inverting_the_orthant_tries_sets_of_generators():
+    # each unit vector is the one generator positive on its own wall, so
+    # the first witness is the sum of all n; with sums that repeat a
+    # generator, rank 12 would try C(23, 12) = 1,352,078 of them first
+    for n in (1, 2, 3, 4, 12):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        source = AffineMonoid.from_generators(n, units)
+        target = AffineMonoid.from_generators(
+            n, units + [tuple(-x for x in u) for u in units]
+        )
+        start = time.perf_counter()
+        res = check_openly_immersive_pair(target, source, search_bound=n)
+        assert time.perf_counter() - start < 1, n
+        assert (res.verdict, res.witness) == ("yes", (1,) * n)
+        if n <= 4:
+            assert res == exhaustive_immersion_search(target, source, n)
 
 
 # ------------------------------------------------------------- random checks
