@@ -192,13 +192,11 @@ def _pick_cone(fan, index):
     return fan.cones[index]
 
 
-def _cmd_validate(args):
-    fan = _load_valid_fan(args)
+def _cmd_validate(fan, args):
     return {"valid": True, "lattice_rank": fan.rank, "cones": len(fan.cones)}
 
 
-def _cmd_hilbert(args):
-    fan = _load_valid_fan(args)
+def _cmd_hilbert(fan, args):
     c = _pick_cone(fan, args.cone)
     pointed, lin = _cone_lattice_hilbert(c)
     return {
@@ -208,8 +206,7 @@ def _cmd_hilbert(args):
     }
 
 
-def _cmd_dual(args):
-    fan = _load_valid_fan(args)
+def _cmd_dual(fan, args):
     m = dual_monoid(_pick_cone(fan, args.cone))
     return {
         "cone": args.cone,
@@ -219,12 +216,11 @@ def _cmd_dual(args):
     }
 
 
-def _cmd_faces(args):
-    fan = _load_valid_fan(args)
+def _cmd_faces(fan, args):
     c = _pick_cone(fan, args.cone)
     lattice = validate_fan(fan).lattices[c]
     out = []
-    for f in sorted(lattice, key=lambda x: (x.dim, x.rays)):
+    for f in lattice:
         out.append({
             "dim": f.dim,
             "rays": _vecs_json(f.rays),
@@ -233,8 +229,7 @@ def _cmd_faces(args):
     return {"cone": args.cone, "faces": out}
 
 
-def _cmd_regularity(args):
-    fan = _load_valid_fan(args)
+def _cmd_regularity(fan, args):
     report = is_regular(fan)
     return {
         "regular": report.regular,
@@ -245,17 +240,11 @@ def _cmd_regularity(args):
     }
 
 
-def _cmd_complete(args):
-    fan = _load_valid_fan(args)
+def _cmd_complete(fan, args):
     return {"complete": is_complete(fan), "full": is_full(fan)}
 
 
-def _cmd_atlas(args):
-    if args.search_bound < 0:
-        raise DocumentError(
-            "--search-bound must be nonnegative, got %d" % args.search_bound
-        )
-    fan = _load_valid_fan(args)
+def _cmd_atlas(fan, args):
     atlas = build_atlas(fan)
     immersion = is_openly_immersive(atlas.system, search_bound=args.search_bound)
     separation = check_separation_condition(atlas.system)
@@ -282,8 +271,7 @@ def _cmd_atlas(args):
     }
 
 
-def _cmd_fullify(args):
-    fan = _load_valid_fan(args)
+def _cmd_fullify(fan, args):
     result = fullify(fan)
     return {
         "torus_rank": result.torus_rank,
@@ -300,10 +288,39 @@ def _cmd_fullify(args):
     }
 
 
-def _cmd_report(args):
-    fan = _load_valid_fan(args)
+def _cmd_report(fan, args):
     base = load_base_document(args.base) if args.base else BaseDescriptor()
     return [r.to_json_dict() for r in property_report(fan, base)]
+
+
+_OPTIONS = {  # flag -> add_argument keywords
+    "--fan": dict(required=True, metavar="PATH", help="fan document (JSON)"),
+    "--no-auto-close": dict(action="store_true",
+                            help="do not add missing faces before validating"),
+    "--cone": dict(required=True, type=int, metavar="INDEX",
+                   help="index into the fan's cone list"),
+    "--base": dict(metavar="PATH",
+                   help="base descriptor document (JSON); "
+                        "defaults to an all-unknown base"),
+    "--search-bound": dict(type=int, default=6, metavar="N",
+                           help="generator-sum bound for immersion searches"),
+}
+
+_COMMANDS = (  # name, handler, help, options beyond --fan and --no-auto-close
+    ("validate", _cmd_validate, "check the fan axioms", ()),
+    ("hilbert", _cmd_hilbert, "Hilbert basis of one cone's lattice points",
+     ("--cone",)),
+    ("dual", _cmd_dual, "generators of one cone's chart monoid", ("--cone",)),
+    ("faces", _cmd_faces, "face lattice of one cone with witnesses",
+     ("--cone",)),
+    ("regularity", _cmd_regularity, "cone-by-cone regularity report", ()),
+    ("complete", _cmd_complete, "completeness and fullness of the fan", ()),
+    ("atlas", _cmd_atlas, "charts, transitions, sections, and gluing checks",
+     ("--search-bound",)),
+    ("fullify", _cmd_fullify, "split off the torus factor", ()),
+    ("report", _cmd_report, "cited property report over a described base",
+     ("--base",)),
+)
 
 
 @functools.cache
@@ -322,38 +339,11 @@ def _build_parser():
         description="exact fans, chart monoids, and property reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, run, help_text, cone=False, base=False, bound=False):
+    for name, run, help_text, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--fan", required=True, metavar="PATH",
-                       help="fan document (JSON)")
-        p.add_argument("--no-auto-close", action="store_true",
-                       help="do not add missing faces before validating")
-        if cone:
-            p.add_argument("--cone", required=True, type=int, metavar="INDEX",
-                           help="index into the fan's cone list")
-        if base:
-            p.add_argument("--base", metavar="PATH",
-                           help="base descriptor document (JSON); "
-                                "defaults to an all-unknown base")
-        if bound:
-            p.add_argument("--search-bound", type=int, default=6, metavar="N",
-                           help="generator-sum bound for immersion searches")
+        for flag in ("--fan", "--no-auto-close") + options:
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(run=run)
-
-    add("validate", _cmd_validate, "check the fan axioms")
-    add("hilbert", _cmd_hilbert, "Hilbert basis of one cone's lattice points",
-        cone=True)
-    add("dual", _cmd_dual, "generators of one cone's chart monoid", cone=True)
-    add("faces", _cmd_faces, "face lattice of one cone with witnesses",
-        cone=True)
-    add("regularity", _cmd_regularity, "cone-by-cone regularity report")
-    add("complete", _cmd_complete, "completeness and fullness of the fan")
-    add("atlas", _cmd_atlas, "charts, transitions, sections, and gluing checks",
-        bound=True)
-    add("fullify", _cmd_fullify, "split off the torus factor")
-    add("report", _cmd_report, "cited property report over a described base",
-        base=True)
     return parser
 
 
@@ -361,13 +351,18 @@ def entry(argv=None):
     """Run one subcommand on argv (default sys.argv[1:]) and return its
     exit code.  The parser is built on the first call and shared, never
     mutated, by later calls in the same process (_build_parser); a
-    console-script run builds it once either way."""
+    console-script run builds it once either way.  Every subcommand runs on
+    the validated fan of its --fan document, loaded here once."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_DOCUMENT if e.code else EXIT_OK
     try:
-        payload = args.run(args)
+        if getattr(args, "search_bound", 0) < 0:
+            raise DocumentError(
+                "--search-bound must be nonnegative, got %d" % args.search_bound
+            )
+        payload = args.run(_load_valid_fan(args), args)
     except (DocumentError, HilbertBudgetError, _DigitLimitError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_DOCUMENT

@@ -128,8 +128,6 @@ def _walk(x, y):
     a = sum(map(mul, _unit_covector(x), y))
     v = [q - a * p for p, q in zip(x, y)]
     b = gcd(*v)
-    if b == 1:
-        return b, [x, y]
     c = -(-a // b)
     path = [x, tuple([q // b + c * p for p, q in zip(x, v)])]
     prev, lam = b, c * b - a

@@ -167,29 +167,9 @@ class BaseDescriptor:
         changed = True
         while changed:
             changed = False
-            for p, q in _IMPLICATIONS:
-                if vals[p] == YES:
-                    changed |= _force(vals, q, YES, "%s=yes forces %s=yes" % (p, q))
-                if vals[q] == NO:
-                    changed |= _force(vals, p, NO, "%s=no forces %s=no" % (p, q))
-            if vals["empty"] == YES:
-                for f in _EMPTY_FORCES_YES:
-                    changed |= _force(
-                        vals, f, YES, "an empty scheme has %s by convention" % f
-                    )
-                for f in _EMPTY_FORCES_NO:
-                    changed |= _force(
-                        vals, f, NO, "an empty scheme is never %s" % f
-                    )
-            else:
-                if any(vals[f] == NO for f in _EMPTY_FORCES_YES):
-                    changed |= _force(
-                        vals, "empty", NO, "a flag failing rules out emptiness"
-                    )
-                if any(vals[f] == YES for f in _EMPTY_FORCES_NO):
-                    changed |= _force(
-                        vals, "empty", NO, "irreducibility needs points"
-                    )
+            for flag, value, forced, want, why in _CLOSURE:
+                if vals[flag] == value:
+                    changed |= _force(vals, forced, want, why)
         if vals["empty"] == YES:
             if dim.kind == "range":
                 raise InconsistentBaseError(
@@ -229,6 +209,25 @@ class BaseDescriptor:
 _BASE_FLAGS = tuple(f.name for f in fields(BaseDescriptor) if f.name != "dim")
 _EMPTY_FORCES_YES = tuple(
     f for f in _BASE_FLAGS if f != "empty" and f not in _EMPTY_FORCES_NO
+)
+# (flag, value, forced flag, forced value, reason): each implication and its
+# contrapositive, the empty scheme's conventions, then what rules emptiness
+# out.  No row forces empty=yes, and once empty=yes holds the convention
+# rows have set every flag the last rows read (or raised), so those last
+# rows never fire on an empty scheme.
+_CLOSURE = (
+    *(row for p, q in _IMPLICATIONS for row in (
+        (p, YES, q, YES, "%s=yes forces %s=yes" % (p, q)),
+        (q, NO, p, NO, "%s=no forces %s=no" % (p, q)),
+    )),
+    *(("empty", YES, f, YES, "an empty scheme has %s by convention" % f)
+      for f in _EMPTY_FORCES_YES),
+    *(("empty", YES, f, NO, "an empty scheme is never %s" % f)
+      for f in _EMPTY_FORCES_NO),
+    *((f, NO, "empty", NO, "a flag failing rules out emptiness")
+      for f in _EMPTY_FORCES_YES),
+    *((f, YES, "empty", NO, "irreducibility needs points")
+      for f in _EMPTY_FORCES_NO),
 )
 
 

@@ -11,6 +11,7 @@ import time
 import pytest
 
 import helpers
+from fanscheme import cli
 from fanscheme.cli import entry
 from fanscheme.cones import cone_from_rays, dual_cone
 
@@ -231,6 +232,34 @@ def test_atlas_rejects_negative_search_bound(tmp_path, capsys):
     assert err.count("\n") == 1 and "--search-bound" in err
     code, out, _ = run_cli(capsys, "atlas", "--fan", path, "--search-bound", "0")
     assert code == 0 and json.loads(out)["openly_immersive"] == "yes"
+    # two crossing cones left unclosed are rejected (exit 2), but a bad
+    # bound is refused before the fan is read
+    crossing = write_fan(tmp_path, 2, [[(1, 0), (0, 1)], [(1, 1), (-1, 1)]],
+                         name="crossing.json")
+    assert run_cli(capsys, "atlas", "--fan", crossing, "--no-auto-close")[0] == 2
+    code, out, err = run_cli(capsys, "atlas", "--fan", crossing, "--no-auto-close",
+                             "--search-bound", "-1")
+    assert (code, out, err) == (1, "", "--search-bound must be nonnegative, got -1\n")
+
+
+def test_every_subcommand_reads_its_fan_document_once(tmp_path, capsys,
+                                                      monkeypatch):
+    path = write_fan(tmp_path, 1, [[(1,)], [(-1,)]])
+    real = cli.load_fan_document
+    loads = []
+
+    def counted(*args, **kwargs):
+        loads.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_fan_document", counted)
+    for argv in (["validate"], ["hilbert", "--cone", "0"],
+                 ["dual", "--cone", "0"], ["faces", "--cone", "0"],
+                 ["regularity"], ["complete"], ["atlas"], ["fullify"],
+                 ["report"]):
+        loads.clear()
+        code = run_cli(capsys, *argv, "--fan", path)[0]
+        assert (code, loads) == (0, [path]), argv
 
 
 def test_certificate_checks_survive_optimized_mode():

@@ -116,6 +116,25 @@ def test_base_conflicts_raise_their_own_value_error():
         assert not isinstance(info.value, InconsistentBaseError)
 
 
+@pytest.mark.parametrize("kwargs, reason", [
+    ({"affine": YES, "quasicompact": NO},
+     "affine=yes forces quasicompact=yes, but quasicompact=no was given"),
+    ({"empty": YES, "irreducible": YES},
+     "an empty scheme is never irreducible, but irreducible=yes was given"),
+    ({"affine": NO, "dim": DimRange.empty()},
+     "an empty scheme has affine by convention, but affine=no was given"),
+    ({"empty": YES, "dim": DimRange.exact(0)},
+     "empty=yes with a dimension range"),
+    ({"empty": NO, "dim": DimRange.empty()},
+     "the dimension interval is empty, but empty=no was given"),
+])
+def test_each_base_conflict_names_its_reason(kwargs, reason):
+    # one descriptor per reason the closure can give; the CLI prints it
+    with pytest.raises(InconsistentBaseError) as info:
+        BaseDescriptor(**kwargs)
+    assert str(info.value) == "inconsistent base description: " + reason
+
+
 def test_empty_base_convention():
     b = BaseDescriptor(empty=YES)
     assert b.reduced == YES
