@@ -2,8 +2,11 @@
 
 A cone is stored four ways at once: generators of its pointed part (rays)
 and of its lineality space, plus the same data for the dual cone (normals
-and dual_lineality).  All four components are canonical, so dataclass
-equality is geometric equality of cones.
+and dual_lineality).  All four components are canonical.  The primal side
+(rays and lineality) determines the cone, so equality and hash read only
+that side, and == is geometric equality of cones.  A face read off a face
+lattice stores its primal side and its dimension; it computes its dual
+side on the first read of normals or dual_lineality.
 
 The conversion between the generator and inequality sides is an
 incremental double description computation (Fukuda-Prodon, "Double
@@ -34,6 +37,7 @@ L-perp), that pass is pointed, so every pass ends the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import neg, sub
 
 from .lattice import (
@@ -48,7 +52,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polycone:
     """Cone in canonical split form.
 
@@ -58,6 +62,13 @@ class Polycone:
     normals / dual_lineality: the same two fields for the dual cone.  They
         cut the cone out: x lies in the cone iff <x, u> >= 0 for every u in
         normals and <x, w> == 0 for every w in dual_lineality.
+
+    cone_from_rays, intersect_cones and dual_cone store all four fields.  A
+    face that faces() or a fan's face index reads off a face lattice
+    (_face_cone) stores rays, lineality and dim; its normals and
+    dual_lineality are computed together on the first read of either.
+    Equality and hash use (ambient_rank, rays, lineality) only, so a face
+    equals the cone_from_rays cone on its rays before and after that read.
     """
 
     ambient_rank: int
@@ -66,7 +77,7 @@ class Polycone:
     normals: tuple
     dual_lineality: tuple
 
-    @property
+    @cached_property
     def dim(self):
         return self.ambient_rank - len(self.dual_lineality)
 
@@ -82,15 +93,35 @@ class Polycone:
     def is_full(self):
         return not self.dual_lineality
 
+    def __eq__(self, other):
+        if not isinstance(other, Polycone):
+            return NotImplemented
+        return self is other or (
+            self.ambient_rank == other.ambient_rank
+            and self.rays == other.rays
+            and self.lineality == other.lineality
+        )
+
     def __hash__(self):
         # computed once per cone: fans key their sets and dicts by cones
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.ambient_rank, self.rays, self.lineality,
-                      self.normals, self.dual_lineality))
+            h = hash((self.ambient_rank, self.rays, self.lineality))
             object.__setattr__(self, "_hash", h)
             return h
+
+    def __getattr__(self, name):
+        # reached only for a field not yet stored: the dual side of a face
+        # from _face_cone, or the hash before its first use
+        facets = self.__dict__.get("_facets")
+        if facets is None or name not in ("normals", "dual_lineality"):
+            raise AttributeError(name)
+        normals, dlin = _dual_side(self.ambient_rank, self.rays, *facets)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "dual_lineality", dlin)
+        del self.__dict__["_facets"]
+        return self.__dict__[name]
 
     def generator_rows(self):
         """Integer generators: rays plus both signs of the lineality basis."""
@@ -282,13 +313,12 @@ def _facets_of(face, facet_sets):
     return [g for g in cuts if not any(g < h for h in cuts)]
 
 
-def _cone_on_extremal_rays(n, rays, facet_sets):
-    """The face F of a pointed cone on the ray frozenset `rays`, read off
-    the cone's facet ray sets: its dual lineality is F-perp, and each facet
-    G of F gives the normal spanning span(F) meet G-perp, signed positive
-    on F (Cox-Little-Schenck, Toric Varieties, 1.2).  No double description
-    pass."""
-    ordered = sorted(rays)
+def _dual_side(n, ordered, rays, facet_sets):
+    """(normals, dual_lineality) of the face on the ray frozenset `rays` of
+    a pointed cone with these facet ray sets; ordered is sorted(rays).  The
+    dual lineality is F-perp, and each facet G of F gives the normal
+    spanning span(F) meet G-perp, signed positive on F (Cox-Little-Schenck,
+    Toric Varieties, 1.2).  No double description pass."""
     dlin = [tuple(w) for w in perp_rows(ordered, n)]
     normals = []
     for g in _facets_of(rays, facet_sets):
@@ -296,7 +326,17 @@ def _cone_on_extremal_rays(n, rays, facet_sets):
         if dot(next(r for r in ordered if r not in g), u) < 0:
             u = [-x for x in u]
         normals.append(tuple(u))
-    return Polycone(n, tuple(ordered), (), tuple(sorted(normals)), tuple(dlin))
+    return tuple(sorted(normals)), tuple(dlin)
+
+
+def _face_cone(n, rays, dim, facet_sets):
+    """The face of dimension dim on the ray frozenset `rays` of a pointed
+    cone with these facet ray sets, with no arithmetic: its dual side
+    (_dual_side) waits for the first read (Polycone.__getattr__)."""
+    face = object.__new__(Polycone)
+    face.__dict__.update(ambient_rank=n, rays=tuple(sorted(rays)), lineality=(),
+                         dim=dim, _facets=(rays, facet_sets))
+    return face
 
 
 def _witness(c, facet_sets, rayset):
@@ -307,27 +347,27 @@ def _witness(c, facet_sets, rayset):
 
 def _face_lattice(c, known):
     """faces(c), taking face cones from `known` (ray frozenset -> cone) where
-    present and adding the ones it reads off c."""
+    present and adding the ones it reads off c (_face_cone).
+
+    The faces are found by dimension, from c down: the facets of a face of
+    dimension d are its maximal proper cuts by the facet ray sets of c
+    (_facets_of), and have dimension d - 1, so a face's dimension is read
+    off the grading of the lattice."""
     if c.lineality:
         raise ValueError("face lattice requires a pointed cone")
     n = c.ambient_rank
     facet_sets = _facet_sets(c)
-    full = frozenset(c.rays)
-    found = {full, frozenset()}
-    frontier = [full]
-    while frontier:
-        cur = frontier.pop()
-        for fs in facet_sets:
-            nxt = cur & fs
-            if nxt not in found:
-                found.add(nxt)
-                frontier.append(nxt)
     witnesses = {}
-    for rayset in found:
-        face = known.get(rayset)
-        if face is None:
-            face = known[rayset] = _cone_on_extremal_rays(n, rayset, facet_sets)
-        witnesses[face] = _witness(c, facet_sets, rayset)
+    level, dim = {frozenset(c.rays)}, c.dim
+    while level:
+        below = set()
+        for rayset in level:
+            face = known.get(rayset)
+            if face is None:
+                face = known[rayset] = _face_cone(n, rayset, dim, facet_sets)
+            witnesses[face] = _witness(c, facet_sets, rayset)
+            below.update(_facets_of(rayset, facet_sets))
+        level, dim = below, dim - 1
     face_list = sorted(witnesses, key=lambda f: (f.dim, f.rays))
     return FaceLattice(c, tuple(face_list), witnesses)
 
@@ -350,12 +390,13 @@ def faces(c):
 
     Every face is an intersection of facets, so the ray subsets of faces
     form the closure of the full ray set under intersection with the facet
-    ray sets.  Each face is read off its ray subset and the facet ray sets
-    of c, with no double description pass (_cone_on_extremal_rays); its
-    witness is the sum of the normals of c vanishing on it.  Cones with
-    lineality are rejected; nothing downstream needs their faces.  A
-    validated fan keeps the lattice of each of its cones in its face index,
-    so callers holding a fan read it from there.
+    ray sets.  Each face is built from its ray subset and its dimension,
+    with no arithmetic; its normals and dual lineality are read off the
+    facet ray sets of c, with no double description pass, on their first
+    read (_dual_side).  Its witness is the sum of the normals of c
+    vanishing on it.  Cones with lineality are rejected; nothing downstream
+    needs their faces.  A validated fan keeps the lattice of each of its
+    cones in its face index, so callers holding a fan read it from there.
     """
     return _face_lattice(c, {frozenset(c.rays): c})
 

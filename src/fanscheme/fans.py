@@ -4,11 +4,12 @@ A Fan object only normalizes its cone list; the fan axioms are checked by
 validate_fan, which raises a typed error naming the offending cones.  A fan
 that passes carries its face index: face lattices, face order and meets,
 computed once and read by every later caller: one face lattice per
-maximal cone, the rest read off them.
+maximal cone, the rest cut from them when first read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .cones import (
@@ -105,12 +106,37 @@ class Fan:
         return "Fan(rank=%d, cones=%d)" % (self.rank, len(self.cones))
 
 
+class _Lattices(Mapping):
+    """cone -> FaceLattice for every cone of a validated fan.  built holds
+    the lattices made so far; holder maps each cone to the lattice of a
+    maximal cone it is a face of, from which its own is cut
+    (_face_sublattice) on its first read."""
+
+    def __init__(self, built, holder):
+        self._built = built
+        self._holder = holder
+
+    def __getitem__(self, c):
+        lattice = self._built.get(c)
+        if lattice is None:
+            lattice = self._built[c] = _face_sublattice(self._holder[c], c)
+        return lattice
+
+    def __iter__(self):
+        return iter(self._holder)
+
+    def __len__(self):
+        return len(self._holder)
+
+
 @dataclass(frozen=True)
 class FaceIndex:
     """What validate_fan proved about a fan; labels index fan.cones.
 
     cones: ray frozenset -> cone of the fan.
-    lattices: cone -> its FaceLattice.
+    lattices: cone -> its FaceLattice (a _Lattices mapping): validate_fan
+        builds the lattice of each maximal cone, and the lattice of any
+        other cone is cut from one of those the first time it is read.
     meets: (i, j), i < j -> label of the meet of cones i and j, the cone on
         their shared rays.
     separators: (i, j), i < j, for each pair of maximal cones -> the
@@ -141,9 +167,12 @@ def validate_fan(fan):
     stored on the fan, and later calls return it.
 
     By falling dimension, a cone in no lattice seen so far is maximal, and
-    only its lattice is built (unless complete_under_faces left it); the
-    others are down-sets of those.  Lattices reuse the fan's cones as
-    faces.  A pair of maximal cones passes when cones.witness_covector
+    only its lattice is built (unless complete_under_faces left it).  The
+    lattice of any other cone is a down-set of one of those, cut from it
+    when FaceIndex.lattices is first read at that cone.  Lattices reuse the
+    fan's cones as faces, and the faces they add compute their normals and
+    dual lineality only when read (cones._face_cone): validation reads
+    neither.  A pair of maximal cones passes when cones.witness_covector
     separates them along the cone on their shared rays; the index keeps
     that covector in separators.  Only a failing pair builds its meet, for
     the error.
@@ -159,8 +188,6 @@ def validate_fan(fan):
     tops = []
     for c in reversed(fan.cones):
         if c in holder:
-            if c not in lattices:
-                lattices[c] = _face_sublattice(holder[c], c)
             continue
         if c not in lattices:
             lattices[c] = _face_lattice(c, cones)
@@ -188,7 +215,7 @@ def validate_fan(fan):
         for i in range(len(rays))
         for j in range(i + 1, len(rays))
     }
-    fan._face_index = FaceIndex(cones, lattices, meets, separators)
+    fan._face_index = FaceIndex(cones, _Lattices(lattices, holder), meets, separators)
     return fan._face_index
 
 

@@ -77,21 +77,26 @@ def _pulling_triangulation(cone):
 # multiplicities of the simplices it enumerates may not sum to more.  The
 # largest such simplex of the tests and the benchmark has multiplicity 344
 # (the cyclic cone with k = 7); the cyclic cone with k = 46, of
-# multiplicity 97,337, takes about 20 s.
+# multiplicity 97,337, takes about 20 s.  It also bounds the points one
+# 2-face's walk makes between its rays: the wedge (1,0),(1,k) walks
+# through k - 1 of them, and k = 10^5 takes about 2 s to answer.
 HILBERT_POINT_BUDGET = 10**5
 
 
 class HilbertBudgetError(ValueError):
     """A Hilbert basis would list more parallelepiped points than
-    HILBERT_POINT_BUDGET; bound is that limit and value the total that
-    exceeded it."""
+    HILBERT_POINT_BUDGET, or walk through more points of one 2-face (walk
+    true); bound is that limit and value the total multiplicity of the
+    simplices to list, or the multiplicity of the 2-face."""
 
-    def __init__(self, bound, value):
+    def __init__(self, bound, value, walk=False):
         try:
             total = str(value)
         except ValueError:  # past the interpreter's int/str digit limit
             total = "of more than %d digits" % sys.get_int_max_str_digits()
         super().__init__(
+            "Hilbert basis needs more than %d points on the walk of one 2-face "
+            "(of multiplicity %s)" % (bound, total) if walk else
             "Hilbert basis needs more than %d parallelepiped points (the "
             "simplices to enumerate have multiplicity %s in total)" % (bound, total)
         )
@@ -124,6 +129,8 @@ def _walk(x, y):
     b on x.  u_1 = w + ceil(a/b)*x, and u_{i+1} = ceil(lam(u_{i-1}) /
     lam(u_i))*u_i - u_{i-1} until lam(u_i) = 0; lam falls strictly and
     follows the same recurrence, so it is never evaluated on a point.
+    The walk counts the points it makes between x and y, and raises
+    HilbertBudgetError once there are more than HILBERT_POINT_BUDGET.
     """
     a = sum(map(mul, _unit_covector(x), y))
     v = [q - a * p for p, q in zip(x, y)]
@@ -131,7 +138,9 @@ def _walk(x, y):
     c = -(-a // b)
     path = [x, tuple([q // b + c * p for p, q in zip(x, v)])]
     prev, lam = b, c * b - a
-    while lam:
+    while lam:  # path[1:] lies strictly between x and y
+        if len(path) - 1 > HILBERT_POINT_BUDGET:
+            raise HilbertBudgetError(HILBERT_POINT_BUDGET, b, walk=True)
         c = -(-prev // lam)
         path.append(tuple([c * p - q for p, q in zip(path[-1], path[-2])]))
         prev, lam = lam, c * lam - prev

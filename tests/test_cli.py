@@ -11,7 +11,7 @@ import time
 import pytest
 
 import helpers
-from fanscheme import cli
+from fanscheme import cli, cones, lattice
 from fanscheme.cli import entry
 from fanscheme.cones import cone_from_rays, dual_cone
 
@@ -482,6 +482,50 @@ def test_hilbert_bases_past_the_budget_exit_one(tmp_path, capsys):
         )
 
 
+def test_a_walk_past_the_budget_exits_one(tmp_path, capsys):
+    # the Hilbert basis of the wedge (1,0),(1,10^12) is the walk through its
+    # 10^12 - 1 points (1,j) between the rays; the walk stops once it has
+    # made more than the budget.  Cone 3 is the wedge itself
+    path = write_fan(tmp_path, 2, [[(1, 0), (1, 10**12)]])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hilbert", "--fan", path, "--cone", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        "Hilbert basis needs more than 100000 points on the walk of one 2-face "
+        "(of multiplicity 1000000000000)\n"
+    )
+
+
+def test_fan_commands_take_kernels_only_for_dual_sides_they_read(
+        tmp_path, capsys, monkeypatch):
+    # closing the five cones of P^4 under faces and validating the fan
+    # builds 26 faces; these commands read none of their normals, so no
+    # kernel is taken (81 when every face was built with its dual side).
+    # atlas on P^3 reads the dual side of every face, each once
+    calls = []
+    real = lattice.perp_rows
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return real(rows, cols)
+
+    monkeypatch.setattr(lattice, "perp_rows", counted)
+    monkeypatch.setattr(cones, "perp_rows", counted)
+    for n, argvs, kernels in (
+        (4, [["validate"], ["complete"], ["regularity"], ["report"],
+             ["faces", "--cone", "30"]], 0),
+        (3, [["atlas"]], 42),
+    ):
+        rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rays.append((-1,) * n)
+        path = write_fan(tmp_path, n, [[r for r in rays if r != skip] for skip in rays])
+        for argv in argvs:
+            calls.clear()
+            assert run_cli(capsys, argv[0], "--fan", path, *argv[1:])[0] == 0
+            assert len(calls) == kernels, argv
+
+
 def test_dual_of_a_rank_five_cone_finishes(tmp_path, capsys):
     # the Smith form of a quotient of this cone's dual once grew without
     # bound; cone 15 is the 4-ray cone, the top of the 16 cones after closing
@@ -503,9 +547,10 @@ def test_hostile_integers_exit_zero_or_one_without_a_traceback(tmp_path):
     # the one cone on (B,1,0), (0,B,1), (1,0,B) with B = 10**2500: its face
     # witnesses, and the multiplicity its Hilbert basis would list, are
     # past the interpreter's int/str digit limit; so is the dimension
-    # interval over a base of dimension up to 4,300 nines.  `dual` and
-    # `atlas` stay out: the 2-face walks have no work bound yet and end in
-    # a MemoryError on this document
+    # interval over a base of dimension up to 4,300 nines.  `dual` of the
+    # cone and `atlas` walk along a 2-face of the dual cone whose
+    # multiplicity is past that limit too, until the walk's work budget
+    # stops them
     resource = pytest.importorskip("resource")
     b = 10**2500
     big = write_fan(tmp_path, 3, [[(b, 1, 0), (0, b, 1), (1, 0, b)]])
@@ -515,6 +560,7 @@ def test_hostile_integers_exit_zero_or_one_without_a_traceback(tmp_path):
             ("validate", "complete", "regularity", "fullify", "report")]
     runs += [[c, "--fan", big, "--cone", str(i)]
              for c in ("faces", "hilbert") for i in range(8)]
+    runs += [["dual", "--fan", big, "--cone", "7"], ["atlas", "--fan", big]]
     runs.append(["report", "--fan", plane, "--base", base])
 
     def capped():
@@ -533,9 +579,9 @@ def test_hostile_integers_exit_zero_or_one_without_a_traceback(tmp_path):
             assert limit in proc.stderr, (argv, proc.stderr)
             refused += 1
     if hasattr(sys, "get_int_max_str_digits"):
-        # faces of the three 2-faces and the cone, hilbert of the cone, and
-        # the report over the long base
-        assert refused == 6
+        # faces of the three 2-faces and the cone, hilbert and dual of the
+        # cone, atlas, and the report over the long base
+        assert refused == 8
 
 
 def test_cli_survives_fuzzed_documents(tmp_path):

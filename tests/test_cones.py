@@ -16,6 +16,7 @@ from fanscheme.cones import (
     separating_covector,
     witness_covector,
 )
+from fanscheme.fans import validate_fan
 from fanscheme.lattice import rank_rows, signed_rows
 
 
@@ -439,9 +440,10 @@ def test_canonical_form_is_presentation_independent():
         rng.shuffle(noisy)
         d = cone_from_rays(n, noisy)
         assert d == c
-        # the hash is stored on first use and is that of the five fields
-        fields = (c.ambient_rank, c.rays, c.lineality, c.normals, c.dual_lineality)
-        assert hash(d) == hash(c) == hash(c) == hash(fields)
+        # the hash is stored on first use and is that of the primal side,
+        # which determines the cone
+        primal = (c.ambient_rank, c.rays, c.lineality)
+        assert hash(d) == hash(c) == hash(c) == hash(primal)
         assert repr(d) == repr(c) and "_hash" not in repr(c)
 
 
@@ -525,7 +527,7 @@ def _value_shape(u, rays):
 def test_faces_match_cones_built_from_their_rays():
     # faces are read off the facet ray sets of their cone with no double
     # description pass; each must equal the cone built from its rays in all
-    # four fields, and its normals must be the brute-force facets
+    # five fields, and its normals must be the brute-force facets
     rng = random.Random(5001)
     cones = [cyclic_cone(k) for k in (2, 3, 5, 7)]
     cones += [random_pointed_cone(rng, rng.randint(1, 4)) for _ in range(40)]
@@ -535,7 +537,7 @@ def test_faces_match_cones_built_from_their_rays():
         n = c.ambient_rank
         fl = faces(c)
         for f in fl:
-            assert f == cone_from_rays(n, f.rays)
+            assert fields(f) == fields(cone_from_rays(n, f.rays))
             w = fl.witnesses[f]
             tight = sorted(r for r in c.rays if sum(a * b for a, b in zip(r, w)) == 0)
             assert tuple(tight) == f.rays
@@ -551,6 +553,41 @@ def test_faces_match_cones_built_from_their_rays():
             assert len(set(shapes)) == len(shapes)
             assert set(shapes) == {_value_shape(y, f.rays) for y in inequalities}
     assert non_simplicial >= 30
+
+
+def fields(c):
+    return c.ambient_rank, c.rays, c.lineality, c.normals, c.dual_lineality
+
+
+def test_faces_compute_their_dual_side_on_first_read():
+    # a face read off a lattice stores its rays and its dimension, from the
+    # grading of the lattice; the first read of normals or dual_lineality
+    # computes both, and then all five fields are those of the cone built
+    # from its rays.  Before and after that read the face is == to that
+    # cone and hashes like it
+    rng = random.Random(5003)
+    lattices = [faces(random_pointed_cone(rng, rng.randint(1, 5), 6))
+                for _ in range(150)]
+    for _ in range(20):
+        fan = helpers.random_staircase_fan(rng)[0]
+        index = validate_fan(fan)
+        lattices += [index.lattices[c] for c in fan]
+    lazy = non_simplicial = 0
+    for fl in lattices:
+        for f in fl:
+            n = f.ambient_rank
+            eager = cone_from_rays(n, f.rays)
+            assert f.dim == helpers.frac_rank(f.rays) == eager.dim
+            assert f == eager and hash(f) == hash(eager)
+            if "normals" not in vars(f):
+                lazy += 1
+                first, other = rng.sample(["normals", "dual_lineality"], 2)
+                getattr(f, first)
+                assert other in vars(f)
+            assert fields(f) == fields(eager)
+            assert f == eager and hash(f) == hash(eager)
+            non_simplicial += len(f.rays) > f.dim
+    assert lazy >= 500 and non_simplicial >= 20
 
 
 def _pair_with_common_face(rng, n):

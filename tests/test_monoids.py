@@ -1208,6 +1208,23 @@ def test_the_budget_is_a_total_over_one_computation(monkeypatch):
     assert caught.value.value == 18
 
 
+def test_the_budget_bounds_each_walk(monkeypatch):
+    # the walk of the wedge (1,0),(1,k) makes the k - 1 points (1,1), ...,
+    # (1,k-1) between its rays; it raises once it has made more than the
+    # budget, naming the bound and the multiplicity k.  At the real budget
+    # the wedge with k = 10^5 still walks
+    b, path = monoids._walk((1, 0), (1, 10**5))
+    assert b == 10**5 and path == [(1, j) for j in range(10**5 + 1)]
+    monkeypatch.setattr(monoids, "HILBERT_POINT_BUDGET", 9)
+    assert monoids._walk((1, 0), (1, 10)) == (10, [(1, j) for j in range(11)])
+    with pytest.raises(monoids.HilbertBudgetError) as caught:
+        monoids._walk((1, 0), (1, 11))
+    assert (caught.value.bound, caught.value.value) == (9, 11)
+    assert str(caught.value) == (
+        "Hilbert basis needs more than 9 points on the walk of one 2-face "
+        "(of multiplicity 11)")
+
+
 # ---------------------------------------------- immersion search against its oracle
 
 

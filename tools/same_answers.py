@@ -9,6 +9,10 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
 - random cones of rank 1-5, many with lineality, through cone_from_rays,
   with all four fields compared, and each consecutive pair of equal rank
   through intersect_cones and separating_covector;
+- every face of each of those cones through cones.faces (its ValueError
+  for a cone with lineality): the dimension, then all five fields, then
+  the witness of each face, so that a face that computes its dual side on
+  first read is checked against REV's face;
 - lattice.unimodular_complement_rows on the lineality basis and on the
   saturated span of each of those cones: fullify prints these rows, and
   the chart of a non-full cone is lifted along them;
@@ -110,6 +114,10 @@ def cone_answers(cones, lattice, rng, count):
         out.append(("cone", n, gens, kind, fields(c) if kind == "ok" else c))
         if kind != "ok":
             continue
+        kind, lat = outcome(cones.faces, c)
+        out.append(("faces", n, gens, kind,
+                    [(f.dim, fields(f), lat.witnesses[f]) for f in lat]
+                    if kind == "ok" else lat))
         span = lattice.saturate_rows(c.rays + c.lineality, n)
         out.append(("complement", n, gens,
                      *outcome(lattice.unimodular_complement_rows, c.lineality, n),
@@ -350,10 +358,11 @@ def main():
     cone_rows = [a for a in new if a[0] == "cone" and a[3] == "ok"]
     with_lin = sum(1 for a in cone_rows if a[4][2])
     codes = [a[2] for a in new if isinstance(a[0], list)]
-    print("cones %d (%d with lineality), intersections %d, covectors %d, "
-          "complements %d"
-          % (len(cone_rows), with_lin, sum(a[0] == "meet" for a in new),
-             sum(a[0] == "covector" for a in new),
+    print("cones %d (%d with lineality), faces %d, intersections %d, "
+          "covectors %d, complements %d"
+          % (len(cone_rows), with_lin,
+             sum(len(a[4]) for a in new if a[0] == "faces" and a[3] == "ok"),
+             sum(a[0] == "meet" for a in new), sum(a[0] == "covector" for a in new),
              2 * sum(a[0] == "complement" for a in new)))
     print("cli runs %d on %d documents: exit 0 %d, exit 1 %d, exit 2 %d, raised %d"
           % (len(runs), args.fans, codes.count(0), codes.count(1), codes.count(2),
