@@ -372,19 +372,6 @@ def _face_lattice(c, known):
     return FaceLattice(c, tuple(face_list), witnesses)
 
 
-def _face_sublattice(lattice, c):
-    """faces(c) for a face c of lattice.cone: the lattice's faces on rays
-    of c, with witnesses from the normals of c."""
-    rays = frozenset(c.rays)
-    facet_sets = _facet_sets(c)
-    witnesses = {
-        f: _witness(c, facet_sets, frozenset(f.rays))
-        for f in lattice.faces
-        if rays.issuperset(f.rays)
-    }
-    return FaceLattice(c, tuple(witnesses), witnesses)
-
-
 def faces(c):
     """Face lattice of a pointed cone.
 

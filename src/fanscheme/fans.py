@@ -2,9 +2,11 @@
 
 A Fan object only normalizes its cone list; the fan axioms are checked by
 validate_fan, which raises a typed error naming the offending cones.  A fan
-that passes carries its face index: face lattices, face order and meets,
-computed once and read by every later caller: one face lattice per
-maximal cone, the rest cut from them when first read.
+that passes carries its face index: its cones by ray set, face lattices and
+the separating covectors of its maximal cones, computed once and read by
+every later caller: one face lattice per maximal cone, the lattice of any
+other cone built when first read.  Meets are gluing data of the chart
+system, built by scheme.MonoidSystem.from_fan alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 
 from .cones import (
     _face_lattice,
-    _face_sublattice,
     cone_from_rays,
     intersect_cones,
     Polycone,
@@ -108,25 +109,28 @@ class Fan:
 
 class _Lattices(Mapping):
     """cone -> FaceLattice for every cone of a validated fan.  built holds
-    the lattices made so far; holder maps each cone to the lattice of a
-    maximal cone it is a face of, from which its own is cut
-    (_face_sublattice) on its first read."""
+    the lattices made so far, among them those of the maximal cones; the
+    lattice of any other member is built on its first read, from the fan's
+    cones by ray set (_face_lattice)."""
 
-    def __init__(self, built, holder):
+    def __init__(self, built, members, cones):
         self._built = built
-        self._holder = holder
+        self._members = members
+        self._cones = cones
 
     def __getitem__(self, c):
         lattice = self._built.get(c)
         if lattice is None:
-            lattice = self._built[c] = _face_sublattice(self._holder[c], c)
+            if c not in self._members:
+                raise KeyError(c)
+            lattice = self._built[c] = _face_lattice(c, self._cones)
         return lattice
 
     def __iter__(self):
-        return iter(self._holder)
+        return iter(self._cones.values())
 
     def __len__(self):
-        return len(self._holder)
+        return len(self._cones)
 
 
 @dataclass(frozen=True)
@@ -136,21 +140,19 @@ class FaceIndex:
     cones: ray frozenset -> cone of the fan.
     lattices: cone -> its FaceLattice (a _Lattices mapping): validate_fan
         builds the lattice of each maximal cone, and the lattice of any
-        other cone is cut from one of those the first time it is read.
-    meets: (i, j), i < j -> label of the meet of cones i and j, the cone on
-        their shared rays.
+        other cone is built the first time it is read.
     separators: (i, j), i < j, for each pair of maximal cones -> the
         covector witness_covector found: >= 0 on cone i, <= 0 on cone j,
         vanishing exactly on their meet (the separation lemma).
 
     The index owns a fan's chart system: MonoidSystem.from_fan reads its
-    order and meets here, and check_separation_condition certifies the
-    separators and derives every other pair from them.
+    lattices here and takes its order and meets from the cones' ray sets,
+    and check_separation_condition certifies the separators and derives
+    every other pair from them.
     """
 
     cones: dict
     lattices: dict
-    meets: dict
     separators: dict
 
 
@@ -168,14 +170,13 @@ def validate_fan(fan):
 
     By falling dimension, a cone in no lattice seen so far is maximal, and
     only its lattice is built (unless complete_under_faces left it).  The
-    lattice of any other cone is a down-set of one of those, cut from it
-    when FaceIndex.lattices is first read at that cone.  Lattices reuse the
-    fan's cones as faces, and the faces they add compute their normals and
-    dual lineality only when read (cones._face_cone): validation reads
-    neither.  A pair of maximal cones passes when cones.witness_covector
-    separates them along the cone on their shared rays; the index keeps
-    that covector in separators.  Only a failing pair builds its meet, for
-    the error.
+    lattice of any other cone is built when FaceIndex.lattices is first
+    read at that cone.  Lattices reuse the fan's cones as faces, and the
+    faces they add compute their normals and dual lineality only when read
+    (cones._face_cone): validation reads neither.  A pair of maximal cones
+    passes when cones.witness_covector separates them along the cone on
+    their shared rays; the index keeps that covector in separators.  Only
+    a failing pair builds its meet, for the error; no other meet is built.
     """
     if fan._face_index is not None:
         return fan._face_index
@@ -184,10 +185,10 @@ def validate_fan(fan):
             raise NonPointedConeError(c)
     cones = {frozenset(c.rays): c for c in fan.cones}
     lattices = dict(fan._lattices)
-    holder = {}  # face -> the lattice of a maximal cone that holds it
+    covered = set()  # the faces of the maximal cones seen so far
     tops = []
     for c in reversed(fan.cones):
-        if c in holder:
+        if c in covered:
             continue
         if c not in lattices:
             lattices[c] = _face_lattice(c, cones)
@@ -197,8 +198,7 @@ def validate_fan(fan):
                     if f not in fan:
                         raise MissingFaceError(d, f)
         tops.append(c)
-        for f in lattices[c]:
-            holder.setdefault(f, lattices[c])
+        covered.update(lattices[c])
     tops.reverse()
     label = {c: i for i, c in enumerate(fan.cones)}
     separators = {}
@@ -209,13 +209,9 @@ def validate_fan(fan):
             if u is None:
                 raise BadIntersectionError(a, b, intersect_cones(a, b))
             separators[(label[a], label[b])] = u
-    rays = [frozenset(c.rays) for c in fan.cones]
-    meets = {
-        (i, j): label[cones[rays[i] & rays[j]]]
-        for i in range(len(rays))
-        for j in range(i + 1, len(rays))
-    }
-    fan._face_index = FaceIndex(cones, _Lattices(lattices, holder), meets, separators)
+    fan._face_index = FaceIndex(
+        cones, _Lattices(lattices, fan._members, cones), separators
+    )
     return fan._face_index
 
 

@@ -331,20 +331,17 @@ class MonoidSystem:
                 raise ValueError("label %r is not an index into the system" % (x,))
             return x
 
-        rel = [[i == j for j in range(n)] for i in range(n)]
+        below = [{j} for j in range(n)]  # below[j]: the labels <= j
         for i, j in leq:
-            rel[label(i)][label(j)] = True
+            i, j = label(i), label(j)
+            below[j].add(i)
         for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    for j in range(n):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        for i in range(n):
             for j in range(n):
-                if i != j and rel[i][j] and rel[j][i]:
-                    raise ValueError("the order has a two-way pair")
-        self._rel = rel
+                if k in below[j]:
+                    below[j] |= below[k]
+        if any(j in below[i] for j in range(n) for i in below[j] if i != j):
+            raise ValueError("the order has a two-way pair")
+        rel = self._rel = [[i in below[j] for j in range(n)] for i in range(n)]
         for i, j in self.strict_pairs():
             for g in self.monoids[j].generators:
                 if not monoid_contains(self.monoids[i], g):
@@ -376,12 +373,11 @@ class MonoidSystem:
                         "the recorded meet of (%d, %d) is not below both"
                         % (i, j)
                     )
-                for l in range(n):
-                    if rel[l][i] and rel[l][j] and not rel[l][k]:
-                        raise ValueError(
-                            "the recorded meet of (%d, %d) is not the "
-                            "greatest lower bound" % (i, j)
-                        )
+                if below[i] & below[j] != below[k]:
+                    raise ValueError(
+                        "the recorded meet of (%d, %d) is not the "
+                        "greatest lower bound" % (i, j)
+                    )
                 if i < j:
                     self._inf[(i, j)] = k
 
@@ -408,8 +404,10 @@ class MonoidSystem:
         validate_fan has proved the fan, so none of the checks of an
         explicit system runs: label i sits below j exactly when the rays of
         cone i are among those of cone j (a cone of the fan on some of a
-        cone's rays is a face of it), and the meets are the index's.  Each
-        strict pair gets a localization certificate.
+        cone's rays is a face of it), and the meet of i and j is the cone
+        on the rays they share, which validate_fan proved is their
+        intersection; the meets are built here, since the face index keeps
+        none.  Each strict pair gets a localization certificate.
         """
         index = validate_fan(fan)
         cones = fan.cones
@@ -417,7 +415,12 @@ class MonoidSystem:
         system._charts(dual_monoid(c) for c in cones)
         rays = [frozenset(c.rays) for c in cones]
         system._rel = [[a <= b for b in rays] for a in rays]
-        system._inf = index.meets
+        label = {r: i for i, r in enumerate(rays)}
+        system._inf = {
+            (i, j): label[rays[i] & rays[j]]
+            for i in range(len(rays))
+            for j in range(i + 1, len(rays))
+        }
         system.fan = fan
         system.source = "fan"
         for i, j in system.strict_pairs():

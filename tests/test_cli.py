@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -582,6 +583,27 @@ def test_hostile_integers_exit_zero_or_one_without_a_traceback(tmp_path):
         # faces of the three 2-faces and the cone, hilbert and dual of the
         # cone, atlas, and the report over the long base
         assert refused == 8
+
+
+def test_validating_a_large_fan_builds_no_pairwise_table(tmp_path):
+    # the 128 top cones of (P^1)^7 close to 2,187 cones, 2.4 million pairs:
+    # a table over every pair of cones needs 300-400 MB, and validation
+    # builds none, so it fits in 200 MB of address space
+    resource = pytest.importorskip("resource")
+    e = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    tops = [[tuple(s * x for x in v) for s, v in zip(signs, e)]
+            for signs in itertools.product((1, -1), repeat=7)]
+    path = write_fan(tmp_path, 7, tops)
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (200 * 10**6, 200 * 10**6))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanscheme.cli", "validate", "--fan", path],
+        capture_output=True, text=True, timeout=60, preexec_fn=capped,
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert json.loads(proc.stdout) == {"cones": 2187, "lattice_rank": 7, "valid": True}
 
 
 def test_cli_survives_fuzzed_documents(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from operator import mul
@@ -24,6 +25,7 @@ from fanscheme.fans import (
     validate_fan,
 )
 from fanscheme.lattice import hnf_rows, perp_rows, primitive_vector
+from fanscheme.scheme import MonoidSystem
 from helpers import (
     affine_wedge_fan,
     fan_from_ray_lists,
@@ -117,29 +119,43 @@ def test_validation_rejects_nested_top_cones():
 
 
 def test_validation_builds_the_face_index_once():
+    # the index holds what validation proved and nothing else: the meets
+    # are the chart system's, and a cone outside the fan has no lattice
     rng = random.Random(6060)
     fans = [projective_plane_fan(), hirzebruch_fan(), affine_wedge_fan()]
     fans += [random_orthant_subfan(rng) for _ in range(3)]
     for fan in fans:
         index = validate_fan(fan)
         assert validate_fan(fan) is index
+        assert [f.name for f in dataclasses.fields(index)] == [
+            "cones", "lattices", "separators"]
         assert set(index.cones.values()) == set(fan.cones)
+        assert list(index.lattices) == list(fan.cones)
         for c in fan:
             assert index.cones[frozenset(c.rays)] == c
             assert tuple(index.lattices[c]) == faces(c).faces
             assert index.lattices[c].witnesses == faces(c).witnesses
-        for (i, j), k in index.meets.items():
-            a, b = fan.cones[i], fan.cones[j]
-            assert fan.cones[k] == intersect_cones(a, b)
-            if k in (i, j):
-                continue
-            u = separating_covector(a, b)
-            dots_a = [sum(x * y for x, y in zip(r, u)) for r in a.rays]
-            dots_b = [sum(x * y for x, y in zip(r, u)) for r in b.rays]
-            assert min(dots_a, default=0) >= 0 >= max(dots_b, default=0)
-            tight = {r for r, d in zip(a.rays, dots_a) if d == 0}
-            assert tight == {r for r, d in zip(b.rays, dots_b) if d == 0}
-            assert tight == set(fan.cones[k].rays)
+        system = MonoidSystem.from_fan(fan)
+        for i in range(len(fan)):
+            for j in range(i + 1, len(fan)):
+                k = system.inf(i, j)
+                a, b = fan.cones[i], fan.cones[j]
+                assert fan.cones[k] == intersect_cones(a, b)
+                if k in (i, j):
+                    continue
+                u = separating_covector(a, b)
+                dots_a = [sum(x * y for x, y in zip(r, u)) for r in a.rays]
+                dots_b = [sum(x * y for x, y in zip(r, u)) for r in b.rays]
+                assert min(dots_a, default=0) >= 0 >= max(dots_b, default=0)
+                tight = {r for r, d in zip(a.rays, dots_a) if d == 0}
+                assert tight == {r for r, d in zip(b.rays, dots_b) if d == 0}
+                assert tight == set(fan.cones[k].rays)
+    index = validate_fan(fans[0])
+    outside = cone_from_rays(2, [(1, 2), (-1, 3)])
+    with pytest.raises(KeyError):
+        index.lattices[outside]
+    assert outside not in index.lattices
+    assert set(index.cones.values()) == set(fans[0].cones)
 
 
 def _perfbench_fans():
@@ -184,19 +200,20 @@ def test_witness_covectors_satisfy_the_separation_lemma(monkeypatch):
     fallbacks.clear()  # count the pairs checked below only
     settled = 0
     for fan, index in zip(fans, indices):
-        for (i, j), k in index.meets.items():
-            if k in (i, j):
-                continue
-            a, b = fan.cones[i], fan.cones[j]
-            u = witness_covector(index.lattices[a], index.lattices[b], fan.cones[k])
-            assert u is not None
-            settled += 1
-            dots_a = [sum(x * y for x, y in zip(r, u)) for r in a.rays]
-            dots_b = [sum(x * y for x, y in zip(r, u)) for r in b.rays]
-            assert min(dots_a, default=0) >= 0 >= max(dots_b, default=0)
-            meet = set(intersect_cones(a, b).rays)
-            assert {r for r, d in zip(a.rays, dots_a) if d == 0} == meet
-            assert {r for r, d in zip(b.rays, dots_b) if d == 0} == meet
+        for i, a in enumerate(fan.cones):
+            for b in fan.cones[i + 1:]:
+                meet = index.cones[frozenset(a.rays) & frozenset(b.rays)]
+                if meet in (a, b):
+                    continue
+                u = witness_covector(index.lattices[a], index.lattices[b], meet)
+                assert u is not None
+                settled += 1
+                dots_a = [sum(x * y for x, y in zip(r, u)) for r in a.rays]
+                dots_b = [sum(x * y for x, y in zip(r, u)) for r in b.rays]
+                assert min(dots_a, default=0) >= 0 >= max(dots_b, default=0)
+                cap = set(intersect_cones(a, b).rays)
+                assert {r for r, d in zip(a.rays, dots_a) if d == 0} == cap
+                assert {r for r, d in zip(b.rays, dots_b) if d == 0} == cap
     assert settled >= 800 and fallbacks
 
 
@@ -344,8 +361,10 @@ def test_validation_agrees_with_checking_every_pair(monkeypatch):
         del passes[:]
         index = validate_fan(fan)
         valid_fallbacks += len(passes)
-        for (i, j), k in index.meets.items():
-            assert fan.cones[k] == intersect_cones(fan.cones[i], fan.cones[j])
+        for i, a in enumerate(fan.cones):
+            for b in fan.cones[i + 1:]:
+                meet = index.cones[frozenset(a.rays) & frozenset(b.rays)]
+                assert meet == intersect_cones(a, b)
         for c in fan:
             assert index.lattices[c].faces == lattices[c].faces
             assert index.lattices[c].witnesses == lattices[c].witnesses

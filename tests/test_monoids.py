@@ -315,6 +315,15 @@ def test_wrong_witness_or_lattice_raises():
         localization_certificate(big, small, sigma, tau, lattice=faces(wedge()))
     cert = localization_certificate(big, small, sigma, tau, lattice=fl)
     assert cert == localization_certificate(big, small, sigma, tau)
+    # the witness (0, 1) of tau against charts it does not localize: the
+    # dual of the ray (0, -1) misses it, and the dual of sigma misses (0, -1)
+    lower = dual_monoid(cone_from_rays(2, [(0, -1)]))
+    with pytest.raises(ValueError, match="witness does not land in the target monoid"):
+        localization_certificate(lower, small, sigma, tau)
+    with pytest.raises(
+        ValueError, match="negated witness is missing from the source monoid"
+    ):
+        localization_certificate(big, big, sigma, tau)
 
 
 def test_separation_certificate_checks_every_step():

@@ -5,7 +5,11 @@ import pytest
 from fanscheme.cones import cone_from_rays
 from fanscheme.fans import Fan, is_complete, is_regular, validate_fan
 from fanscheme.monoid_algebra import CoeffRing, exp_map
-from fanscheme.monoids import AffineMonoid
+from fanscheme.monoids import (
+    AffineMonoid,
+    check_openly_immersive_pair,
+    monoid_contains,
+)
 from fanscheme.scheme import (
     NO,
     UNKNOWN,
@@ -181,39 +185,59 @@ def test_fan_system_order_and_meets():
 
 
 def test_explicit_system_validation():
+    # each error names its reason; the texts are pinned whole
     N = AffineMonoid.from_generators(1, [(1,)])
     Z = AffineMonoid.from_generators(1, [(1,), (-1,)])
     two = AffineMonoid.from_generators(1, [(2,)])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^system entries must be affine monoids$"):
         MonoidSystem([N, "monoid"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^system monoids live in different lattices$"):
         MonoidSystem([N, AffineMonoid.from_generators(2, [(1, 0)])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^label 5 is not an index into the system$"):
         MonoidSystem([N, Z], leq=[(0, 5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^label 7 is not an index into the system$"):
+        MonoidSystem([N, Z], leq=[(7, 9)])
+    with pytest.raises(ValueError, match="^the order has a two-way pair$"):
         MonoidSystem([N, Z], leq=[(0, 1), (1, 0)])
     # label 0 sits below label 1, so its monoid must contain the other
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^label 0 is below 1 but its monoid does not contain the other$"
+    ):
         MonoidSystem([two, N], leq=[(0, 1)])
     # incomparable pair without a recorded meet
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^no meet recorded for the incomparable pair \(0, 1\)$"
+    ):
         MonoidSystem([N, N])
     # recorded meet must sit below both entries
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^the recorded meet of \(1, 2\) is not below both$"
+    ):
         MonoidSystem([Z, N, N], leq=[(0, 1), (0, 2)], inf={(1, 2): 1})
     # and must dominate every other common lower bound
     gapped = AffineMonoid.from_generators(1, [(2,), (3,)])
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match=r"^the recorded meet of \(1, 2\) is not the greatest lower bound$",
+    ):
         MonoidSystem(
             [Z, gapped, gapped, N],
             leq=[(0, 3), (3, 1), (3, 2), (0, 1), (0, 2)],
             inf={(1, 2): 0},
         )
     # a recorded meet must agree with the order, and a pair records one
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^the recorded meet of \(0, 1\) is not below both$"
+    ):
         MonoidSystem([Z, N], leq=[(0, 1)], inf={(0, 1): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^two meets recorded for the pair \(1, 2\)$"
+    ):
         MonoidSystem([Z, N, N], leq=[(0, 1), (0, 2)], inf={(2, 1): 2, (1, 2): 0})
+    # the order is closed transitively
+    chain = MonoidSystem([Z, N, two], leq=[(0, 1), (1, 2)])
+    assert chain.leq(0, 2) and chain.inf(0, 2) == 0
+    assert chain.strict_pairs() == ((0, 1), (0, 2), (1, 2))
 
 
 def test_fan_systems_are_openly_immersive():
@@ -224,6 +248,29 @@ def test_fan_systems_are_openly_immersive():
         for i, j, check in report.entries:
             assert check.verdict == "yes"
             assert check.witness is not None
+
+
+def test_cone_monoid_pairs_of_fan_systems_are_openly_immersive():
+    # the immersion search on the dual monoids of a fan, which keep their
+    # cones, finds a localizing element for every comparable pair
+    rng = random.Random(3005)
+    e = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    p3 = e + [(-1, -1, -1)]
+    fans = [fan_from_ray_lists(3, [p3[:k] + p3[k + 1:] for k in range(4)])]
+    fans += [random_staircase_fan(rng)[0] for _ in range(4)]
+    pairs = 0
+    for fan in fans:
+        system = MonoidSystem.from_fan(fan)
+        for i, j in system.strict_pairs():
+            target, source = system.monoids[i], system.monoids[j]
+            assert target.cone is not None and source.cone is not None
+            check = check_openly_immersive_pair(target, source)
+            assert check.verdict == YES, (i, j, check.reason)
+            t = check.witness
+            assert monoid_contains(source, t)
+            assert monoid_contains(target, tuple(-x for x in t))
+            pairs += 1
+    assert pairs >= 50 + 4 * 2
 
 
 def test_explicit_system_detects_difference_group_jump():

@@ -20,10 +20,11 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   over random fan documents (complete, non-full, non-pointed, embedded,
   empty, crossing and malformed ones), with stdout, stderr and the exit
   code compared byte for byte;
-- the chart system of each of those documents that loads and validates:
-  the order and meets of MonoidSystem.from_fan, the entries of
-  check_separation_condition and the witnesses of is_openly_immersive,
-  none of which the CLI prints;
+- the face index and chart system of each of those documents that loads
+  and validates: the lattice validate_fan gives each cone (its faces in
+  order, with their rays, dims and witnesses), the order and meets of
+  MonoidSystem.from_fan, the entries of check_separation_condition and
+  the witnesses of is_openly_immersive, none of which the CLI prints;
 - MONOIDS seeded designated monoids of rank 2-4, some with a pair v, -v
   and some with a generator replaced by its doubles and triples, which
   are seldom normal: monoid_contains on every generator, on sums of the
@@ -194,13 +195,18 @@ def cli_answers(cli, runs):
 
 
 def system_answers(cli, fans, scheme, paths):
-    """Order, meets, separation entries and immersion witnesses of the chart
-    system of each document that loads and validates."""
+    """Face lattices of the face index, and order, meets, separation entries
+    and immersion witnesses of the chart system, of each document that
+    loads and validates."""
     out = []
     for path in paths:
         kind, fan = outcome(cli.load_fan_document, path)
         if kind != "ok" or outcome(fans.validate_fan, fan)[0] != "ok":
             continue
+        lattices = fans.validate_fan(fan).lattices
+        out.append(("lattices", path,
+                    [[(f.dim, f.rays, lattices[c].witnesses[f]) for f in lattices[c]]
+                     for c in fan]))
         system = scheme.MonoidSystem.from_fan(fan)
         labels = system.labels
         out.append(("system", path, len(labels),
@@ -368,9 +374,12 @@ def main():
           % (len(runs), args.fans, codes.count(0), codes.count(1), codes.count(2),
              sum(a[1] != "ok" for a in new if isinstance(a[0], list))))
     systems = [a for a in new if a[0] == "system"]
-    print("chart systems %d: %d labels, %d separation pairs, %d immersion witnesses"
-          % (len(systems), sum(a[2] for a in systems),
-             sum(len(a[5]) for a in systems), sum(len(a[6]) for a in systems)))
+    lattices = [lat for a in new if a[0] == "lattices" for lat in a[2]]
+    print("chart systems %d: %d labels, %d face lattices with %d faces, "
+          "%d separation pairs, %d immersion witnesses"
+          % (len(systems), sum(a[2] for a in systems), len(lattices),
+             sum(map(len, lattices)), sum(len(a[5]) for a in systems),
+             sum(len(a[6]) for a in systems)))
     monoid_rows = [a for a in new if a[0] == "monoid"]
     queries = [q for a in monoid_rows for q in a[4]]
     verdicts = [a[4] for a in new if a[0] == "immersion"]
