@@ -5,8 +5,9 @@ validate_fan, which raises a typed error naming the offending cones.  A fan
 that passes carries its face index: its cones by ray set, face lattices and
 the separating covectors of its maximal cones, computed once and read by
 every later caller: one face lattice per maximal cone, the lattice of any
-other cone built when first read.  Meets are gluing data of the chart
-system, built by scheme.MonoidSystem.from_fan alone.
+other cone built when first read.  The chart system of
+scheme.MonoidSystem.from_fan reads its order and meets off those face
+lattices; the index keeps no table over pairs of cones.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ class BadIntersectionError(FanError):
 
 def _cone_key(c):
     return (c.dim, c.rays, c.lineality)
+
+
+def _require_pointed(cones):
+    for c in cones:
+        if not c.is_pointed:
+            raise NonPointedConeError(c)
 
 
 class Fan:
@@ -145,10 +152,11 @@ class FaceIndex:
         covector witness_covector found: >= 0 on cone i, <= 0 on cone j,
         vanishing exactly on their meet (the separation lemma).
 
-    The index owns a fan's chart system: MonoidSystem.from_fan reads its
-    lattices here and takes its order and meets from the cones' ray sets,
-    and check_separation_condition certifies the separators and derives
-    every other pair from them.
+    The index owns a fan's chart system: MonoidSystem.from_fan takes its
+    order from the lattices here (the labels below cone j are the faces of
+    cone j) and its meets from those down-sets, and
+    check_separation_condition certifies the separators and derives every
+    other pair from them.
     """
 
     cones: dict
@@ -180,9 +188,7 @@ def validate_fan(fan):
     """
     if fan._face_index is not None:
         return fan._face_index
-    for c in fan.cones:
-        if not c.is_pointed:
-            raise NonPointedConeError(c)
+    _require_pointed(fan.cones)
     cones = {frozenset(c.rays): c for c in fan.cones}
     lattices = dict(fan._lattices)
     covered = set()  # the faces of the maximal cones seen so far
@@ -217,12 +223,9 @@ def validate_fan(fan):
 
 def complete_under_faces(fan):
     """Add every face of every cone; keep their lattices for validate_fan."""
-    known = {frozenset(c.rays): c for c in fan.cones if c.is_pointed}
-    lattices = {}
-    for c in fan.cones:
-        if not c.is_pointed:
-            raise NonPointedConeError(c)
-        lattices[c] = _face_lattice(c, known)
+    _require_pointed(fan.cones)
+    known = {frozenset(c.rays): c for c in fan.cones}
+    lattices = {c: _face_lattice(c, known) for c in fan.cones}
     out = Fan(fan.rank, [f for lattice in lattices.values() for f in lattice])
     out._lattices = lattices
     return out
@@ -301,7 +304,10 @@ def fullify(fan):
     The reduced fan is full in rank d = dimension of that span; the
     complement rows record a splitting of the ambient lattice, so the
     original data is the reduced part times a torus factor of rank n - d.
+    A cone with lineality raises NonPointedConeError, as in validate_fan:
+    its rays alone do not span it.
     """
+    _require_pointed(fan.cones)
     n = fan.rank
     all_rays = [list(r) for c in fan.cones for r in c.rays]
     basis = saturate_rows(all_rays, n)

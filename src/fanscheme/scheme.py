@@ -313,13 +313,20 @@ class MonoidSystem:
 
     (i, j) in the order means label i sits below label j; for fan systems
     that is the face order on cones, and the monoid of i then contains the
-    monoid of j.  An explicit system, MonoidSystem(monoids, leq, inf), is
-    checked in full: the order is closed transitively and must have no
-    two-way pair, every pair in it must satisfy the inclusion rule, and
-    every incomparable pair needs a recorded meet.  A recorded meet, given
-    under (i, j) or (j, i), must be the greatest lower bound, also for a
-    comparable pair, and one pair may not record two meets.  Meets are
-    stored once per pair i < j.
+    monoid of j.  The order is kept as down-sets alone: _below[j] is the
+    frozenset of labels <= j, and the meet of i and j is the label whose
+    down-set is _below[i] & _below[j] (_label maps each down-set to its
+    label).  No table over pairs of labels is kept.  inf(i, j) raises
+    KeyError when i or j is outside the system, leq(i, j) when j is.
+
+    An explicit system, MonoidSystem(monoids, leq, inf), is checked in
+    full: the order is closed transitively and must have no two-way pair,
+    every pair in it must satisfy the inclusion rule, and every
+    incomparable pair needs a recorded meet.  A recorded meet, given under
+    (i, j) or (j, i), must be the greatest lower bound, also for a
+    comparable pair, and one pair may not record two meets.  Once checked,
+    the recorded meets are the meets the down-sets give, so they are not
+    stored.
     """
 
     def __init__(self, monoids, leq=(), inf=None):
@@ -341,7 +348,7 @@ class MonoidSystem:
                     below[j] |= below[k]
         if any(j in below[i] for j in range(n) for i in below[j] if i != j):
             raise ValueError("the order has a two-way pair")
-        rel = self._rel = [[i in below[j] for j in range(n)] for i in range(n)]
+        self._order(below)
         for i, j in self.strict_pairs():
             for g in self.monoids[j].generators:
                 if not monoid_contains(self.monoids[i], g):
@@ -354,21 +361,20 @@ class MonoidSystem:
             pair = tuple(sorted((label(i), label(j))))
             if table.setdefault(pair, label(k)) != k:
                 raise ValueError("two meets recorded for the pair (%d, %d)" % pair)
-        self._inf = {}
         for i in range(n):
             for j in range(i, n):
                 if (i, j) in table:
                     k = table[(i, j)]
-                elif rel[i][j]:
+                elif i in below[j]:
                     k = i
-                elif rel[j][i]:
+                elif j in below[i]:
                     k = j
                 else:
                     raise ValueError(
                         "no meet recorded for the incomparable pair "
                         "(%d, %d)" % (i, j)
                     )
-                if not (rel[k][i] and rel[k][j]):
+                if not (k in below[i] and k in below[j]):
                     raise ValueError(
                         "the recorded meet of (%d, %d) is not below both"
                         % (i, j)
@@ -378,11 +384,9 @@ class MonoidSystem:
                         "the recorded meet of (%d, %d) is not the "
                         "greatest lower bound" % (i, j)
                     )
-                if i < j:
-                    self._inf[(i, j)] = k
 
     def _charts(self, monoids):
-        """Set the fields every system has; the caller sets _rel and _inf."""
+        """Set the fields every system has; the caller sets the order."""
         monoids = tuple(monoids)
         for m in monoids:
             if not isinstance(m, AffineMonoid):
@@ -397,30 +401,30 @@ class MonoidSystem:
         self.localizations = {}
         self.r = max((len(m.diff_basis) for m in monoids), default=0)
 
+    def _order(self, below):
+        """Keep the order as its down-sets: below[j] holds the labels <= j."""
+        self._below = {j: frozenset(b) for j, b in enumerate(below)}
+        self._label = {b: j for j, b in self._below.items()}
+
     @classmethod
     def from_fan(cls, fan):
         """Chart system of a fan: dual monoids, read off its face index.
 
         validate_fan has proved the fan, so none of the checks of an
-        explicit system runs: label i sits below j exactly when the rays of
-        cone i are among those of cone j (a cone of the fan on some of a
-        cone's rays is a face of it), and the meet of i and j is the cone
-        on the rays they share, which validate_fan proved is their
-        intersection; the meets are built here, since the face index keeps
-        none.  Each strict pair gets a localization certificate.
+        explicit system runs: the labels below j are those of the faces in
+        the face lattice of cone j, and the meet of i and j is the cone
+        whose faces are their common faces, the cone on the rays they
+        share, which validate_fan proved is their intersection.  Each
+        strict pair gets a localization certificate, which reads the same
+        lattice.
         """
         index = validate_fan(fan)
         cones = fan.cones
         system = cls.__new__(cls)
         system._charts(dual_monoid(c) for c in cones)
-        rays = [frozenset(c.rays) for c in cones]
-        system._rel = [[a <= b for b in rays] for a in rays]
-        label = {r: i for i, r in enumerate(rays)}
-        system._inf = {
-            (i, j): label[rays[i] & rays[j]]
-            for i in range(len(rays))
-            for j in range(i + 1, len(rays))
-        }
+        label = {c: i for i, c in enumerate(cones)}
+        lattices = [index.lattices[c] for c in cones]
+        system._order([label[f] for f in lattice] for lattice in lattices)
         system.fan = fan
         system.source = "fan"
         for i, j in system.strict_pairs():
@@ -429,25 +433,20 @@ class MonoidSystem:
                 system.monoids[i],
                 cones[j],
                 cones[i],
-                lattice=index.lattices[cones[j]],
+                lattice=lattices[j],
             )
         return system
 
     def leq(self, i, j):
-        return self._rel[i][j]
+        return i in self._below[j]
 
     def inf(self, i, j):
-        if i == j:
-            return i
-        return self._inf[(i, j) if i < j else (j, i)]
+        return self._label[self._below[i] & self._below[j]]
 
     def strict_pairs(self):
-        return tuple(
-            (i, j)
-            for i in self.labels
-            for j in self.labels
-            if i != j and self._rel[i][j]
-        )
+        return tuple(sorted(
+            (i, j) for j, below in self._below.items() for i in below if i != j
+        ))
 
 
 @dataclass(frozen=True)

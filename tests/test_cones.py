@@ -17,7 +17,10 @@ from fanscheme.cones import (
     witness_covector,
 )
 from fanscheme.fans import validate_fan
-from fanscheme.lattice import rank_rows, signed_rows
+from fanscheme.lattice import IntMatrix, rank_rows, signed_rows
+from fanscheme.monoid_algebra import CoeffRing
+from fanscheme.monoids import AffineMonoid, check_openly_immersive_pair
+from fanscheme.scheme import BaseDescriptor
 
 
 def quadrant():
@@ -652,3 +655,36 @@ def test_separating_covector_decides_meets_like_intersection():
                        and helpers.fm_cone_contains(b.rays, p, n))
             assert contains_point(meet, p) == in_both
     assert 10 <= verdicts.count(False) <= 40
+
+
+def test_input_checks_refuse_with_their_messages():
+    # the argument checks of the public entry points, each with its type
+    # and its whole message
+    line = cone_from_rays(1, [(1,)])
+    diagonal = cone_from_rays(2, [(1, 1)])
+    plane_n = AffineMonoid.from_generators(2, [(1, 0)])
+    line_n = AffineMonoid.from_generators(1, [(1,)])
+    cases = [
+        (lambda: intersect_cones(quadrant(), line), ValueError, "ambient ranks differ"),
+        (lambda: separating_covector(quadrant(), line), ValueError,
+         "ambient ranks differ"),
+        (lambda: contains_point(quadrant(), (1, 2, 3)), ValueError,
+         "point has wrong length"),
+        (lambda: check_openly_immersive_pair(plane_n, line_n), ValueError,
+         "ambient ranks differ"),
+        (lambda: faces(quadrant()).leq(diagonal, quadrant()), KeyError,
+         "'not faces of this cone'"),
+        (lambda: faces(quadrant()).leq(quadrant(), diagonal), KeyError,
+         "'not faces of this cone'"),
+        (lambda: BaseDescriptor(dim=(0, 1)), ValueError, "dim must be a DimRange"),
+        (lambda: CoeffRing.rationals().normalize(1.5), TypeError,
+         "rational coefficient expected"),
+        (lambda: IntMatrix.from_rows([(1, 2)]) * IntMatrix.from_rows([(1, 2)]),
+         ValueError, "shape mismatch in matrix product"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    # comparing a cone with anything else is False, not an error
+    assert (quadrant() == 5) is False and quadrant() != 5

@@ -75,10 +75,16 @@ def test_golden_fan_sizes():
 
 
 def test_validation_rejects_lineality():
+    # every fan entry point refuses a cone with lineality and names it;
+    # fullify would otherwise map only the rays, turning the line into the
+    # origin and the half-plane into a ray
     half = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
-    with pytest.raises(NonPointedConeError) as info:
-        validate_fan(Fan(2, [half]))
-    assert info.value.cone == half
+    line = cone_from_rays(2, [(1, 0), (-1, 0)])
+    for bad in (half, line):
+        for check in (validate_fan, complete_under_faces, is_complete, fullify):
+            with pytest.raises(NonPointedConeError) as info:
+                check(Fan(2, [bad]))
+            assert info.value.cone == bad, check
 
 
 def test_validation_rejects_missing_faces():

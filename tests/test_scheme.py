@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -238,6 +240,122 @@ def test_explicit_system_validation():
     chain = MonoidSystem([Z, N, two], leq=[(0, 1), (1, 2)])
     assert chain.leq(0, 2) and chain.inf(0, 2) == 0
     assert chain.strict_pairs() == ((0, 1), (0, 2), (1, 2))
+
+
+def _intersection_closed_family(rng):
+    """Distinct subsets of {0..4}, closed under intersection, shuffled."""
+    family = {frozenset(rng.sample(range(5), rng.randint(1, 4)))
+              for _ in range(rng.randint(3, 7))}
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    family = list(family)
+    rng.shuffle(family)
+    return family
+
+
+def _explicit_system_input(rng, sets, meet):
+    """leq: the cover pairs of inclusion among sets plus some transitive
+    pairs, shuffled; inf: meet(i, j) for every incomparable pair and some
+    comparable ones, each key in a random orientation."""
+    n = len(sets)
+    strict = [(i, j) for i in range(n) for j in range(n) if sets[i] < sets[j]]
+    covers = [(i, j) for i, j in strict
+              if not any(sets[i] < sets[k] < sets[j] for k in range(n))]
+    leq = covers + [p for p in strict if p not in covers and rng.random() < 0.3]
+    rng.shuffle(leq)
+    inf = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            comparable = sets[i] <= sets[j] or sets[j] <= sets[i]
+            if not comparable or rng.random() < 0.3:
+                key = (i, j) if rng.random() < 0.5 else (j, i)
+                inf[key] = meet(i, j)
+    return leq, inf
+
+
+def test_explicit_systems_match_an_inclusion_oracle():
+    # seeded families of subsets closed under intersection, each label
+    # with the monoid N so that every inclusion check passes: the system's
+    # order, meets and strict pairs are inclusion, intersection and the
+    # sorted strict inclusions
+    rng = random.Random(2501)
+    N = AffineMonoid.from_generators(1, [(1,)])
+    ambiguous = 0
+    for _ in range(40):
+        sets = _intersection_closed_family(rng)
+        n = len(sets)
+        label = {s: i for i, s in enumerate(sets)}
+        leq, inf = _explicit_system_input(rng, sets, lambda i, j: label[sets[i] & sets[j]])
+        system = MonoidSystem([N] * n, leq=leq, inf=inf)
+        for i in range(n):
+            for j in range(n):
+                assert system.leq(i, j) == (sets[i] <= sets[j])
+                assert system.inf(i, j) == label[sets[i] & sets[j]]
+        assert system.strict_pairs() == tuple(
+            (i, j) for i in range(n) for j in range(n) if sets[i] < sets[j]
+        )
+        # drop one set: a pair whose intersection it was may keep two
+        # maximal common lower bounds, and recording either one is refused
+        for c in sets:
+            rest = [s for s in sets if s != c]
+
+            def bounds(i, j):
+                common = [k for k, s in enumerate(rest) if s <= rest[i] & rest[j]]
+                return [k for k in common
+                        if not any(rest[k] < rest[h] for h in common)]
+
+            pairs = [(i, j) for i in range(len(rest)) for j in range(i + 1, len(rest))]
+            bad = [p for p in pairs if len(bounds(*p)) > 1]
+            if not bad:
+                continue
+            ambiguous += 1
+            for pick in bounds(*bad[0]):
+                leq, inf = _explicit_system_input(
+                    rng, rest, lambda i, j: pick if (i, j) == bad[0] else bounds(i, j)[0]
+                )
+                inf.pop(bad[0][::-1], None)
+                inf[bad[0]] = pick
+                with pytest.raises(
+                    ValueError,
+                    match=r"^the recorded meet of \(%d, %d\) is not the greatest "
+                    "lower bound$" % bad[0],
+                ):
+                    MonoidSystem([N] * len(rest), leq=leq, inf=inf)
+            break
+    assert ambiguous >= 10
+
+
+def test_a_large_chart_system_keeps_no_table_over_pairs():
+    # the 729 cones of (P^1)^6: tables over every pair of labels need
+    # 120-130 MB of address space for the atlas and both checks, down-sets
+    # fit in 110 MB
+    resource = pytest.importorskip("resource")
+    script = (
+        "import itertools\n"
+        "from fanscheme.cones import cone_from_rays\n"
+        "from fanscheme.fans import Fan, complete_under_faces\n"
+        "from fanscheme.scheme import build_atlas, check_separation_condition, "
+        "is_openly_immersive\n"
+        "e = [tuple(int(i == j) for j in range(6)) for i in range(6)]\n"
+        "tops = [cone_from_rays(6, [tuple(s * x for x in v) for s, v in zip(signs, e)])\n"
+        "        for signs in itertools.product((1, -1), repeat=6)]\n"
+        "system = build_atlas(complete_under_faces(Fan(6, tops))).system\n"
+        "print(is_openly_immersive(system).verdict, "
+        "check_separation_condition(system).separated)\n"
+    )
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (110 * 10**6, 110 * 10**6))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, preexec_fn=capped,
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "yes True\n"
 
 
 def test_fan_systems_are_openly_immersive():

@@ -22,9 +22,15 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   code compared byte for byte;
 - the face index and chart system of each of those documents that loads
   and validates: the lattice validate_fan gives each cone (its faces in
-  order, with their rays, dims and witnesses), the order and meets of
-  MonoidSystem.from_fan, the entries of check_separation_condition and
+  order, with their rays, dims and witnesses), the order, meets and
+  strict pairs of MonoidSystem.from_fan, the entries of check_separation_condition and
   the witnesses of is_openly_immersive, none of which the CLI prints;
+- an explicit copy of each of those chart systems, MonoidSystem(monoids,
+  leq, inf) with its cover pairs shuffled as leq and the meets of its
+  incomparable pairs as inf, each key in a random orientation: its order,
+  meets and strict pairs; and two broken copies, one with a wrong meet
+  label and one with a cover pair reversed: the type and message of what
+  each raises;
 - MONOIDS seeded designated monoids of rank 2-4, some with a pair v, -v
   and some with a generator replaced by its doubles and triples, which
   are seldom normal: monoid_contains on every generator, on sums of the
@@ -194,10 +200,56 @@ def cli_answers(cli, runs):
     return out
 
 
-def system_answers(cli, fans, scheme, paths):
+def order_answers(system):
+    """The order, the meets and the strict pairs of a chart system."""
+    labels = system.labels
+    return ([(i, j) for i in labels for j in labels if system.leq(i, j)],
+            [system.inf(i, j) for i in labels for j in labels],
+            system.strict_pairs())
+
+
+def explicit_copy(system, rng):
+    """(leq, inf) of an explicit copy of a chart system: its cover pairs,
+    shuffled, and the meet of each incomparable pair under a key in a
+    random orientation."""
+    labels = system.labels
+    leq = [(i, j) for i, j in system.strict_pairs()
+           if not any(system.leq(i, k) and system.leq(k, j)
+                      for k in labels if k not in (i, j))]
+    rng.shuffle(leq)
+    inf = {}
+    for i in labels:
+        for j in labels[i + 1:]:
+            if not (system.leq(i, j) or system.leq(j, i)):
+                inf[(i, j) if rng.random() < 0.5 else (j, i)] = system.inf(i, j)
+    return leq, inf
+
+
+def explicit_answers(scheme, system, rng):
+    """The order answers of an explicit copy of the system, and what a copy
+    with a wrong meet label and one with a reversed cover pair raise."""
+    def build(leq, inf):
+        kind, value = outcome(scheme.MonoidSystem, system.monoids, leq, inf)
+        return kind, order_answers(value) if kind == "ok" else value
+
+    leq, inf = explicit_copy(system, rng)
+    answers = [build(leq, inf)]
+    if inf:
+        key = rng.choice(sorted(inf))
+        wrong = dict(inf)
+        wrong[key] = rng.choice([k for k in system.labels if k != inf[key]])
+        answers.append(build(leq, wrong))
+    if leq:
+        k = rng.randrange(len(leq))
+        answers.append(build(leq[:k] + [leq[k][::-1]] + leq[k + 1:], inf))
+    return answers
+
+
+def system_answers(cli, fans, scheme, paths, rng):
     """Face lattices of the face index, and order, meets, separation entries
     and immersion witnesses of the chart system, of each document that
-    loads and validates."""
+    loads and validates; and the answers of explicit copies of that
+    system (explicit_answers)."""
     out = []
     for path in paths:
         kind, fan = outcome(cli.load_fan_document, path)
@@ -208,13 +260,11 @@ def system_answers(cli, fans, scheme, paths):
                     [[(f.dim, f.rays, lattices[c].witnesses[f]) for f in lattices[c]]
                      for c in fan]))
         system = scheme.MonoidSystem.from_fan(fan)
-        labels = system.labels
-        out.append(("system", path, len(labels),
-                    [(i, j) for i in labels for j in labels if system.leq(i, j)],
-                    [system.inf(i, j) for i in labels for j in labels],
+        out.append(("system", path, len(system.labels), *order_answers(system),
                     scheme.check_separation_condition(system).entries,
                     [(i, j, c.verdict, c.witness)
                      for i, j, c in scheme.is_openly_immersive(system).entries]))
+        out.append(("explicit", path, explicit_answers(scheme, system, rng)))
     return out
 
 
@@ -349,7 +399,8 @@ def main():
         for cones, cli, fans, scheme, monoids, lattice in trees:
             answers.append(cone_answers(cones, lattice, random.Random(args.seed), args.cones)
                            + cli_answers(cli, runs)
-                           + system_answers(cli, fans, scheme, paths)
+                           + system_answers(cli, fans, scheme, paths,
+                                            random.Random(args.seed))
                            + membership_answers(monoids, random.Random(args.seed),
                                                 MONOIDS))
         pointed = [(a[1], a[2]) for a in answers[0] if a[0] == "cone"
@@ -378,8 +429,12 @@ def main():
     print("chart systems %d: %d labels, %d face lattices with %d faces, "
           "%d separation pairs, %d immersion witnesses"
           % (len(systems), sum(a[2] for a in systems), len(lattices),
-             sum(map(len, lattices)), sum(len(a[5]) for a in systems),
-             sum(len(a[6]) for a in systems)))
+             sum(map(len, lattices)), sum(len(a[6]) for a in systems),
+             sum(len(a[7]) for a in systems)))
+    copies = [c for a in new if a[0] == "explicit" for c in a[2]]
+    print("explicit copies %d: %d built, %d refused"
+          % (len(copies), sum(c[0] == "ok" for c in copies),
+             sum(c[0] != "ok" for c in copies)))
     monoid_rows = [a for a in new if a[0] == "monoid"]
     queries = [q for a in monoid_rows for q in a[4]]
     verdicts = [a[4] for a in new if a[0] == "immersion"]
