@@ -26,6 +26,7 @@ from .lattice import (
     _echelon,
     complement_coordinates,
     identity_rows,
+    rank_rows,
     saturate_rows,
     transpose_rows,
 )
@@ -310,25 +311,27 @@ def fullify(fan):
     _require_pointed(fan.cones)
     n = fan.rank
     all_rays = [list(r) for c in fan.cones for r in c.rays]
-    basis = saturate_rows(all_rays, n)
-    d = len(basis)
-    w, coords = complement_coordinates(basis, n)
-    mapping = []
-    reduced_cones = []
-    for c in fan.cones:
-        imgs = []
-        for r in c.rays:
-            y = coords(r)
-            assert all(x == 0 for x in y[d:])
-            imgs.append(y[:d])
-        rc = cone_from_rays(d, imgs)
-        mapping.append((c, rc))
-        reduced_cones.append(rc)
+    d = rank_rows(all_rays, n)
+    if d == n:
+        # the saturated span is ZZ^n, whose canonical basis is the identity,
+        # so every cone is its own image
+        basis, w, reduced_cones = identity_rows(n), [], fan.cones
+    else:
+        basis = saturate_rows(all_rays, n)
+        w, coords = complement_coordinates(basis, n)
+        reduced_cones = []
+        for c in fan.cones:
+            imgs = []
+            for r in c.rays:
+                y = coords(r)
+                assert all(x == 0 for x in y[d:])
+                imgs.append(y[:d])
+            reduced_cones.append(cone_from_rays(d, imgs))
     return FullificationResult(
         original=fan,
         reduced=Fan(d, reduced_cones),
         basis=tuple(tuple(b) for b in basis),
         complement=tuple(tuple(r) for r in w[d:]),
         torus_rank=n - d,
-        cone_map=tuple(mapping),
+        cone_map=tuple(zip(fan.cones, reduced_cones)),
     )

@@ -79,7 +79,7 @@ def _pulling_triangulation(cone):
 # (the cyclic cone with k = 7); the cyclic cone with k = 46, of
 # multiplicity 97,337, takes about 20 s.  It also bounds the points one
 # 2-face's walk makes between its rays: the wedge (1,0),(1,k) walks
-# through k - 1 of them, and k = 10^5 takes about 2 s to answer.
+# through k - 1 of them, and k = 10^5 takes about 0.2 s to answer.
 HILBERT_POINT_BUDGET = 10**5
 
 
@@ -173,22 +173,22 @@ def _parallelepiped_points(rays, n, smith=None):
 def _hilbert_candidates(cone):
     """Lattice points of a pointed cone that hold its Hilbert basis besides
     its rays, found simplex by simplex of the pulling triangulation, each
-    simplex refined on a worklist.
+    simplex refined on a worklist.  _pointed_hilbert answers a cone of
+    dimension at most 2 by its walk and calls this only on larger ones.
 
-    A simplex of multiplicity 1 gives nothing; a 2-dimensional one gives
-    its walk (_walk).  A larger one with a 2-face {x, y} of multiplicity
-    b > 1 is cut along the walk u_0, ..., u_m of that face into the pieces
-    s - {x, y} + {u_i, u_(i+1)}: they cover s, as cone(x, y) is covered by
-    the cones on consecutive u_i, and each has multiplicity mult(s)/b.  Only
-    a simplex with every 2-face unimodular has its parallelepiped points
-    listed, and only after every simplex is refined, so that
-    HILBERT_POINT_BUDGET, which bounds the sum of the multiplicities of
-    those to list, stops a computation before it lists a point.  Every
-    lattice point of s lies in a piece, so an irreducible one is a ray of a
-    piece (a walk point) or a parallelepiped point of a listed piece.  This
-    is the bottom decomposition of Bruns, Ichim and Soeger (The power of
-    pyramid decomposition in Normaliz, J. Symbolic Comput. 2016), split
-    along Hirzebruch-Jung continued fractions.
+    A simplex of multiplicity 1 gives nothing.  One with a 2-face {x, y} of
+    multiplicity b > 1 is cut along the walk u_0, ..., u_m of that face
+    into the pieces s - {x, y} + {u_i, u_(i+1)}: they cover s, as cone(x, y)
+    is covered by the cones on consecutive u_i, and each has multiplicity
+    mult(s)/b.  Only a simplex with every 2-face unimodular has its
+    parallelepiped points listed, and only after every simplex is refined,
+    so that HILBERT_POINT_BUDGET, which bounds the sum of the
+    multiplicities of those to list, stops a computation before it lists a
+    point.  Every lattice point of s lies in a piece, so an irreducible one
+    is a ray of a piece (a walk point) or a parallelepiped point of a
+    listed piece.  This is the bottom decomposition of Bruns, Ichim and
+    Soeger (The power of pyramid decomposition in Normaliz, J. Symbolic
+    Comput. 2016), split along Hirzebruch-Jung continued fractions.
     """
     n = cone.ambient_rank
     walk = cache(_walk)  # pieces share 2-faces, within one computation
@@ -198,9 +198,6 @@ def _hilbert_candidates(cone):
         work = [(sorted(simplex), None)]
         while work:
             rays, mult = work.pop()
-            if len(rays) == 2:
-                yield from walk(*rays)[1]
-                continue
             smith = None
             if mult is None:
                 smith = smith_rows(rays, n)
@@ -227,24 +224,26 @@ def _hilbert_candidates(cone):
 def _pointed_hilbert(cone):
     """Hilbert basis of the lattice points of a pointed cone.
 
-    Every irreducible element is an extremal ray or a candidate of
-    _hilbert_candidates: a point of the continued-fraction walk of a 2-face
-    (Cox, Little and Schenck, Toric Varieties, 10.2) along which a simplex
-    of the triangulation is cut, or a parallelepiped point of a piece whose
-    2-faces are all unimodular.  So the work follows the answer, not the
-    multiplicity: the dual of the wedge (1,0),(1,k) lists no parallelepiped
-    point.  Each candidate is read once as its values on the facet normals,
-    and the candidates are reduced in order of degree, the sum of those
-    values, which is positive on every nonzero point of the cone: a
-    candidate is reducible exactly when its values are at least those of an
-    irreducible element of strictly smaller degree in every entry (Bruns
-    and Ichim, Normaliz: algorithms for affine monoids and rational cones,
-    J. Algebra 2010).  Both lie in the span of the cone, where the normals
-    decide whether their difference is in it.
+    A cone of dimension at most 2 is answered by its rays, or by the walk
+    between its two rays (_walk), which is its Hilbert basis (Cox, Little
+    and Schenck, Toric Varieties, 10.2).  In a larger cone every
+    irreducible element is an extremal ray or a candidate of
+    _hilbert_candidates: a walk point of a 2-face along which a simplex of
+    the triangulation is cut, or a parallelepiped point of a piece whose
+    2-faces are all unimodular.  Each candidate is read once as its values
+    on the facet normals, and the candidates are reduced in order of
+    degree, the sum of those values, which is positive on every nonzero
+    point of the cone: a candidate is reducible exactly when its values are
+    at least those of an irreducible element of strictly smaller degree in
+    every entry (Bruns and Ichim, Normaliz: algorithms for affine monoids
+    and rational cones, J. Algebra 2010).  Both lie in the span of the
+    cone, where the normals decide whether their difference is in it.
     """
     assert cone.is_pointed
-    if not cone.rays:
-        return ()
+    if len(cone.rays) < 2:
+        return cone.rays
+    if len(cone.rays) == 2:
+        return tuple(sorted(_walk(*cone.rays)[1]))
     candidates = set(cone.rays)
     candidates.update(_hilbert_candidates(cone))
     values = {h: tuple([dot(h, u) for u in cone.normals]) for h in candidates}

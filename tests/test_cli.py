@@ -12,7 +12,7 @@ import time
 import pytest
 
 import helpers
-from fanscheme import cli, cones, lattice
+from fanscheme import cli, cones, fans, lattice
 from fanscheme.cli import entry
 from fanscheme.cones import cone_from_rays, dual_cone
 
@@ -299,6 +299,40 @@ def test_fullify_command_round_trips(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "validate", "--fan", str(reduced_path))
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_fullify_of_a_full_fan_keeps_its_cones(tmp_path, capsys, monkeypatch):
+    # the rays of P^4 span ZZ^4, whose saturated basis is the identity, so
+    # fullify neither saturates nor rebuilds a cone.  It prints the reduced
+    # fan and cone map that the general path prints for the copy of P^4 in
+    # the first four coordinates of ZZ^5
+    e = [[int(i == j) for j in range(4)] for i in range(4)]
+    rays = e + [[-1] * 4]
+    tops = [[r for r in rays if r != skip] for skip in rays]
+    fan = fans.complete_under_faces(fans.Fan(4, [cone_from_rays(4, t) for t in tops]))
+    calls = []
+    for module, name in ((fans, "cone_from_rays"), (lattice, "perp_rows")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    result = fans.fullify(fan)
+    assert calls == [] and len(fan) == 31
+    assert result.reduced.cones == fan.cones
+    assert result.cone_map == tuple(zip(fan.cones, fan.cones))
+    monkeypatch.undo()
+    outputs = []
+    for n, pad in ((4, []), (5, [0])):
+        path = write_fan(tmp_path, n, [[r + pad for r in t] for t in tops],
+                         name="p4_in_rank%d.json" % n)
+        code, out, _ = run_cli(capsys, "fullify", "--fan", path)
+        assert code == 0
+        outputs.append(json.loads(out))
+    full, moved = outputs
+    assert (full["torus_rank"], moved["torus_rank"]) == (0, 1)
+    assert full["basis"] == [[str(x) for x in r] for r in e] and full["complement"] == []
+    assert moved["basis"] == [[str(x) for x in r + [0]] for r in e]
+    assert json.dumps(full["reduced"]) == json.dumps(moved["reduced"])
+    assert full["cone_map"] == moved["cone_map"] == [[i, i] for i in range(31)]
 
 
 def test_report_over_field_base(tmp_path, capsys):

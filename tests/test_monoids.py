@@ -1026,18 +1026,32 @@ def test_membership_cache_leaves_equality_hash_and_repr_alone():
     assert "_data" not in before
 
 
-def test_pointed_hilbert_of_a_wedge_skips_elements_of_equal_degree(monkeypatch):
-    # every candidate of the wedge (1,0),(1,k) has degree k, so none can
-    # reduce another and no two value tuples are compared; each candidate
-    # is read once on each of the two normals, after the triangulation reads
-    # the two rays on them (cones._facet_sets)
+def test_pointed_hilbert_of_a_wedge_is_its_walk(monkeypatch):
+    # a cone with two rays is answered by its walk before any candidate is
+    # read on a normal or compared, and before the triangulation reads the
+    # rays on the normals (cones._facet_sets)
     k = 2000
     wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
     calls = count_calls(monkeypatch, monoids, "dot", "ge")
     facet_dots = count_calls(monkeypatch, cones, "dot")["dot"]
     assert _pointed_hilbert(wedge_k) == tuple((1, j) for j in range(k + 1))
-    assert calls["ge"] == []
-    assert len(facet_dots) + len(calls["dot"]) == 2 * 2 + 2 * (k + 1)
+    assert calls == {"dot": [], "ge": []} and facet_dots == []
+
+
+def test_pointed_hilbert_skips_elements_of_equal_degree(monkeypatch):
+    # the cone on the wedge (1,0,0),(1,k,0) and (0,0,1) has the normals
+    # (0,0,1), (0,1,0), (k,-1,0): (0,0,1) has degree 1 and every point
+    # (1,j,0) of the walk degree k, so each walk point is compared with
+    # (0,0,1) alone, one `ge` each.  Each of the k + 2 candidates is read
+    # once on each of the three normals, after the triangulation reads the
+    # three rays on them
+    k = 500
+    c = cone_from_rays(3, [(1, 0, 0), (1, k, 0), (0, 0, 1)])
+    calls = count_calls(monkeypatch, monoids, "dot", "ge")
+    facet_dots = count_calls(monkeypatch, cones, "dot")["dot"]
+    assert _pointed_hilbert(c) == ((0, 0, 1),) + tuple((1, j, 0) for j in range(k + 1))
+    assert len(calls["ge"]) == k + 1
+    assert len(facet_dots) + len(calls["dot"]) == 3 * 3 + 3 * (k + 2)
 
 
 # ------------------------------------------------ walks, splits and the budget

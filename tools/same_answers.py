@@ -18,8 +18,10 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   the chart of a non-full cone is lifted along them;
 - command lines of every subcommand, with and without --no-auto-close,
   over random fan documents (complete, non-full, non-pointed, embedded,
-  empty, crossing and malformed ones), with stdout, stderr and the exit
-  code compared byte for byte;
+  empty, crossing and malformed ones) and over the fans whose atlases the
+  benchmark computes (P^2, P^1 x P^1, the Hirzebruch surfaces F_1-F_6,
+  P^3 and (P^1)^3, up to 27 cones), with stdout, stderr and the exit code
+  compared byte for byte; and fullify of P^4, whose rays span the lattice;
 - the face index and chart system of each of those documents that loads
   and validates: the lattice validate_fan gives each cone (its faces in
   order, with their rays, dims and witnesses), the order, meets and
@@ -39,10 +41,12 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   check_openly_immersive_pair on m + NN*(-g) and m for a generator g, and
   on m + NN*h and m for a noisy sum h;
 - the Hilbert bases of each pointed cone of the cone corpus of rank at
-  most HILBERT_RANK, through dual_monoid (all its fields) and
-  _cone_lattice_hilbert.  A cone is skipped in both trees when REV would
-  list the parallelepiped of a simplex of multiplicity above
-  HILBERT_POINTS: a random cone of rank 4 can have a dual simplex of
+  most HILBERT_RANK, and of the plane cones of plane_corpus (the
+  benchmark's wedges (1,0),(1,k), k = 20-600, their duals, and seeded
+  plane cones of multiplicity up to about 10^3 moved into rank 3 or 4),
+  through dual_monoid (all its fields) and _cone_lattice_hilbert.  A cone
+  is skipped in both trees when REV would list the parallelepiped of a
+  simplex of multiplicity above HILBERT_POINTS: a random cone of rank 4 can have a dual simplex of
   multiplicity in the millions, which REV may enumerate point by point.
   Rank 5 is left out only because a REV from before smith_rows was built
   on Hermite passes can take minutes on the Smith forms of the dual cones
@@ -58,6 +62,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -71,6 +76,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 HILBERT_RANK = 4
 HILBERT_POINTS = 20000
 MONOIDS = 600
+WEDGES = range(20, 601)
+PLANE_CONES = 300
 
 
 def load_tree(src, name):
@@ -177,6 +184,30 @@ def random_fan_document(rng, kind):
     if rng.random() < 0.05:
         doc["cones"].append({"rays": [["x"]]})
     return doc
+
+
+def fan_document(n, cones):
+    return {"lattice_rank": n, "cones": [{"rays": c} for c in cones]}
+
+
+def projective_space_document(n):
+    rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+    return fan_document(n, [[r for r in rays if r != skip] for skip in rays])
+
+
+def benchmark_fan_documents():
+    """The fans whose atlases the benchmark computes, by maximal cones: P^2,
+    P^1 x P^1, P^3, (P^1)^3 and the Hirzebruch surfaces F_1, ..., F_6."""
+    docs = []
+    for n in (2, 3):
+        docs.append(projective_space_document(n))
+        docs.append(fan_document(n, [
+            [[s * int(i == j) for j in range(n)] for i, s in enumerate(signs)]
+            for signs in itertools.product((1, -1), repeat=n)]))
+    for a in range(1, 7):
+        rays = [[1, 0], [0, 1], [-1, a], [0, -1]]
+        docs.append(fan_document(2, [[rays[i], rays[(i + 1) % 4]] for i in range(4)]))
+    return docs
 
 
 def argvs(path, cone_count, bases):
@@ -317,6 +348,20 @@ def membership_answers(monoids, rng, count):
     return out
 
 
+def plane_corpus(rng, count):
+    """(rank, generators) of plane cones with long walks: the wedges
+    (1,0),(1,k) for k in WEDGES and their duals (0,1),(k,-1), then `count`
+    seeded plane cones of multiplicity up to 10^3, each moved into
+    rank 3 or 4 by a random unimodular map."""
+    out = [(2, rays) for k in WEDGES for rays in ([(1, 0), (1, k)], [(0, 1), (k, -1)])]
+    while len(out) < 2 * len(WEDGES) + count:
+        x, y = vec(rng, 2, 40), vec(rng, 2, 40)
+        if 1 < abs(x[0] * y[1] - x[1] * y[0]) <= 1000:
+            m = rng.randint(3, 4)
+            out.append((m, embed(rng, [x + (0,) * (m - 2), y + (0,) * (m - 2)], m, m)))
+    return out
+
+
 class OverLimit(Exception):
     """REV would list too many parallelepiped points for a cone."""
 
@@ -388,12 +433,15 @@ def main():
                                   {"shiny": "yes"})):
             bases.append(str(pathlib.Path(tmp) / ("base%d.json" % i)))
             pathlib.Path(bases[-1]).write_text(json.dumps(base))
-        for i in range(args.fans):
-            doc = random_fan_document(rng, i % 5)
+        docs = [random_fan_document(rng, i % 5) for i in range(args.fans)]
+        for i, doc in enumerate(docs + benchmark_fan_documents()):
             path = str(pathlib.Path(tmp) / ("fan%d.json" % i))
             pathlib.Path(path).write_text(json.dumps(doc))
             paths.append(path)
             runs += argvs(path, len(doc["cones"]), bases)
+        path = str(pathlib.Path(tmp) / "p4.json")
+        pathlib.Path(path).write_text(json.dumps(projective_space_document(4)))
+        runs.append(["fullify", "--fan", path])
 
         answers = []
         for cones, cli, fans, scheme, monoids, lattice in trees:
@@ -405,6 +453,8 @@ def main():
                                                 MONOIDS))
         pointed = [(a[1], a[2]) for a in answers[0] if a[0] == "cone"
                    and a[3] == "ok" and not a[4][2] and a[1] <= HILBERT_RANK]
+        planes = plane_corpus(random.Random(args.seed), PLANE_CONES)
+        pointed += planes
         (rev_cones, *_, rev_monoids, _), (cones, *_, monoids, _) = trees
         limit_listing(rev_monoids)
         hilbert = hilbert_answers(rev_cones, rev_monoids, pointed)
@@ -422,13 +472,14 @@ def main():
              sum(a[0] == "meet" for a in new), sum(a[0] == "covector" for a in new),
              2 * sum(a[0] == "complement" for a in new)))
     print("cli runs %d on %d documents: exit 0 %d, exit 1 %d, exit 2 %d, raised %d"
-          % (len(runs), args.fans, codes.count(0), codes.count(1), codes.count(2),
+          % (len(runs), len(paths) + 1, codes.count(0), codes.count(1), codes.count(2),
              sum(a[1] != "ok" for a in new if isinstance(a[0], list))))
     systems = [a for a in new if a[0] == "system"]
     lattices = [lat for a in new if a[0] == "lattices" for lat in a[2]]
-    print("chart systems %d: %d labels, %d face lattices with %d faces, "
-          "%d separation pairs, %d immersion witnesses"
-          % (len(systems), sum(a[2] for a in systems), len(lattices),
+    print("chart systems %d (largest %d labels): %d labels, %d face lattices with "
+          "%d faces, %d separation pairs, %d immersion witnesses"
+          % (len(systems), max(a[2] for a in systems), sum(a[2] for a in systems),
+             len(lattices),
              sum(map(len, lattices)), sum(len(a[6]) for a in systems),
              sum(len(a[7]) for a in systems)))
     copies = [c for a in new if a[0] == "explicit" for c in a[2]]
@@ -449,8 +500,11 @@ def main():
              *(sum(q[0] == k for q in queries) for k in ("generator", "sum", "noise")),
              sum(q[2] for q in queries), len(verdicts),
              *(verdicts.count(k) for k in ("yes", "no", "unknown"))))
-    print("hilbert bases of %d pointed cones, %d skipped (over %d points at %s)"
-          % (len(pointed) - len(skip), len(skip), HILBERT_POINTS, args.rev))
+    print("hilbert bases of %d pointed cones (%d of them plane cones with %d walk "
+          "points), %d skipped (over %d points at %s)"
+          % (len(pointed) - len(skip), len(planes),
+             sum(len(a[6][0]) for a in new[-len(planes):]), len(skip),
+             HILBERT_POINTS, args.rev))
     diff = first_difference(old, new, args.rev)
     if diff:
         print("DIFFERENT, first at " + diff)
