@@ -85,7 +85,7 @@ class Fan:
                 raise ValueError("cone lives in the wrong lattice")
         self.rank = rank
         self.cones = tuple(sorted(set(cones), key=_cone_key))
-        self._members = frozenset(self.cones)
+        self._position = {c: i for i, c in enumerate(self.cones)}
         self._face_index = None  # set by validate_fan
         self._lattices = {}  # cone -> FaceLattice built before validation
 
@@ -93,11 +93,11 @@ class Fan:
         return (
             isinstance(other, Fan)
             and self.rank == other.rank
-            and self._members == other._members
+            and self.cones == other.cones
         )
 
     def __hash__(self):
-        return hash((self.rank, self._members))
+        return hash((self.rank, self.cones))
 
     def __iter__(self):
         return iter(self.cones)
@@ -106,10 +106,15 @@ class Fan:
         return len(self.cones)
 
     def __contains__(self, cone):
-        return cone in self._members
+        return cone in self._position
 
     def index(self, cone):
-        return self.cones.index(cone)
+        """The position of cone in the sorted cone list; ValueError when
+        the fan does not hold it."""
+        try:
+            return self._position[cone]
+        except KeyError:
+            raise ValueError("cone is not in the fan") from None
 
     def __repr__(self):
         return "Fan(rank=%d, cones=%d)" % (self.rank, len(self.cones))
@@ -207,7 +212,6 @@ def validate_fan(fan):
         tops.append(c)
         covered.update(lattices[c])
     tops.reverse()
-    label = {c: i for i, c in enumerate(fan.cones)}
     separators = {}
     for i, a in enumerate(tops):
         for b in tops[i + 1:]:
@@ -215,9 +219,9 @@ def validate_fan(fan):
             u = witness_covector(lattices[a], lattices[b], shared)
             if u is None:
                 raise BadIntersectionError(a, b, intersect_cones(a, b))
-            separators[(label[a], label[b])] = u
+            separators[(fan.index(a), fan.index(b))] = u
     fan._face_index = FaceIndex(
-        cones, _Lattices(lattices, fan._members, cones), separators
+        cones, _Lattices(lattices, fan._position, cones), separators
     )
     return fan._face_index
 

@@ -537,35 +537,56 @@ class LocalizationCertificate:
     shifts: tuple  # pairs (hilbert generator of the small chart, shift)
 
 
-def _shift_into(cone, rays, u, gens):
-    """Pairs (h, k) with k the least shift making h + k*u >= 0 on every
-    ray; ValueError unless h + k*u then lies in cone."""
-    values = [(r, dot(u, r)) for r in rays]
-    ahead = [(r, uv) for r, uv in values if uv > 0]  # only these bound k
+def _localization_shifts(big, small, u):
+    """The shifts proving small == big + NN*(-u) for cone monoids big and
+    small (Cox, Little and Schenck, Toric Varieties, Prop. 1.3.16).
+
+    Checks u in big, -u in small and every generator of big in small, so
+    that big + NN*(-u) lies in small, then finds for each generator h of
+    small the least k >= 0 with h + k*u in big, so that h = (h + k*u) +
+    k*(-u) lies in big + NN*(-u).  h is read once on each facet normal of
+    big's cone, and those values decide h + k*u as contains_point would.
+    u is nonnegative on every normal and zero on the dual lineality, so a
+    shift changes nothing on the walls, the normals where u vanishes and
+    both signs of each dual lineality row, where h itself must be
+    nonnegative; a normal r where u is positive asks for k >= -(h.r //
+    u.r), which is at most 0 when h.r >= 0.  Returns the pairs (h, k) in
+    the order of small's generators; a failed check raises ValueError, and
+    an entry of u that is not an int TypeError (int_vector).
+    """
+    if big.cone is None or small.cone is None:
+        raise ValueError("certificates need cone monoids")
+    cone = big.cone
+    u = int_vector(u, cone.ambient_rank)
+    if not contains_point(cone, u):
+        raise ValueError("witness does not land in the target monoid")
+    if not contains_point(small.cone, tuple([-x for x in u])):
+        raise ValueError("negated witness is missing from the source monoid")
+    for g in big.generators:
+        if not contains_point(small.cone, g):
+            raise ValueError("the target monoid is not inside the source monoid")
+    values = [(r, dot(u, r)) for r in cone.normals]
+    walls = signed_rows([r for r, uv in values if not uv], cone.dual_lineality)
+    ahead = [(r, uv) for r, uv in values if uv]
     shifts = []
-    for h in gens:
-        k = 0
-        for r, uv in ahead:
-            hv = dot(h, r)
-            if hv < 0:
-                k = max(k, -(hv // uv))
-        shifted = tuple(a + k * b for a, b in zip(h, u))
-        if not contains_point(cone, shifted):
+    for h in small.generators:
+        if any(dot(h, r) < 0 for r in walls):
             raise ValueError("no valid shift for a generator")
-        shifts.append((h, k))
+        shifts.append((h, max([0] + [-(dot(h, r) // uv) for r, uv in ahead])))
     return tuple(shifts)
 
 
 def localization_certificate(big, small, sigma, tau, lattice=None):
     """Certified element u of big with small == big + NN*(-u).
 
-    big must be the dual monoid of sigma, small the dual monoid of tau, and
-    tau a face of sigma.  The element is the witness of tau in the face
+    big and small must be cone monoids, for a fan the dual monoids of sigma
+    and of its face tau.  The element is the witness of tau in the face
     lattice of sigma (computed unless passed, as a fan's face index holds
-    it): the sum of the facet normals of sigma vanishing on tau.  The
-    certificate records for every Hilbert generator h of small a shift k
-    with h + k*u back inside the dual cone of sigma, which exhibits small
-    as big with u inverted.  A failed check raises ValueError.
+    it): the sum of the facet normals of sigma vanishing on tau, which must
+    cut out tau.  _localization_shifts then proves the equation for the
+    monoids given, whatever cones they belong to, and the certificate
+    records for every generator h of small the least shift k with h + k*u
+    in big.  A failed check raises ValueError.
     """
     fl = faces(sigma) if lattice is None else lattice
     if fl.cone != sigma:
@@ -573,39 +594,29 @@ def localization_certificate(big, small, sigma, tau, lattice=None):
     if tau not in fl:
         raise ValueError("tau is not a face of sigma")
     u = fl.witnesses[tau]
-    if not monoid_contains(big, u):
-        raise ValueError("witness does not land in the target monoid")
     if frozenset(r for r in sigma.rays if dot(r, u) == 0) != frozenset(tau.rays):
         raise ValueError("witness does not cut out the face")
-    neg_u = tuple(-x for x in u)
-    if not monoid_contains(small, neg_u):
-        raise ValueError("negated witness is missing from the source monoid")
-    dual_sigma = big.cone if big.cone is not None else dual_cone(sigma)
-    shifts = _shift_into(dual_sigma, sigma.rays, u, hilbert_basis(small))
-    return LocalizationCertificate(element=u, shifts=shifts)
+    return LocalizationCertificate(u, _localization_shifts(big, small, u))
 
 
 def separation_certificate(first, second, meet, u):
-    """Certified meet == first + second for the dual monoids of cones
-    sigma, tau and sigma meet tau, given u from the separation lemma
-    (scheme.check_separation_condition finds one for each incomparable
-    pair of a fan).  Checked with contains_point only: u in first, -u in
-    second, every generator of first and second in meet, and every
-    generator h of meet back in first as h + k*u, so h = (h + k*u) +
-    k*(-u).  Returns (u, shifts); a failed step raises ValueError.
+    """Certified meet == first + second for cone monoids, given u from the
+    separation lemma (scheme.check_separation_condition finds one for each
+    pair of maximal cones of a fan, whose dual monoids these are for cones
+    sigma, tau and sigma meet tau).  Checks -u in second and every
+    generator of second in meet, then proves meet == first + NN*(-u) with
+    _localization_shifts; as -u lies in second and second in meet, that is
+    meet == first + second.  Returns the certificate of the shifts of
+    meet's generators into first; a failed step raises ValueError.
     """
-    for m in (first, second, meet):
-        if m.cone is None:
-            raise ValueError("separation certificates need cone monoids")
-    if not contains_point(first.cone, u):
-        raise ValueError("separating covector is missing from the first chart")
-    if not contains_point(second.cone, tuple(-x for x in u)):
+    if second.cone is None or meet.cone is None:
+        raise ValueError("certificates need cone monoids")
+    if not contains_point(second.cone, tuple([-x for x in u])):
         raise ValueError("negated covector is missing from the second chart")
-    for g in first.generators + second.generators:
+    for g in second.generators:
         if not contains_point(meet.cone, g):
-            raise ValueError("a chart generator is missing from the meet chart")
-    shifts = _shift_into(first.cone, first.cone.normals, u, meet.generators)
-    return LocalizationCertificate(element=u, shifts=shifts)
+            raise ValueError("the second chart is not inside the meet chart")
+    return LocalizationCertificate(u, _localization_shifts(first, meet, u))
 
 
 def find_localizing_element(big, small, sigma, tau):

@@ -422,9 +422,8 @@ class MonoidSystem:
         cones = fan.cones
         system = cls.__new__(cls)
         system._charts(dual_monoid(c) for c in cones)
-        label = {c: i for i, c in enumerate(cones)}
         lattices = [index.lattices[c] for c in cones]
-        system._order([label[f] for f in lattice] for lattice in lattices)
+        system._order([fan.index(f) for f in lattice] for lattice in lattices)
         system.fan = fan
         system.source = "fan"
         for i, j in system.strict_pairs():
@@ -504,7 +503,6 @@ class AugmentationSection:
 @dataclass(frozen=True)
 class GluingAtlas:
     system: MonoidSystem
-    transitions: tuple  # (lower label, upper label, LocalizationCertificate)
     sections: tuple
 
     @property
@@ -515,17 +513,21 @@ class GluingAtlas:
     def charts(self):
         return self.system.monoids
 
+    @property
+    def transitions(self):
+        """(lower label, upper label, LocalizationCertificate) for each
+        strict pair, read off the system's certificates."""
+        system = self.system
+        return tuple((*p, system.localizations[p]) for p in system.strict_pairs())
+
 
 def build_atlas(fan):
     """Charts, certified transitions, and one collapse-to-coefficients
-    section per chart; the atlas keeps its chart system."""
+    section per chart; the atlas keeps its chart system, and its
+    transitions are the system's localization certificates."""
     system = MonoidSystem.from_fan(fan)
     return GluingAtlas(
         system=system,
-        transitions=tuple(
-            (i, j, system.localizations[(i, j)])
-            for i, j in system.strict_pairs()
-        ),
         sections=tuple(
             AugmentationSection(label=k, monoid=system.monoids[k])
             for k in system.labels
@@ -547,16 +549,19 @@ def check_separation_condition(system):
     """For every pair, the meet chart must equal the sum of the two charts.
 
     A fan system is proved with one certificate per pair of maximal cones
-    sigma, tau: monoids.separation_certificate checks S_(sigma meet tau) =
-    S_sigma + S_tau with the covector validate_fan found for them by the
-    separation lemma (Fulton, Introduction to Toric Varieties, 1.2;
-    Cox-Little-Schenck, Lemma 1.2.13), kept in FaceIndex.separators; a
-    failed certificate raises ValueError.  Every other pair follows.  Each
-    cone is a face of a maximal one, so write the pair as sigma' = sigma
-    meet w'-perp and tau' = tau meet w''-perp, with w', w'' the witnesses of
-    the face index (sigma = tau when both are faces of one maximal cone;
-    S_sigma + S_sigma = S_sigma).  Both witnesses are >= 0 on sigma meet tau,
-    so sigma' meet tau' = (sigma meet tau) meet w'-perp meet w''-perp, and
+    sigma, tau, whose charts are cone monoids: with the covector u that
+    validate_fan found for them by the separation lemma (Fulton,
+    Introduction to Toric Varieties, 1.2; Cox-Little-Schenck, Lemma
+    1.2.13), kept in FaceIndex.separators, monoids.separation_certificate
+    proves the one equation S_(sigma meet tau) = S_sigma + N(-u) and checks
+    -u in S_tau and S_tau in S_(sigma meet tau), which gives
+    S_(sigma meet tau) = S_sigma + S_tau; a failed certificate raises
+    ValueError.  Every other pair follows.  Each cone is a face of a
+    maximal one, so write the pair as sigma' = sigma meet w'-perp and tau'
+    = tau meet w''-perp, with w', w'' the witnesses of the face index
+    (sigma = tau when both are faces of one maximal cone; S_sigma + S_sigma
+    = S_sigma).  Both witnesses are >= 0 on sigma meet tau, so sigma' meet
+    tau' = (sigma meet tau) meet w'-perp meet w''-perp, and
     Cox-Little-Schenck Prop. 1.3.16 (S_(rho meet m-perp) = S_rho + N(-m)
     for m in S_rho), applied twice, gives S_(sigma' meet tau') =
     S_(sigma meet tau) + N(-w') + N(-w'') = (S_sigma + N(-w')) + (S_tau +

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from operator import mul
@@ -9,6 +10,7 @@ from fanscheme.cones import (
     cone_from_rays,
     faces,
     intersect_cones,
+    Polycone,
     separating_covector,
     witness_covector,
 )
@@ -48,6 +50,25 @@ def test_fan_normalizes_its_cone_list():
     assert a in fan
     assert fan.index(b) == 0
     assert cone_from_rays(2, [(1, 1)]) not in fan
+
+
+def test_fan_index_reads_a_position_table(monkeypatch):
+    # fullify looks up two positions per cone, so a scan of the cone list
+    # per lookup is quadratic in the cones: one comparison per lookup of an
+    # equal copy of each of the 243 cones of (P^1)^5
+    tops = [[[s * int(i == j) for j in range(5)] for i, s in enumerate(signs)]
+            for signs in itertools.product((1, -1), repeat=5)]
+    fan = fan_from_ray_lists(5, tops)
+    copies = [cone_from_rays(5, c.rays) for c in fan]
+    calls = []
+    real = Polycone.__eq__
+    monkeypatch.setattr(
+        Polycone, "__eq__", lambda a, b: calls.append(1) or real(a, b)
+    )
+    assert [fan.index(c) for c in copies] == list(range(243))
+    assert len(calls) <= len(copies)
+    with pytest.raises(ValueError):
+        fan.index(cone_from_rays(5, [(1, 1, 0, 0, 0)]))
 
 
 def test_fan_rejects_foreign_objects():

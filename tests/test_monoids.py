@@ -346,6 +346,76 @@ def test_separation_certificate_checks_every_step():
         )
 
 
+def test_localization_certificate_refuses_false_equations():
+    # the witness (0, 1) of the ray (1, 0) of the quadrant, against charts
+    # it does not relate: (0, 1) lies in the quadrant's chart but not in
+    # the chart of the cone on (1, 0), (1, -1); and the chart of the ray
+    # holds (1, 0), which is not in <(0, 1), (2, 0)> + NN*(0, -1)
+    sigma = quadrant()
+    tau = cone_from_rays(2, [(1, 0)])
+    narrow = dual_monoid(cone_from_rays(2, [(1, 0), (1, -1)]))
+    with pytest.raises(ValueError, match="not inside the source monoid"):
+        localization_certificate(dual_monoid(sigma), narrow, sigma, tau)
+    sparse = AffineMonoid.from_generators(2, [(0, 1), (2, 0)])
+    with pytest.raises(ValueError, match="cone monoids"):
+        localization_certificate(sparse, dual_monoid(tau), sigma, tau)
+    # a witness off the lattice: (0, 1/2) cuts out tau and lies in the
+    # dual cone, but is no element of the chart
+    fl = faces(sigma)
+    halved = FaceLattice(sigma, fl.faces, {**fl.witnesses, tau: (0, Fraction(1, 2))})
+    with pytest.raises(TypeError):
+        localization_certificate(dual_monoid(sigma), dual_monoid(tau), sigma, tau,
+                                 lattice=halved)
+
+
+def _assert_localizes(big, small, cert):
+    """small == big + NN*(-u), both ways by exact membership, and each
+    shift the least that lands in big."""
+    u = cert.element
+    extended = AffineMonoid.from_generators(
+        big.ambient_rank, big.generators + (tuple(-x for x in u),)
+    )
+    for g in extended.generators:
+        assert monoid_contains(small, g)
+    for g in small.generators:
+        assert monoid_contains(extended, g)
+    assert [h for h, _ in cert.shifts] == list(small.generators)
+    for h, k in cert.shifts:
+        assert monoid_contains(big, tuple(a + k * b for a, b in zip(h, u)))
+        assert k == 0 or not monoid_contains(
+            big, tuple(a + (k - 1) * b for a, b in zip(h, u))
+        )
+
+
+def test_localization_certificates_of_mismatched_charts_are_proofs():
+    # the face witness of tau in sigma against the charts of other cones
+    # of the same rank: every certificate that comes back is a proof
+    rng = random.Random(2701)
+    outcomes = collections.Counter()
+    while sum(outcomes.values()) < 150:
+        n = rng.randint(2, 3)
+        sigma, other = (
+            cone_from_rays(n, [tuple(rng.randint(-2, 2) for _ in range(n))
+                               for _ in range(rng.randint(1, n + 1))])
+            for _ in range(2)
+        )
+        if not (sigma.is_pointed and other.is_pointed):
+            continue
+        fl = faces(sigma)
+        tau = rng.choice(list(fl))
+        pool = [sigma, other, rng.choice(list(fl)), rng.choice(list(faces(other)))]
+        big = dual_monoid(rng.choice([sigma] + pool))
+        small = dual_monoid(rng.choice([tau] + pool))
+        try:
+            cert = localization_certificate(big, small, sigma, tau)
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        _assert_localizes(big, small, cert)
+        outcomes["certified"] += 1
+    assert outcomes["certified"] >= 30 and outcomes["refused"] >= 30, outcomes
+
+
 def test_localization_identity_on_all_face_pairs():
     # the certificate really exhibits the small chart as big with u inverted
     tops = [
@@ -358,17 +428,7 @@ def test_localization_identity_on_all_face_pairs():
         for tau in faces(sigma):
             small = dual_monoid(tau)
             cert = localization_certificate(big, small, sigma, tau)
-            neg = tuple(-x for x in cert.element)
-            extended = AffineMonoid.from_generators(
-                sigma.ambient_rank, big.generators + (neg,)
-            )
-            for g in extended.generators:
-                assert monoid_contains(small, g)
-            for g in small.generators:
-                assert monoid_contains(extended, g)
-            for h, k in cert.shifts:
-                shifted = tuple(a + k * b for a, b in zip(h, cert.element))
-                assert contains_point(big.cone, shifted)
+            _assert_localizes(big, small, cert)
 
 
 # ---------------------------------------------------------- open immersion test

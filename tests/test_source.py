@@ -96,7 +96,7 @@ def test_unused_import_finder():
 
 
 # public methods and properties that no package, demo or benchmark code
-# reads, kept until their removal is signed off (ROADMAP items 6 and 9)
+# reads, kept until their removal is signed off (ROADMAP items 8 and 10)
 UNREAD_KEPT = {
     "Polycone.lineality_rank",
     "Polycone.generator_rows",

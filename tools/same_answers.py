@@ -20,13 +20,19 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   over random fan documents (complete, non-full, non-pointed, embedded,
   empty, crossing and malformed ones) and over the fans whose atlases the
   benchmark computes (P^2, P^1 x P^1, the Hirzebruch surfaces F_1-F_6,
-  P^3 and (P^1)^3, up to 27 cones), with stdout, stderr and the exit code
-  compared byte for byte; and fullify of P^4, whose rays span the lattice;
+  P^3 and (P^1)^3, up to 27 cones) and over (P^1)^4 (81 cones), with
+  stdout, stderr and the exit code compared byte for byte; and fullify of
+  P^4, whose rays span the lattice;
 - the face index and chart system of each of those documents that loads
   and validates: the lattice validate_fan gives each cone (its faces in
   order, with their rays, dims and witnesses), the order, meets and
-  strict pairs of MonoidSystem.from_fan, the entries of check_separation_condition and
-  the witnesses of is_openly_immersive, none of which the CLI prints;
+  strict pairs of MonoidSystem.from_fan, the element and shifts of each
+  of its localization certificates, the element and shifts of
+  monoids.separation_certificate on each pair of FaceIndex.separators,
+  the entries of check_separation_condition and the witnesses of
+  is_openly_immersive, none of which the CLI prints apart from the
+  localization certificates; only valid fans reach these, so a
+  certificate for a false equation cannot show up as a difference;
 - an explicit copy of each of those chart systems, MonoidSystem(monoids,
   leq, inf) with its cover pairs shuffled as leq and the meets of its
   incomparable pairs as inf, each key in a random orientation: its order,
@@ -195,15 +201,19 @@ def projective_space_document(n):
     return fan_document(n, [[r for r in rays if r != skip] for skip in rays])
 
 
+def p1_product_document(n):
+    """The fan of (P^1)^n, by its 2^n maximal cones."""
+    return fan_document(n, [
+        [[s * int(i == j) for j in range(n)] for i, s in enumerate(signs)]
+        for signs in itertools.product((1, -1), repeat=n)])
+
+
 def benchmark_fan_documents():
     """The fans whose atlases the benchmark computes, by maximal cones: P^2,
     P^1 x P^1, P^3, (P^1)^3 and the Hirzebruch surfaces F_1, ..., F_6."""
     docs = []
     for n in (2, 3):
-        docs.append(projective_space_document(n))
-        docs.append(fan_document(n, [
-            [[s * int(i == j) for j in range(n)] for i, s in enumerate(signs)]
-            for signs in itertools.product((1, -1), repeat=n)]))
+        docs += [projective_space_document(n), p1_product_document(n)]
     for a in range(1, 7):
         rays = [[1, 0], [0, 1], [-1, a], [0, -1]]
         docs.append(fan_document(2, [[rays[i], rays[(i + 1) % 4]] for i in range(4)]))
@@ -276,11 +286,15 @@ def explicit_answers(scheme, system, rng):
     return answers
 
 
-def system_answers(cli, fans, scheme, paths, rng):
-    """Face lattices of the face index, and order, meets, separation entries
-    and immersion witnesses of the chart system, of each document that
-    loads and validates; and the answers of explicit copies of that
-    system (explicit_answers)."""
+def certificate_answers(cert):
+    return cert.element, cert.shifts
+
+
+def system_answers(cli, fans, scheme, monoids, paths, rng):
+    """Face lattices of the face index, and order, meets, localization and
+    separation certificates, separation entries and immersion witnesses of
+    the chart system, of each document that loads and validates; and the
+    answers of explicit copies of that system (explicit_answers)."""
     out = []
     for path in paths:
         kind, fan = outcome(cli.load_fan_document, path)
@@ -291,6 +305,14 @@ def system_answers(cli, fans, scheme, paths, rng):
                     [[(f.dim, f.rays, lattices[c].witnesses[f]) for f in lattices[c]]
                      for c in fan]))
         system = scheme.MonoidSystem.from_fan(fan)
+        charts = system.monoids
+        separators = sorted(fans.validate_fan(fan).separators.items())
+        out.append(("certificates", path,
+                    [(pair, certificate_answers(cert))
+                     for pair, cert in sorted(system.localizations.items())],
+                    [((i, j), certificate_answers(monoids.separation_certificate(
+                        charts[i], charts[j], charts[system.inf(i, j)], u)))
+                     for (i, j), u in separators]))
         out.append(("system", path, len(system.labels), *order_answers(system),
                     scheme.check_separation_condition(system).entries,
                     [(i, j, c.verdict, c.witness)
@@ -434,7 +456,8 @@ def main():
             bases.append(str(pathlib.Path(tmp) / ("base%d.json" % i)))
             pathlib.Path(bases[-1]).write_text(json.dumps(base))
         docs = [random_fan_document(rng, i % 5) for i in range(args.fans)]
-        for i, doc in enumerate(docs + benchmark_fan_documents()):
+        docs += benchmark_fan_documents() + [p1_product_document(4)]
+        for i, doc in enumerate(docs):
             path = str(pathlib.Path(tmp) / ("fan%d.json" % i))
             pathlib.Path(path).write_text(json.dumps(doc))
             paths.append(path)
@@ -447,7 +470,7 @@ def main():
         for cones, cli, fans, scheme, monoids, lattice in trees:
             answers.append(cone_answers(cones, lattice, random.Random(args.seed), args.cones)
                            + cli_answers(cli, runs)
-                           + system_answers(cli, fans, scheme, paths,
+                           + system_answers(cli, fans, scheme, monoids, paths,
                                             random.Random(args.seed))
                            + membership_answers(monoids, random.Random(args.seed),
                                                 MONOIDS))
@@ -482,6 +505,13 @@ def main():
              len(lattices),
              sum(map(len, lattices)), sum(len(a[6]) for a in systems),
              sum(len(a[7]) for a in systems)))
+    certificates = [a for a in new if a[0] == "certificates"]
+    print("localization certificates %d with %d shifts, separation certificates "
+          "%d with %d shifts"
+          % (sum(len(a[2]) for a in certificates),
+             sum(len(c[1][1]) for a in certificates for c in a[2]),
+             sum(len(a[3]) for a in certificates),
+             sum(len(c[1][1]) for a in certificates for c in a[3])))
     copies = [c for a in new if a[0] == "explicit" for c in a[2]]
     print("explicit copies %d: %d built, %d refused"
           % (len(copies), sum(c[0] == "ok" for c in copies),
