@@ -24,11 +24,12 @@ from .cones import (
 )
 from .lattice import (
     _echelon,
-    complement_coordinates,
+    _echelon_coords,
     identity_rows,
     rank_rows,
     saturate_rows,
     transpose_rows,
+    unimodular_complement_rows,
 )
 
 
@@ -309,8 +310,11 @@ def fullify(fan):
     The reduced fan is full in rank d = dimension of that span; the
     complement rows record a splitting of the ambient lattice, so the
     original data is the reduced part times a torus factor of rank n - d.
-    A cone with lineality raises NonPointedConeError, as in validate_fan:
-    its rays alone do not span it.
+    The image of a ray is its vector of coordinates on the canonical basis
+    of the span (lattice._echelon_coords), and the complement is the
+    rows lattice.unimodular_complement_rows adds to that basis.  A cone
+    with lineality raises NonPointedConeError, as in validate_fan: its
+    rays alone do not span it.
     """
     _require_pointed(fan.cones)
     n = fan.rank
@@ -322,15 +326,13 @@ def fullify(fan):
         basis, w, reduced_cones = identity_rows(n), [], fan.cones
     else:
         basis = saturate_rows(all_rays, n)
-        w, coords = complement_coordinates(basis, n)
-        reduced_cones = []
-        for c in fan.cones:
-            imgs = []
-            for r in c.rays:
-                y = coords(r)
-                assert all(x == 0 for x in y[d:])
-                imgs.append(y[:d])
-            reduced_cones.append(cone_from_rays(d, imgs))
+        w = unimodular_complement_rows(basis, n)
+        # basis is in echelon form: each row's pivot is its first nonzero
+        pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+        reduced_cones = [
+            cone_from_rays(d, [_echelon_coords(basis, pivots, r) for r in c.rays])
+            for c in fan.cones
+        ]
     return FullificationResult(
         original=fan,
         reduced=Fan(d, reduced_cones),

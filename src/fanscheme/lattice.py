@@ -266,24 +266,29 @@ def signed_rows(pointed, lineality):
     return rows
 
 
-def unimodular_complement_rows(basis, n):
-    """Extend a saturated basis to a full unimodular n x n matrix.
+def _complement_transform(basis, n):
+    """(rows, columns) completing a saturated basis of k rows: rows are
+    the n - k rows that unimodular_complement_rows adds, and columns the
+    last n - k columns of the unimodular column transform q behind them.
 
-    The first len(basis) rows of the result are exactly `basis`; the added
-    rows are rows of the inverse of a unimodular column transform q that
-    takes the canonical echelon form of the basis (_echelon), times q, to
-    a diagonal of units.  q comes from a Euclid loop that takes the least
+    q takes the canonical echelon form of the basis (_echelon), times q, to
+    a diagonal of units.  It comes from a Euclid loop that takes the least
     entry of the remaining block as pivot, not from smith_rows, whose
     transforms give other rows: fullify prints these rows, and the chart
-    of every non-full cone is lifted along them.  The loop can grow its
-    entries without bound on a basis that is not canonical; the package
-    passes canonical bases, whose rows the echelon pass keeps.  Raises
-    ValueError if the rows are dependent or the lattice they span is not
-    saturated (some invariant factor != 1).
+    of every non-full cone is lifted along them.  The rows are the last
+    n - k rows of q^-1, so basis * q == [M | 0] with M unimodular and
+    rows * q == [0 | I]: the product x * columns is the vector of
+    coordinates of x along the rows, modulo the span of the basis, with no
+    second inversion.  The loop can grow its entries without bound on a
+    basis that is not canonical; the package passes canonical bases, whose
+    rows the echelon pass keeps.  Raises ValueError if the rows are
+    dependent or the lattice they span is not saturated (some invariant
+    factor != 1).
     """
     k = len(basis)
-    if k == 0:
-        return identity_rows(n)
+    if k == 0:  # q is the identity, and so is its inverse
+        q = identity_rows(n)
+        return q, q
     bad = ValueError("basis rows must be independent and saturated")
     if k > n:
         raise bad
@@ -326,25 +331,16 @@ def unimodular_complement_rows(basis, n):
                         again = True
         if abs(d[t][t]) != 1:
             raise bad
-    qinv = invert_unimodular_rows(q)
-    return [list(r) for r in basis] + [list(qinv[i]) for i in range(k, n)]
+    return invert_unimodular_rows(q)[k:], list(zip(*q))[k:]
 
 
-def complement_coordinates(basis, n):
-    """(w, coords): w = unimodular_complement_rows(basis, n), and coords(x)
-    the coordinates of x in the rows of w, so x = sum of coords(x)[i] * w[i].
-    The first len(basis) coordinates are along the basis.  An empty basis
-    has the identity rows, on which x is its own coordinates.
+def unimodular_complement_rows(basis, n):
+    """Extend a saturated basis to a full unimodular n x n matrix: the
+    first len(basis) rows of the result are exactly `basis`, and the rows
+    after them are those of _complement_transform, which raises
+    ValueError unless the basis is independent and saturated.
     """
-    if not basis:
-        return identity_rows(n), tuple
-    w = unimodular_complement_rows(basis, n)
-    columns = list(zip(*invert_unimodular_rows(w)))
-
-    def coords(x):
-        return tuple([sum(map(mul, x, col)) for col in columns])
-
-    return w, coords
+    return [list(r) for r in basis] + _complement_transform(basis, n)[0]
 
 
 @dataclass(frozen=True)

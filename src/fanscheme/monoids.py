@@ -27,10 +27,11 @@ from .cones import (
     Polycone,
 )
 from .lattice import (
+    _complement_transform,
     _echelon,
     _echelon_coords,
-    complement_coordinates,
     dot,
+    identity_rows,
     int_vector,
     rank_rows,
     signed_rows,
@@ -263,22 +264,21 @@ def _cone_lattice_hilbert(cone):
     lattice-point monoid of a cone.
 
     The pointed part is computed in the quotient by the lineality space L:
-    the cone of the ray images in coordinates modulo L along a unimodular
-    complement of L.  It is lifted back along the complement rows; any lift
-    works because the cone absorbs its own lineality span.  A pointed cone
-    is its own quotient.
+    the cone of the ray images in coordinates modulo L, which are the
+    products with the columns of lattice._complement_transform of a basis
+    of L.  It is lifted back along the complement rows of that transform;
+    any lift works because the cone absorbs its own lineality span.  One
+    matrix is inverted per quotient.  A pointed cone is its own quotient.
     """
     lin = tuple(tuple(r) for r in cone.lineality)
     if not lin:
         return _pointed_hilbert(cone), lin
-    n, d = cone.ambient_rank, len(lin)
-    w, coords = complement_coordinates([list(r) for r in lin], n)
-    image = cone_from_rays(n - d, [coords(r)[d:] for r in cone.rays])
-    columns = list(zip(*w[d:]))
-    pointed = sorted(
-        tuple([sum(map(mul, y, col)) for col in columns]) for y in _pointed_hilbert(image)
-    )
-    return tuple(pointed), lin
+    rows, columns = _complement_transform(lin, cone.ambient_rank)
+    images = [tuple([dot(r, col) for col in columns]) for r in cone.rays]
+    image = cone_from_rays(len(columns), images)
+    lift = list(zip(*rows))
+    pointed = [tuple([dot(y, col) for col in lift]) for y in _pointed_hilbert(image)]
+    return tuple(sorted(pointed)), lin
 
 
 @dataclass(frozen=True)
@@ -414,27 +414,46 @@ def monoid_contains(m, v):
     lattice = data["lineality"]
     moving = data["moving"]
 
-    def search(i, vals, rest):
-        if not any(vals):
-            return _echelon_coords(*lattice, rest) is not None
+    def children(i, vals, rest):
+        # the residues after a * moving[i], smallest a first, each made
+        # only when the search below its left sibling has failed
         g, gvals = moving[i]
-        if i == len(moving) - 1:
-            # one multiple of g at most zeroes the values, and it is
-            # nonnegative because the values are
+        for a in range(min(x // y for x, y in zip(vals, gvals) if y) + 1):
+            yield (i + 1, tuple([x - a * y for x, y in zip(vals, gvals)]),
+                   tuple([x - a * y for x, y in zip(rest, g)]))
+
+    # depth first on an explicit stack: one moving generator per level, so
+    # recursion would stop at the interpreter's limit
+    stack = [iter([(0, tuple([dot(v, u) for u in support.normals]), v)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        i, vals, rest = node
+        if any(vals):
+            if i < len(moving) - 1:
+                stack.append(children(i, vals, rest))
+                continue
+            # one multiple of the last generator at most zeroes the values,
+            # and it is nonnegative because the values are
+            g, gvals = moving[i]
             k = next(k for k, y in enumerate(gvals) if y)
             a = vals[k] // gvals[k]
             if vals != tuple([a * y for y in gvals]):
-                return False
+                continue
             rest = tuple([x - a * y for x, y in zip(rest, g)])
-            return _echelon_coords(*lattice, rest) is not None
-        for a in range(min(x // y for x, y in zip(vals, gvals) if y) + 1):
-            new_vals = tuple([x - a * y for x, y in zip(vals, gvals)])
-            new_rest = tuple([x - a * y for x, y in zip(rest, g)])
-            if search(i + 1, new_vals, new_rest):
-                return True
-        return False
+        if _echelon_coords(*lattice, rest) is not None:
+            return True
+    return False
 
-    return search(0, tuple([dot(v, u) for u in support.normals]), v)
+
+def _holds_hilbert(m):
+    """(flat, held): the flattened Hilbert structure of the lattice points
+    of the support cone of a designated monoid m, and whether m holds
+    every element of it, that is, whether m is all of those points."""
+    flat = signed_rows(*_cone_lattice_hilbert(_support(m)))
+    return flat, all(monoid_contains(m, g) for g in flat)
 
 
 def hilbert_basis(m):
@@ -442,19 +461,18 @@ def hilbert_basis(m):
 
     Cone monoids return their stored generator list (sorted pointed part,
     then the lineality basis with both signs).  A designated monoid must
-    consist of all lattice points of its cone; otherwise it has no Hilbert
-    basis in the ambient lattice and ValueError is raised.
+    consist of all lattice points of its cone (_holds_hilbert); otherwise
+    it has no Hilbert basis in the ambient lattice and ValueError is
+    raised.
     """
     if m.cone is not None:
         return m.generators
-    pointed, lin = _cone_lattice_hilbert(_support(m))
-    flat = signed_rows(pointed, lin)
-    for g in flat:
-        if not monoid_contains(m, g):
-            raise ValueError(
-                "monoid misses lattice points of its cone; no Hilbert basis "
-                "in the ambient lattice"
-            )
+    flat, held = _holds_hilbert(m)
+    if not held:
+        raise ValueError(
+            "monoid misses lattice points of its cone; no Hilbert basis "
+            "in the ambient lattice"
+        )
     return tuple(flat)
 
 
@@ -499,9 +517,12 @@ def is_integrally_closed(m):
     """Does m contain every point of its cone that lies in its own group
     of differences?
 
-    Checked in coordinates on the group of differences: there the question
-    becomes whether m contains the Hilbert structure of the full
-    lattice-point monoid of its coordinate cone.  A designated monoid
+    Decided in coordinates on the group of differences: the echelon
+    coordinates of the generators on diff_basis generate a monoid whose
+    group is all of ZZ^r, and m is integrally closed exactly when that
+    monoid holds every element of the Hilbert structure of its cone
+    (_holds_hilbert, the check hilbert_basis makes).  No cone is built in
+    the ambient rank and nothing is lifted back.  A designated monoid
     keeps the answer in m._data.
     """
     if m.cone is not None or not m.diff_basis:
@@ -512,23 +533,16 @@ def is_integrally_closed(m):
 
 
 def _is_integrally_closed(m):
-    n = m.ambient_rank
     basis = m.diff_basis
     r = len(basis)
     # diff_basis is in echelon form: each row's pivot is its first nonzero
     pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
-    coords = []
-    for g in m.generators:
-        c = _echelon_coords(basis, pivots, g)
-        assert c is not None
-        coords.append(tuple(c))
-    cc = cone_from_rays(r, coords)
-    pointed, lin = _cone_lattice_hilbert(cc)
-    for h in signed_rows(pointed, lin):
-        x = tuple(sum(h[i] * basis[i][j] for i in range(r)) for j in range(n))
-        if not monoid_contains(m, x):
-            return False
-    return True
+    # distinct nonzero generators have distinct nonzero coordinates, and the
+    # canonical basis of ZZ^r is the identity: from_generators would build
+    # this same monoid
+    coords = sorted(tuple(_echelon_coords(basis, pivots, g)) for g in m.generators)
+    identity = tuple(map(tuple, identity_rows(r)))
+    return _holds_hilbert(AffineMonoid(r, tuple(coords), identity))[1]
 
 
 @dataclass(frozen=True)

@@ -459,6 +459,85 @@ def height_one_member(points, unit, v):
 
 
 # ---------------------------------------------------------------------------
+# integral closedness by parallelepipeds; independent oracle for
+# is_integrally_closed
+
+
+def frac_inverse(rows):
+    """The inverse over QQ of an invertible square matrix, by Gauss-Jordan
+    from scratch on the matrix with the identity appended."""
+    k = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(k)]
+         for i, r in enumerate(rows)]
+    for col in range(k):
+        p = next(i for i in range(col, k) if a[i][col])
+        a[col], a[p] = a[p], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(k):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [r[k:] for r in a]
+
+
+def parallelepiped_closed(gens, n):
+    """Is the monoid generated by gens, each with a positive first entry,
+    integrally closed in its group of differences G?
+
+    By Caratheodory every point x of G in the cone of gens lies in the
+    cone of linearly independent generators, and those extend to r of
+    them, S, r the rank of G; x minus the integer parts of its coefficients on S is a point of G in
+    the half-open parallelepiped of S, which is in the monoid when x is.
+    So the monoid is closed exactly when it holds every generator and every
+    point of G in each such parallelepiped.  Those points are the classes
+    of G modulo ZZ*S, a finite group: closing {0} under adding a generator
+    and reducing modulo ZZ*S lists them.  Membership is enumeration: a
+    sum of generators has a first entry at least its number of summands,
+    so every sum with a first entry up to the largest one asked about is
+    listed.
+    """
+    zero = (0,) * n
+    r = frac_rank(gens)
+    asked = set(gens)
+    for s in combinations(gens, r):
+        if frac_rank(s) < r:
+            continue
+        # G lies in the span of s, so r columns on which s is invertible
+        # give the coefficients of its points
+        cols = next(c for c in combinations(range(n), r)
+                    if frac_rank([[g[j] for j in c] for g in s]) == r)
+        inverse = frac_inverse([[g[j] for j in cols] for g in s])
+
+        def reduce(x, s=s, cols=cols, inverse=inverse):
+            floors = [math.floor(sum(x[j] * row[i] for j, row in zip(cols, inverse)))
+                      for i in range(r)]
+            return tuple(xj - sum(f * g[j] for f, g in zip(floors, s))
+                         for j, xj in enumerate(x))
+
+        classes = {zero}
+        work = [zero]
+        while work:
+            p = work.pop()
+            for g in gens:
+                q = reduce(tuple(a + b for a, b in zip(p, g)))
+                if q not in classes:
+                    classes.add(q)
+                    work.append(q)
+        asked |= classes
+    top = max(x[0] for x in asked)
+    sums = {zero}
+    work = [zero]
+    while work:
+        p = work.pop()
+        for g in gens:
+            q = tuple(a + b for a, b in zip(p, g))
+            if q[0] <= top and q not in sums:
+                sums.add(q)
+                work.append(q)
+    return asked <= sums
+
+
+# ---------------------------------------------------------------------------
 # open immersions by exhaustive search; oracle for check_openly_immersive_pair
 
 

@@ -8,6 +8,7 @@ import pytest
 import helpers
 from helpers import det_rows, lattice_coords_rows, solve_left_rows
 from fanscheme.lattice import (
+    _complement_transform,
     IntMatrix,
     dot,
     hermite_normal_form,
@@ -468,6 +469,29 @@ def test_unimodular_complement_random():
         assert len(w) == n
         assert helpers.is_unimodular(w)
         assert w[: len(sat)] == [list(r) for r in sat]
+
+
+def test_complement_columns_give_the_quotient_coordinates():
+    # the oracle inverts the completed matrix w: x == c * w for
+    # c = x * w^-1, and the columns must give c past the basis directly
+    rng = random.Random(2802)
+    for k in range(6):
+        for _ in range(12):
+            n = rng.randint(max(k, 1), 6)
+            rows = []
+            while rank_rows(rows, n) < k:
+                rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+            basis = saturate_rows(rows, n)
+            added, columns = _complement_transform(basis, n)
+            w = unimodular_complement_rows(basis, n)
+            assert w[k:] == added and len(columns) == n - k
+            inverse_columns = list(zip(*invert_unimodular_rows(w)))
+            points = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(5)]
+            for x in points + w:
+                coords = [dot(x, col) for col in inverse_columns]
+                assert [dot(x, col) for col in columns] == coords[k:]
+            for b in basis:
+                assert not any(dot(b, col) for col in columns)
 
 
 def test_transpose_round_trip():

@@ -15,7 +15,7 @@ from fanscheme.cones import (
     dual_cone,
     faces,
 )
-from fanscheme import cones, monoids
+from fanscheme import cones, lattice, monoids
 from fanscheme.lattice import IntMatrix, invariant_factors
 from fanscheme.monoids import (
     _diff_basis,
@@ -43,6 +43,7 @@ from helpers import (
     frac_rank,
     height_one_member,
     lattice_coords_rows,
+    parallelepiped_closed,
     random_unimodular,
     solve_left_rows,
 )
@@ -223,6 +224,61 @@ def test_integral_closure_verdicts():
 def test_cone_monoids_are_integrally_closed():
     for rays in [[(1, 0), (1, 2)], [(1, 0)], [(1, 0), (-1, 0), (0, 1)], []]:
         assert is_integrally_closed(dual_monoid(cone_from_rays(2, rays)))
+
+
+def random_pointed_generators(rng, kind):
+    """2-5 generators with positive first entries, so that their cone is
+    pointed, in ZZ^2 or ZZ^3.  kind "2g 3g" replaces the least generator g
+    by 2g and 3g, whose group holds g; "index 2" doubles every last entry, so
+    that the group has index 2 in its saturation when it was saturated;
+    "plane" puts generators of ZZ^2 into a plane of ZZ^3."""
+    n = 2 if kind == "plane" else rng.randint(2, 3)
+    gens = [(rng.randint(1, 3),) + tuple(rng.randint(-3, 3) for _ in range(n - 1))
+            for _ in range(rng.randint(2, 5))]
+    if kind == "2g 3g":
+        gens.sort()
+        g = gens.pop(0)
+        gens += [tuple(2 * x for x in g), tuple(3 * x for x in g)]
+    elif kind == "index 2":
+        gens = [g[:-1] + (2 * g[-1],) for g in gens]
+    elif kind == "plane":
+        gens = [(a, b, a - 2 * b) for a, b in gens]
+    return sorted(set(gens))
+
+
+def test_integral_closedness_matches_the_parallelepiped_oracle():
+    rng = random.Random(2801)
+    verdicts = collections.Counter()
+    kinds = ("plain", "2g 3g", "index 2", "plane")
+    for kind in kinds * 40:
+        gens = random_pointed_generators(rng, kind)
+        n = len(gens[0])
+        expected = parallelepiped_closed(gens, n)
+        assert is_integrally_closed(AffineMonoid.from_generators(n, gens)) == expected, gens
+        verdicts[expected] += 1
+    assert min(verdicts[True], verdicts[False]) >= 40, verdicts
+
+
+def test_integral_closedness_builds_one_cone_in_the_group_coordinates(monkeypatch):
+    # the monoid of the coordinates on the group of differences answers
+    # alone: no cone is built in the ambient rank
+    calls = count_calls(monkeypatch, monoids, "cone_from_rays")["cone_from_rays"]
+    assert not is_integrally_closed(AffineMonoid.from_generators(1, [(2,), (3,)]))
+    assert len(calls) == 1
+    del calls[:]
+    plane = AffineMonoid.from_generators(3, [(1, 0, 1), (1, 2, -3), (2, 1, 0)])
+    assert not is_integrally_closed(plane)
+    assert [rank for rank, _ in calls] == [2]
+
+
+def test_the_dual_of_a_ray_inverts_one_matrix(monkeypatch):
+    # the complement transform gives the quotient coordinates and the
+    # lift; the completed matrix is not inverted back
+    calls = count_calls(monkeypatch, lattice, "invert_unimodular_rows")
+    m = dual_monoid(cone_from_rays(3, [(1, 0, 0)]))
+    assert m.hilbert_pointed == ((1, 0, 0),)
+    assert m.hilbert_lineality == ((0, 1, 0), (0, 0, 1))
+    assert len(calls["invert_unimodular_rows"]) == 1
 
 
 # ------------------------------------------------------ monoid_of_differences
@@ -976,6 +1032,15 @@ def test_membership_in_the_rank_four_monoid_matches_enumeration():
             answers.append(monoid_contains(m, v))
             assert answers[-1] == degree_bounded_member(gens, degree, v), v
     assert 0 < sum(answers) < 20
+
+
+def test_membership_search_is_not_bounded_by_the_recursion_limit():
+    # the search goes one level deeper per moving generator; with 1,200 of
+    # them a recursive search raised RecursionError
+    m = AffineMonoid.from_generators(2, [(1, j) for j in range(1200)])
+    assert monoid_contains(m, (2, 2397))
+    assert monoid_contains(m, (3, 1))
+    assert not monoid_contains(m, (1, 1200))
 
 
 def test_membership_data_is_computed_once_per_monoid(monkeypatch):
