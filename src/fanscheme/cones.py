@@ -36,11 +36,11 @@ L-perp), that pass is pointed, so every pass ends the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import neg, sub
 
 from .lattice import (
+    _Record,
     dot,
     identity_rows,
     int_vector,
@@ -52,8 +52,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Polycone:
+class Polycone(_Record):
     """Cone in canonical split form.
 
     rays: primitive representatives of the extremal rays of the pointed

@@ -13,7 +13,6 @@ lattices; the index keeps no table over pairs of cones.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .cones import (
     _face_lattice,
@@ -25,6 +24,7 @@ from .cones import (
 from .lattice import (
     _echelon,
     _echelon_coords,
+    _Record,
     identity_rows,
     rank_rows,
     saturate_rows,
@@ -147,8 +147,7 @@ class _Lattices(Mapping):
         return len(self._cones)
 
 
-@dataclass(frozen=True)
-class FaceIndex:
+class FaceIndex(_Record):
     """What validate_fan proved about a fan; labels index fan.cones.
 
     cones: ray frozenset -> cone of the fan.
@@ -264,8 +263,7 @@ def is_complete(fan):
     return True
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(_Record):
     regular: bool
     entries: tuple  # (cone, verdict) pairs in fan order
 
@@ -294,8 +292,7 @@ def is_regular(fan):
     )
 
 
-@dataclass(frozen=True)
-class FullificationResult:
+class FullificationResult(_Record):
     original: Fan
     reduced: Fan
     basis: tuple       # lattice basis of the saturated span of all rays

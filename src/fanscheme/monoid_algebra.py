@@ -8,14 +8,13 @@ an element is assembled from raw terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .lattice import _Record
 from .monoids import AffineMonoid, monoid_contains
 
 
-@dataclass(frozen=True)
-class CoeffRing:
+class CoeffRing(_Record):
     kind: str
     modulus: int | None = None
 
@@ -74,8 +73,7 @@ class CoeffRing:
         return self.normalize(x) == self.zero
 
 
-@dataclass(frozen=True)
-class RingMorphism:
+class RingMorphism(_Record):
     source: CoeffRing
     target: CoeffRing
 
@@ -106,8 +104,7 @@ def coefficient_morphism(source, target):
     return RingMorphism(source=source, target=target)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(_Record):
     ring: CoeffRing
     monoid: AffineMonoid
     terms: tuple  # sorted (exponent, coefficient) pairs, zero-free

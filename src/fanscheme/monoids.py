@@ -10,7 +10,6 @@ this module rounds or bounds heuristically.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, product
 from math import gcd, prod
@@ -30,6 +29,7 @@ from .lattice import (
     _complement_transform,
     _echelon,
     _echelon_coords,
+    _Record,
     dot,
     identity_rows,
     int_vector,
@@ -281,8 +281,7 @@ def _cone_lattice_hilbert(cone):
     return tuple(sorted(pointed)), lin
 
 
-@dataclass(frozen=True)
-class AffineMonoid:
+class AffineMonoid(_Record):
     """Finitely generated submonoid of ZZ^ambient_rank.
 
     diff_basis is the canonical basis of the group of differences: the
@@ -299,7 +298,9 @@ class AffineMonoid:
     hilbert_pointed: tuple | None = None
     hilbert_lineality: tuple | None = None
     cone: Polycone | None = None
-    _data: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_data", {})  # not a field
 
     @classmethod
     def from_generators(cls, ambient_rank, generators):
@@ -476,8 +477,7 @@ def hilbert_basis(m):
     return tuple(flat)
 
 
-@dataclass(frozen=True)
-class DifferenceExtension:
+class DifferenceExtension(_Record):
     base: AffineMonoid
     inverted: tuple
     result: AffineMonoid
@@ -545,8 +545,7 @@ def _is_integrally_closed(m):
     return _holds_hilbert(AffineMonoid(r, tuple(coords), identity))[1]
 
 
-@dataclass(frozen=True)
-class LocalizationCertificate:
+class LocalizationCertificate(_Record):
     element: tuple
     shifts: tuple  # pairs (hilbert generator of the small chart, shift)
 
@@ -638,8 +637,7 @@ def find_localizing_element(big, small, sigma, tau):
     return localization_certificate(big, small, sigma, tau).element
 
 
-@dataclass(frozen=True)
-class ImmersionCheck:
+class ImmersionCheck(_Record):
     verdict: str  # "yes" | "no" | "unknown"
     witness: tuple | None
     reason: str

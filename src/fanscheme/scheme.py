@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, fields
 
 from .fans import is_complete, is_regular, validate_fan
+from .lattice import _Record
 from .monoid_algebra import augmentation
 from .monoids import (
     AffineMonoid,
@@ -30,8 +30,7 @@ NO = "no"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class DimRange:
+class DimRange(_Record):
     kind: str  # "range" | "empty" | "unknown"
     lo: int | None = None
     hi: int | None = None  # None inside a range means unbounded above
@@ -129,8 +128,7 @@ def _force(vals, flag, want, why):
     return True
 
 
-@dataclass(frozen=True)
-class BaseDescriptor:
+class BaseDescriptor(_Record):
     empty: str = UNKNOWN
     affine: str = UNKNOWN
     quasicompact: str = UNKNOWN
@@ -206,7 +204,7 @@ class BaseDescriptor:
         return cls(**kwargs)
 
 
-_BASE_FLAGS = tuple(f.name for f in fields(BaseDescriptor) if f.name != "dim")
+_BASE_FLAGS = tuple(f for f in BaseDescriptor._fields if f != "dim")
 _EMPTY_FORCES_YES = tuple(
     f for f in _BASE_FLAGS if f != "empty" and f not in _EMPTY_FORCES_NO
 )
@@ -448,8 +446,7 @@ class MonoidSystem:
         ))
 
 
-@dataclass(frozen=True)
-class SystemImmersionReport:
+class SystemImmersionReport(_Record):
     verdict: str
     entries: tuple  # (lower label, upper label, ImmersionCheck)
     reason: str
@@ -489,8 +486,7 @@ def is_openly_immersive(system, search_bound=6):
     )
 
 
-@dataclass(frozen=True)
-class AugmentationSection:
+class AugmentationSection(_Record):
     label: int
     monoid: AffineMonoid
 
@@ -500,8 +496,7 @@ class AugmentationSection:
         return augmentation(element)
 
 
-@dataclass(frozen=True)
-class GluingAtlas:
+class GluingAtlas(_Record):
     system: MonoidSystem
     sections: tuple
 
@@ -535,8 +530,7 @@ def build_atlas(fan):
     )
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(_Record):
     separated: bool
     entries: tuple  # (i, j, bool)
 
@@ -617,8 +611,7 @@ def dimension_bounds(fan, base):
     return DimRange.between(lo, (r + 1) * base.dim.hi + r)
 
 
-@dataclass(frozen=True)
-class PropertyRecord:
+class PropertyRecord(_Record):
     property: str
     verdict: str
     citation: str
@@ -973,8 +966,7 @@ def component_transport(fan, base, count):
     return count
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(_Record):
     commutes: bool
     citation: str
     justification: str

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -26,7 +25,7 @@ from helpers import (
     projective_plane_fan,
 )
 
-FLAGS = tuple(f.name for f in dataclasses.fields(BaseDescriptor) if f.name != "dim")
+FLAGS = tuple(f for f in BaseDescriptor._fields if f != "dim")
 
 
 def grid_fans():
