@@ -36,10 +36,10 @@ L-perp), that pass is pointed, so every pass ends the same way.
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import neg, sub
 
 from .lattice import (
+    _derived,
     _Record,
     dot,
     identity_rows,
@@ -65,9 +65,10 @@ class Polycone(_Record):
     cone_from_rays, intersect_cones and dual_cone store all four fields.  A
     face that faces() or a fan's face index reads off a face lattice
     (_face_cone) stores rays, lineality and dim; its normals and
-    dual_lineality are computed together on the first read of either.
-    Equality and hash use (ambient_rank, rays, lineality) only, so a face
-    equals the cone_from_rays cone on its rays before and after that read.
+    dual_lineality are _derived attributes, both stored on the first read
+    of either.  dim and the hash are _derived too.  Equality and hash use
+    (ambient_rank, rays, lineality) only, so a face equals the
+    cone_from_rays cone on its rays before and after that read.
     """
 
     ambient_rank: int
@@ -76,7 +77,7 @@ class Polycone(_Record):
     normals: tuple
     dual_lineality: tuple
 
-    @cached_property
+    @_derived
     def dim(self):
         return self.ambient_rank - len(self.dual_lineality)
 
@@ -101,26 +102,13 @@ class Polycone(_Record):
             and self.lineality == other.lineality
         )
 
-    def __hash__(self):
+    @_derived
+    def _hash(self):
         # computed once per cone: fans key their sets and dicts by cones
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.ambient_rank, self.rays, self.lineality))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.ambient_rank, self.rays, self.lineality))
 
-    def __getattr__(self, name):
-        # reached only for a field not yet stored: the dual side of a face
-        # from _face_cone, or the hash before its first use
-        facets = self.__dict__.get("_facets")
-        if facets is None or name not in ("normals", "dual_lineality"):
-            raise AttributeError(name)
-        normals, dlin = _dual_side(self.ambient_rank, self.rays, *facets)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "dual_lineality", dlin)
-        del self.__dict__["_facets"]
-        return self.__dict__[name]
+    def __hash__(self):
+        return self._hash
 
     def generator_rows(self):
         """Integer generators: rays plus both signs of the lineality basis."""
@@ -328,14 +316,36 @@ def _dual_side(n, ordered, rays, facet_sets):
     return tuple(sorted(normals)), tuple(dlin)
 
 
+_set = object.__setattr__
+
+
 def _face_cone(n, rays, dim, facet_sets):
     """The face of dimension dim on the ray frozenset `rays` of a pointed
     cone with these facet ray sets, with no arithmetic: its dual side
-    (_dual_side) waits for the first read (Polycone.__getattr__)."""
+    waits for the first read (_read_dual_side)."""
     face = object.__new__(Polycone)
-    face.__dict__.update(ambient_rank=n, rays=tuple(sorted(rays)), lineality=(),
-                         dim=dim, _facets=(rays, facet_sets))
+    _set(face, "ambient_rank", n)
+    _set(face, "rays", tuple(sorted(rays)))
+    _set(face, "lineality", ())
+    _set(face, "dim", dim)
+    _set(face, "_facets", (rays, facet_sets))
     return face
+
+
+def _read_dual_side(face):
+    """(normals, dual_lineality) of a face from _face_cone, both stored
+    from one _dual_side call, after which its facet data goes."""
+    side = _dual_side(face.ambient_rank, face.rays, *face._facets)
+    _set(face, "normals", side[0])
+    _set(face, "dual_lineality", side[1])
+    object.__delattr__(face, "_facets")
+    return side
+
+
+# installed after the class body, where _Record would take them as the
+# defaults of these two fields
+Polycone.normals = _derived(lambda f: _read_dual_side(f)[0], "normals")
+Polycone.dual_lineality = _derived(lambda f: _read_dual_side(f)[1], "dual_lineality")
 
 
 def _witness(c, facet_sets, rayset):

@@ -16,8 +16,13 @@ import math
 from operator import attrgetter, mul
 
 
+def _is_int(x):
+    """Is x a plain int?  bool is an int subclass, and is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_int(x):
-    # bool is an int subclass; reject it anyway
+    # the check of _is_int, inline: this runs on every entry of every input
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError("matrix entries must be plain ints, got %r" % (x,))
     return x
@@ -353,9 +358,10 @@ class _Record:
     the class has one; == and hash over the field values, == holding only
     between instances of the same class; the repr Name(field=value, ...);
     and an AttributeError on assigning or deleting any attribute (a
-    __post_init__ or a cache stores with object.__setattr__).  The field
-    names are in _fields; dataclasses.fields, replace and asdict do not
-    apply.
+    __post_init__ stores with object.__setattr__).  The field names are in
+    _fields; dataclasses.fields, replace and asdict do not apply.  A value
+    a record derives from its fields is a _derived attribute, stored on
+    its first read and seen by none of ==, hash and repr.
 
     Importing dataclasses, with the inspect, ast, dis and tokenize modules
     that nothing else here loads, and processing the package's 20 records
@@ -407,6 +413,26 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
+
+
+class _derived:
+    """A value a record derives from its fields: computed on the first
+    read and stored on the instance with object.__setattr__, under the
+    name of the computing function or the name given.  The stored value
+    shadows this non-data descriptor, so every later read is a plain
+    attribute read, and ==, hash and repr, which read only the fields,
+    never see it."""
+
+    def __init__(self, compute, name=None):
+        self.compute = compute
+        self.name = name or compute.__name__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = self.compute(record)
+        object.__setattr__(record, self.name, value)
+        return value
 
 
 class IntMatrix(_Record):

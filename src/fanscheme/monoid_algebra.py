@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import _Record
+from .lattice import _is_int, _Record
 from .monoids import AffineMonoid, monoid_contains
 
 
@@ -22,9 +22,7 @@ class CoeffRing(_Record):
         if self.kind not in ("integers", "rationals", "integers_mod"):
             raise ValueError("unknown coefficient ring kind")
         if self.kind == "integers_mod":
-            if isinstance(self.modulus, bool) or not isinstance(
-                self.modulus, int
-            ) or self.modulus < 1:
+            if not _is_int(self.modulus) or self.modulus < 1:
                 raise ValueError("modulus must be a positive integer")
         elif self.modulus is not None:
             raise ValueError("only integers_mod takes a modulus")
@@ -43,10 +41,10 @@ class CoeffRing(_Record):
 
     def normalize(self, x):
         if self.kind == "rationals":
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            if not (_is_int(x) or isinstance(x, Fraction)):
                 raise TypeError("rational coefficient expected")
             return Fraction(x)
-        if isinstance(x, bool) or not isinstance(x, int):
+        if not _is_int(x):
             raise TypeError("integer coefficient expected")
         if self.kind == "integers_mod":
             return x % self.modulus
@@ -111,13 +109,13 @@ class AlgebraElement(_Record):
 
     @classmethod
     def from_terms(cls, ring, monoid, terms):
-        def checked(e):
+        def checked(e, c):
             e = tuple(e)
             if not monoid_contains(monoid, e):
                 raise ValueError("exponent is not in the monoid")
-            return e
+            return e, ring.normalize(c)
 
-        return _collect(ring, monoid, ((checked(e), c) for e, c in terms))
+        return _collect(ring, monoid, (checked(e, c) for e, c in terms))
 
     def _match(self, other):
         if not isinstance(other, AlgebraElement):

@@ -27,6 +27,7 @@ from .cones import (
 )
 from .lattice import (
     _complement_transform,
+    _derived,
     _echelon,
     _echelon_coords,
     _Record,
@@ -286,10 +287,10 @@ class AffineMonoid(_Record):
 
     diff_basis is the canonical basis of the group of differences: the
     subgroup of ZZ^n the generators generate, not its saturation.  Cone
-    monoids carry their cone and Hilbert structure.  A designated monoid
-    fills _data on first use with what membership needs (see
-    _membership_data) and with its integral-closedness flag; equality,
-    hashing and repr see only the stored presentation.
+    monoids carry their cone and Hilbert structure.  What a designated
+    monoid needs is derived on first use and stored (_derived): its
+    support cone, its membership tables and its integral-closedness flag;
+    equality, hashing and repr see only the stored presentation.
     """
 
     ambient_rank: int
@@ -299,8 +300,46 @@ class AffineMonoid(_Record):
     hilbert_lineality: tuple | None = None
     cone: Polycone | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "_data", {})  # not a field
+    @_derived
+    def _support(self):
+        """The cone of the monoid: a cone monoid's own cone, else the cone
+        of the generators."""
+        return self.cone or cone_from_rays(self.ambient_rank, self.generators)
+
+    @_derived
+    def _membership(self):
+        """(lineality, moving), what monoid_contains needs of a designated
+        monoid.  moving: the generators on which some facet normal of the
+        support is nonzero, each with its tuple of values on the normals.
+        lineality: the echelon form of the other generators, those in the
+        lineality space of the support.  A support without rays has no
+        normals, so every generator is a unit."""
+        normals = self._support.normals
+        lin_gens = []
+        moving = []
+        for g in self.generators:
+            vals = tuple([dot(g, u) for u in normals])
+            if any(vals):
+                moving.append((g, vals))
+            else:
+                lin_gens.append(g)
+        return _echelon(lin_gens, self.ambient_rank), moving
+
+    @_derived
+    def _closed(self):
+        """is_integrally_closed of a designated monoid with a nonzero
+        group of differences."""
+        basis = self.diff_basis
+        r = len(basis)
+        # diff_basis is in echelon form: each row's pivot is its first nonzero
+        pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+        # distinct nonzero generators have distinct nonzero coordinates, and
+        # the canonical basis of ZZ^r is the identity: from_generators would
+        # build this same monoid
+        coords = tuple(sorted(tuple(_echelon_coords(basis, pivots, g))
+                              for g in self.generators))
+        identity = tuple(map(tuple, identity_rows(r)))
+        return _holds_hilbert(AffineMonoid(r, coords, identity))[1]
 
     @classmethod
     def from_generators(cls, ambient_rank, generators):
@@ -342,41 +381,6 @@ def dual_monoid(sigma):
     )
 
 
-def _support(m):
-    """The cone of m: a cone monoid's own cone, else the cone of the
-    generators, kept in m._data["support"]."""
-    if m.cone is not None:
-        return m.cone
-    if "support" not in m._data:
-        m._data["support"] = cone_from_rays(m.ambient_rank, m.generators)
-    return m._data["support"]
-
-
-def _membership_data(m):
-    """What monoid_contains needs of a designated monoid, computed on the
-    first call and kept in m._data under these keys.
-
-    support: the cone of the generators (_support).  moving: the generators
-    on which some facet normal of the support is nonzero, each with its
-    tuple of values on the normals.  lineality: the echelon form of the
-    other generators, those in the lineality space of the support.  A
-    support without rays has no normals, so every generator is a unit.
-    """
-    data = m._data
-    if "lineality" not in data:
-        normals = _support(m).normals
-        lin_gens = []
-        moving = []
-        for g in m.generators:
-            vals = tuple([dot(g, u) for u in normals])
-            if any(vals):
-                moving.append((g, vals))
-            else:
-                lin_gens.append(g)
-        data.update(lineality=_echelon(lin_gens, m.ambient_rank), moving=moving)
-    return data
-
-
 def monoid_contains(m, v):
     """Exact membership of an integer vector, complete in all cases.
 
@@ -398,8 +402,8 @@ def monoid_contains(m, v):
     residue values, the quotient at its first nonzero value, so one
     comparison and one lattice test finish the search.  The values and the
     echelon basis of the lineality lattice are computed once per monoid
-    (_membership_data); lattice membership is an integer reduction over
-    that basis.
+    (AffineMonoid._membership); lattice membership is an integer reduction
+    over that basis.
     """
     v = int_vector(v, m.ambient_rank)
     if not any(v):
@@ -408,12 +412,10 @@ def monoid_contains(m, v):
         return contains_point(m.cone, v)
     if v in m.generators:
         return True
-    data = _membership_data(m)
-    support = data["support"]
+    support = m._support
     if not contains_point(support, v):
         return False
-    lattice = data["lineality"]
-    moving = data["moving"]
+    lattice, moving = m._membership
 
     def children(i, vals, rest):
         # the residues after a * moving[i], smallest a first, each made
@@ -453,7 +455,7 @@ def _holds_hilbert(m):
     """(flat, held): the flattened Hilbert structure of the lattice points
     of the support cone of a designated monoid m, and whether m holds
     every element of it, that is, whether m is all of those points."""
-    flat = signed_rows(*_cone_lattice_hilbert(_support(m)))
+    flat = signed_rows(*_cone_lattice_hilbert(m._support))
     return flat, all(monoid_contains(m, g) for g in flat)
 
 
@@ -523,26 +525,9 @@ def is_integrally_closed(m):
     monoid holds every element of the Hilbert structure of its cone
     (_holds_hilbert, the check hilbert_basis makes).  No cone is built in
     the ambient rank and nothing is lifted back.  A designated monoid
-    keeps the answer in m._data.
+    stores the answer (AffineMonoid._closed).
     """
-    if m.cone is not None or not m.diff_basis:
-        return True
-    if "closed" not in m._data:
-        m._data["closed"] = _is_integrally_closed(m)
-    return m._data["closed"]
-
-
-def _is_integrally_closed(m):
-    basis = m.diff_basis
-    r = len(basis)
-    # diff_basis is in echelon form: each row's pivot is its first nonzero
-    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
-    # distinct nonzero generators have distinct nonzero coordinates, and the
-    # canonical basis of ZZ^r is the identity: from_generators would build
-    # this same monoid
-    coords = sorted(tuple(_echelon_coords(basis, pivots, g)) for g in m.generators)
-    identity = tuple(map(tuple, identity_rows(r)))
-    return _holds_hilbert(AffineMonoid(r, tuple(coords), identity))[1]
+    return m.cone is not None or not m.diff_basis or m._closed
 
 
 class LocalizationCertificate(_Record):
@@ -694,9 +679,9 @@ def check_openly_immersive_pair(target, source, search_bound=6):
             "never changes the group of differences",
         )
     n = target.ambient_rank
-    target_normals = _support(target).normals
+    target_normals = target._support.normals
     face = [g for g in source.generators if not any(dot(u, g) for u in target_normals)]
-    walls = [u for u in _support(source).normals if any(dot(u, g) for g in face)]
+    walls = [u for u in source._support.normals if any(dot(u, g) for g in face)]
 
     def interior_sums():
         for k in range(search_bound + 1):

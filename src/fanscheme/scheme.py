@@ -12,7 +12,7 @@ import re
 import sys
 
 from .fans import is_complete, is_regular, validate_fan
-from .lattice import _Record
+from .lattice import _is_int, _Record
 from .monoid_algebra import augmentation
 from .monoids import (
     AffineMonoid,
@@ -39,17 +39,9 @@ class DimRange(_Record):
         if self.kind not in ("range", "empty", "unknown"):
             raise ValueError("bad dimension kind")
         if self.kind == "range":
-            if (
-                isinstance(self.lo, bool)
-                or not isinstance(self.lo, int)
-                or self.lo < 0
-            ):
+            if not _is_int(self.lo) or self.lo < 0:
                 raise ValueError("lower bound must be a nonnegative integer")
-            if self.hi is not None and (
-                isinstance(self.hi, bool)
-                or not isinstance(self.hi, int)
-                or self.hi < self.lo
-            ):
+            if self.hi is not None and (not _is_int(self.hi) or self.hi < self.lo):
                 raise ValueError("upper bound must be an integer >= the lower")
         elif self.lo is not None or self.hi is not None:
             raise ValueError("bounds only make sense for ranges")
@@ -332,7 +324,7 @@ class MonoidSystem:
         n = len(self.monoids)
 
         def label(x):
-            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
+            if not _is_int(x) or not 0 <= x < n:
                 raise ValueError("label %r is not an index into the system" % (x,))
             return x
 
@@ -959,7 +951,7 @@ def component_transport(fan, base, count):
     if len(fan.cones) == 0:
         raise ValueError("an empty fan gives an empty total space; no "
                          "components to transport")
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+    if not _is_int(count) or count < 0:
         raise ValueError("component count must be a nonnegative integer")
     if base.empty == YES:
         return 0

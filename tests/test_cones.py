@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from fanscheme import cones
 from fanscheme.cones import (
     Polycone,
     cone_from_rays,
@@ -562,12 +563,21 @@ def fields(c):
     return c.ambient_rank, c.rays, c.lineality, c.normals, c.dual_lineality
 
 
-def test_faces_compute_their_dual_side_on_first_read():
+def test_faces_compute_their_dual_side_on_first_read(monkeypatch):
     # a face read off a lattice stores its rays and its dimension, from the
     # grading of the lattice; the first read of normals or dual_lineality
-    # computes both, and then all five fields are those of the cone built
-    # from its rays.  Before and after that read the face is == to that
-    # cone and hashes like it
+    # computes both with one _dual_side call and drops the facet data, and
+    # then all five fields are those of the cone built from its rays.
+    # Before and after that read the face is == to that cone and hashes
+    # like it
+    calls = []
+    real = cones._dual_side
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cones, "_dual_side", counted)
     rng = random.Random(5003)
     lattices = [faces(random_pointed_cone(rng, rng.randint(1, 5), 6))
                 for _ in range(150)]
@@ -584,9 +594,13 @@ def test_faces_compute_their_dual_side_on_first_read():
             assert f == eager and hash(f) == hash(eager)
             if "normals" not in vars(f):
                 lazy += 1
+                assert "_facets" in vars(f)
+                before = len(calls)
                 first, other = rng.sample(["normals", "dual_lineality"], 2)
                 getattr(f, first)
-                assert other in vars(f)
+                assert other in vars(f) and "_facets" not in vars(f)
+                getattr(f, other)
+                assert len(calls) == before + 1
             assert fields(f) == fields(eager)
             assert f == eager and hash(f) == hash(eager)
             non_simplicial += len(f.rays) > f.dim

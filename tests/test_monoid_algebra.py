@@ -83,6 +83,17 @@ def test_from_terms_merges_sorts_and_prunes():
     assert a.terms == (((0, 1), 3),)
 
 
+def test_from_terms_refuses_a_bool_coefficient():
+    # each raw coefficient is checked by its ring, not only the sums
+    for ring in (ZZ, CoeffRing.integers_mod(5)):
+        with pytest.raises(TypeError, match="^integer coefficient expected$"):
+            AlgebraElement.from_terms(ring, plane(), [((1, 0), True)])
+    with pytest.raises(TypeError, match="^rational coefficient expected$"):
+        AlgebraElement.from_terms(QQ, plane(), [((1, 0), True)])
+    a = AlgebraElement.from_terms(CoeffRing.integers_mod(5), plane(), [((1, 0), 7)])
+    assert a.terms == (((1, 0), 2),)
+
+
 def test_exponents_must_lie_in_the_monoid():
     with pytest.raises(ValueError):
         AlgebraElement.from_terms(ZZ, plane(), [((-1, 0), 1)])

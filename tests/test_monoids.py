@@ -903,7 +903,7 @@ def test_membership_in_embedded_monoids_matches_enumeration():
     for _ in range(120):
         points, unit, n, image, m = random_embedded_monoid(rng)
         units += unit is not None
-        flat += not monoids._support(m).is_full
+        flat += not m._support.is_full
         for _ in range(20):
             x = random_query(rng, points, n) + tuple(
                 rng.choice((0, 0, 0, 1, -1)) for _ in range(m.ambient_rank - n)
@@ -952,7 +952,7 @@ def test_a_monoid_asked_only_about_its_generators_builds_no_support(monkeypatch)
         for g in m.generators:
             assert monoid_contains(m, g)
             assert monoid_contains(m, list(g))
-        assert m._data == {}
+        assert list(vars(m)) == list(m._fields)
     assert calls == {"cone_from_rays": [], "contains_point": []}
 
 
@@ -979,7 +979,7 @@ def test_the_solved_last_coefficient_matches_enumeration():
             seen["member"] += expected
             seen["off the lattice"] += lattice_coords_rows(gens, rank, x) is None
         seen["generators"] += len(gens)
-        seen["single moving"] += len(monoids._membership_data(m)["moving"]) == 1
+        seen["single moving"] += len(m._membership[1]) == 1
         seen["units"] += unit is not None
     assert seen["single moving"] >= 20 and seen["units"] >= 40
     assert seen["member"] >= 1000 and seen["off the lattice"] >= 500
@@ -1017,7 +1017,7 @@ def test_membership_in_the_rank_four_monoid_matches_enumeration():
     # the monoid on which 20 queries once took 16.7 s; its support is
     # three-dimensional, so the degree is the sum of the three normals
     m = AffineMonoid.from_generators(4, FOUND_RANK_FOUR)
-    degree = tuple(map(sum, zip(*monoids._support(m).normals)))
+    degree = tuple(map(sum, zip(*m._support.normals)))
     assert degree == (-15, -40, -47, 0)
     gens = sorted(FOUND_RANK_FOUR, key=lambda g: -sum(map(operator.mul, degree, g)))
     rng = random.Random(3)
@@ -1143,12 +1143,12 @@ def test_membership_cache_leaves_equality_hash_and_repr_alone():
     assert monoid_contains(m, (2, 5))
     assert not monoid_contains(m, (-1, 0))
     assert is_integrally_closed(m)
-    assert m._data
+    assert {"_support", "_membership", "_closed"} <= vars(m).keys()
     fresh = AffineMonoid.from_generators(2, gens)
     assert m == fresh
     assert hash(m) == hash(fresh)
     assert repr(m) == repr(fresh) == before
-    assert "_data" not in before
+    assert not any(name in before for name in ("_support", "_membership", "_closed"))
 
 
 def test_pointed_hilbert_of_a_wedge_is_its_walk(monkeypatch):
@@ -1450,5 +1450,5 @@ def test_immersion_check_builds_one_extension_at_most(monkeypatch):
         assert len(built) <= 1
         if res.verdict == "yes":
             # closedness is compared only when the search finds nothing
-            assert "closed" not in target._data and "closed" not in source._data
+            assert "_closed" not in vars(target) and "_closed" not in vars(source)
     assert verdicts == ["yes", "yes", "yes", "unknown", "no"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fanscheme.cones import cone_from_rays, faces, Polycone
-from fanscheme.fans import RegularityReport
+from fanscheme.fans import Fan, RegularityReport
 from fanscheme.lattice import IntMatrix
 from fanscheme.monoid_algebra import CoeffRing
 from fanscheme.monoids import (
@@ -23,7 +23,9 @@ from fanscheme.monoids import (
 )
 from fanscheme.scheme import (
     BaseDescriptor,
+    component_transport,
     DimRange,
+    MonoidSystem,
     PropertyRecord,
     SeparationReport,
     UNKNOWN,
@@ -130,12 +132,12 @@ def test_a_filled_membership_cache_is_not_part_of_the_value():
     gens = [(2, 0), (0, 2), (1, 1)]
     m = AffineMonoid.from_generators(2, gens)
     fresh = AffineMonoid.from_generators(2, gens)
-    assert m._data is not fresh._data
+    assert vars(m) is not vars(fresh)
     assert monoid_contains(m, (3, 1)) and not monoid_contains(m, (1, 0))
-    assert m._data and not fresh._data
+    assert "_membership" in vars(m) and "_membership" not in vars(fresh)
     assert m == fresh and hash(m) == hash(fresh)
     assert repr(m) == repr(fresh)
-    assert "_data" not in m._fields
+    assert "_membership" not in m._fields
 
 
 def test_repr_matches_the_dataclass_repr():
@@ -171,3 +173,37 @@ def test_record_constructors_are_not_written_in_a_module():
     # ones were
     for cls in (IntMatrix, DimRange, AffineMonoid, Polycone):
         assert cls.__init__.__code__.co_filename == "<record>"
+
+
+def test_a_bool_is_refused_where_an_int_is_validated():
+    # bool is an int subclass; each check takes plain ints only, with the
+    # message it gives any other non-integer
+    cases = [
+        (ValueError, "^lower bound must be a nonnegative integer$",
+         lambda: DimRange.between(True, 2)),
+        (ValueError, "^upper bound must be an integer >= the lower$",
+         lambda: DimRange.between(0, True)),
+        (ValueError, "^modulus must be a positive integer$",
+         lambda: CoeffRing.integers_mod(True)),
+        (TypeError, "^integer coefficient expected$",
+         lambda: CoeffRing.integers().normalize(True)),
+        (TypeError, "^integer coefficient expected$",
+         lambda: CoeffRing.integers_mod(5).normalize(False)),
+        (TypeError, "^rational coefficient expected$",
+         lambda: CoeffRing.rationals().normalize(True)),
+    ]
+    n = AffineMonoid.from_generators(1, [(1,)])
+    z = AffineMonoid.from_generators(1, [(1,), (-1,)])
+    cases.append((ValueError, "^label True is not an index into the system$",
+                  lambda: MonoidSystem([n, z], leq=[(1, True)])))
+    line = Fan(1, [cone_from_rays(1, [(1,)])])
+    cases.append((ValueError, "^component count must be a nonnegative integer$",
+                  lambda: component_transport(line, BaseDescriptor.field(), True)))
+    for error, message, call in cases:
+        with pytest.raises(error, match=message):
+            call()
+    # the same checks take the ints themselves
+    assert DimRange.between(1, 2).hi == 2
+    assert CoeffRing.integers_mod(5).normalize(7) == 2
+    assert MonoidSystem([n, z], leq=[(1, 0)]).leq(1, 0)
+    assert component_transport(line, BaseDescriptor.field(), 1) == 1

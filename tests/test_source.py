@@ -83,6 +83,81 @@ def test_package_modules_have_no_unused_imports():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+_DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear",
+                "__setitem__", "__delitem__"}
+
+
+def _instance_dict(node):
+    """Is node x.__dict__ or vars(x)?"""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "vars"
+        and len(node.args) == 1
+    )
+
+
+def _attribute_hooks(tree):
+    """(line, what) of each class-level __getattr__ or __getattribute__ and
+    of each write to an instance's __dict__ (or vars): an entry assigned or
+    deleted, or a call of a dict method that changes it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (f.lineno, node.name + "." + f.name)
+                for f in node.body
+                if isinstance(f, ast.FunctionDef)
+                and f.name in ("__getattr__", "__getattribute__")
+            )
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and _instance_dict(node.value)
+        ):
+            found.append((node.lineno, "__dict__[...]"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _DICT_WRITES
+            and _instance_dict(node.func.value)
+        ):
+            found.append((node.lineno, "__dict__." + node.func.attr))
+    return sorted(found)
+
+
+def test_no_class_hooks_attribute_lookup():
+    # a class with __getattr__ gets none of the interpreter's specialised
+    # attribute reads; a record derives a value with lattice._derived and
+    # stores its attributes with object.__setattr__
+    hooks = {name: _attribute_hooks(tree) for name, tree in _parsed(SOURCE).items()}
+    assert {name: found for name, found in hooks.items() if found} == {}
+
+
+def test_attribute_hook_finder():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __getattr__(self, name): pass\n"
+        "class B:\n"
+        "    def __getattribute__(self, name): pass\n"
+        "    def get(self): return self.__dict__['x']\n"
+        "x.__dict__['a'] = 1\n"
+        "del x.__dict__['a']\n"
+        "x.__dict__.update(a=1)\n"
+        "x.__dict__.pop('a')\n"
+        "object.__setattr__(x, 'a', 1)\n"
+        "def __getattr__(name): pass\n"
+        "vars(x)['a'] = 1\n"
+        "vars(x).update(a=1)\n"
+        "vars(x).get('a')\n"
+    )
+    assert _attribute_hooks(tree) == [
+        (2, "A.__getattr__"), (4, "B.__getattribute__"), (6, "__dict__[...]"),
+        (7, "__dict__[...]"), (8, "__dict__.update"), (9, "__dict__.pop"),
+        (12, "__dict__[...]"), (13, "__dict__.update"),
+    ]
+
+
 def test_unused_import_finder():
     tree = ast.parse(
         "from __future__ import annotations\n"
