@@ -32,10 +32,19 @@ kept ray is already primitive, spans the kernel of its tight set and is
 nonnegative on every constraint.  A result that keeps a lineality L is
 re-run with L's canonical basis among the equations; as C = L + (C meet
 L-perp), that pass is pointed, so every pass ends the same way.
+
+A simplicial cone, on independent generators, needs neither the second
+pass of cone_from_rays nor a search of its face lattice: its rays are its
+primitive generators, and its faces are the cones on the subsets of its
+rays (Cox-Little-Schenck, Toric Varieties, 1.2).  The dimension the first
+pass reads off tells such a cone apart, as it equals the generator count
+exactly when the generators are independent.  Every other cone takes the
+general roads.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import neg, sub
 
 from .lattice import (
@@ -214,14 +223,19 @@ def _dual_generator_sets(constraints, n, equations=()):
 def cone_from_rays(ambient_rank, generators):
     """Cone generated by integer vectors; redundant input is fine.
 
-    One double description pass gives the dual side, and a second one over
-    the normals, with the dual lineality as equations, the generator side.
-    Both are canonical, so == on the results means the generated cones are
-    equal as sets.
+    One double description pass gives the dual side, and with it the
+    dimension.  Generators as many as the dimension are independent: the
+    cone is simplicial, its rays are the primitive generators and it has
+    no lineality, so no second pass runs.  Otherwise a second pass over the
+    normals, with the dual lineality as equations, gives the generator
+    side.  Both are canonical, so == on the results means the generated
+    cones are equal as sets.
     """
     n = ambient_rank
     gens = [int_vector(g, n, "generator") for g in generators]
     dlin, drays = _dual_generator_sets(gens, n)
+    if len(gens) == n - len(dlin):
+        return Polycone(n, tuple(sorted(map(primitive_vector, gens))), (), drays, dlin)
     lin, rays = _dual_generator_sets(drays, n, dlin)
     return Polycone(n, rays, lin, drays, dlin)
 
@@ -354,29 +368,45 @@ def _witness(c, facet_sets, rayset):
     return sum_rows(tight, c.ambient_rank)
 
 
+def _searched_levels(c, facet_sets):
+    """(dim, ray frozensets of the faces of dimension dim) of a pointed
+    cone, from c down: the facets of a face of dimension d are its maximal
+    proper cuts by the facet ray sets of c (_facets_of), and have dimension
+    d - 1, so a face's dimension is read off the grading of the lattice."""
+    level, dim = {frozenset(c.rays)}, c.dim
+    while level:
+        yield dim, level
+        level = {g for f in level for g in _facets_of(f, facet_sets)}
+        dim -= 1
+
+
 def _face_lattice(c, known):
     """faces(c), taking face cones from `known` (ray frozenset -> cone) where
     present and adding the ones it reads off c (_face_cone).
 
-    The faces are found by dimension, from c down: the facets of a face of
-    dimension d are its maximal proper cuts by the facet ray sets of c
-    (_facets_of), and have dimension d - 1, so a face's dimension is read
-    off the grading of the lattice."""
+    A simplicial cone (as many rays as its dimension) has the Boolean
+    lattice on its rays (Cox-Little-Schenck, Toric Varieties, 1.2): every
+    ray set is a face, of dimension its size, so no face is searched for.
+    Any other cone has its faces searched by dimension (_searched_levels).
+    A face's witness is the sum of the normals of c vanishing on it
+    (_witness); on a simplicial cone those are the normals of the facets
+    opposite the rays the face misses."""
     if c.lineality:
         raise ValueError("face lattice requires a pointed cone")
     n = c.ambient_rank
     facet_sets = _facet_sets(c)
+    if len(c.rays) == c.dim:
+        levels = ((d, map(frozenset, combinations(c.rays, d)))
+                  for d in range(c.dim + 1))
+    else:
+        levels = _searched_levels(c, facet_sets)
     witnesses = {}
-    level, dim = {frozenset(c.rays)}, c.dim
-    while level:
-        below = set()
+    for dim, level in levels:
         for rayset in level:
             face = known.get(rayset)
             if face is None:
                 face = known[rayset] = _face_cone(n, rayset, dim, facet_sets)
             witnesses[face] = _witness(c, facet_sets, rayset)
-            below.update(_facets_of(rayset, facet_sets))
-        level, dim = below, dim - 1
     face_list = sorted(witnesses, key=lambda f: (f.dim, f.rays))
     return FaceLattice(c, tuple(face_list), witnesses)
 
@@ -386,13 +416,16 @@ def faces(c):
 
     Every face is an intersection of facets, so the ray subsets of faces
     form the closure of the full ray set under intersection with the facet
-    ray sets.  Each face is built from its ray subset and its dimension,
-    with no arithmetic; its normals and dual lineality are read off the
-    facet ray sets of c, with no double description pass, on their first
-    read (_dual_side).  Its witness is the sum of the normals of c
-    vanishing on it.  Cones with lineality are rejected; nothing downstream
-    needs their faces.  A validated fan keeps the lattice of each of its
-    cones in its face index, so callers holding a fan read it from there.
+    ray sets; for a simplicial cone that closure is every subset of its
+    rays, and it is listed without a search (_face_lattice).  Each face is
+    built from its ray subset and its dimension, with no arithmetic; its
+    normals and dual lineality are read off the facet ray sets of c, with
+    no double description pass, on their first read (_dual_side).  Its
+    witness is the sum of the normals of c vanishing on it.  Faces are
+    listed by dimension, then by rays.  Cones with lineality are rejected;
+    nothing downstream needs their faces.  A validated fan keeps the
+    lattice of each of its cones in its face index, so callers holding a
+    fan read it from there.
     """
     return _face_lattice(c, {frozenset(c.rays): c})
 

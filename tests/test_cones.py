@@ -226,9 +226,67 @@ def _tight(u, vectors):
     return frozenset(i for i, v in enumerate(vectors) if _dot(u, v) == 0)
 
 
+def independent_gens(rng, n, k, bound=3):
+    """k <= n random independent generators in ZZ^n, each scaled by 2 or 3
+    with chance 1/2, so that most sets hold one that is not primitive."""
+    while True:
+        gens = random_gens(rng, n, k, bound)
+        if helpers.frac_rank(gens) == k:
+            scales = [rng.choice((1, 1, 2, 3)) for _ in gens]
+            return [tuple(s * x for x in g) for s, g in zip(scales, gens)]
+
+
+def independent_cases(rng):
+    """(n, generators): seeded independent generator sets of rank 1-6, full
+    and lower-dimensional, and a few fixed ones that are not primitive."""
+    cases = [(3, [(2, 0, 0), (0, 3, 3)]), (3, [(0, 0, 4)]), (2, [(2, 4), (-3, 0)]),
+             (4, [(0, 2, 0, 2), (3, 0, 0, 0), (0, 0, 5, 0), (0, 0, 0, -6)]), (2, [])]
+    for n in range(1, 7):
+        for _ in range(6 * n):
+            cases.append((n, independent_gens(rng, n, rng.randint(n // 2, n))))
+    return cases
+
+
+def _check_against_brute_force(gens, n):
+    """cone_from_rays(n, gens) against the brute-force facets and the
+    Fourier-Motzkin extremal rays of its generators."""
+    prim = sorted({_primitive(g) for g in gens if any(g)})
+    c = cone_from_rays(n, gens)
+
+    equations, inequalities = helpers.brute_force_facets(prim, n)
+    assert len(c.dual_lineality) == len(equations)
+    assert all(_dot(w, g) == 0 for w in c.dual_lineality for g in prim)
+    assert len(c.lineality) == n - helpers.frac_rank(equations + inequalities)
+    for u in c.normals:
+        assert all(_dot(u, g) >= 0 for g in prim)
+        assert all(_dot(u, l) == 0 for l in c.lineality)
+    facets = {_tight(y, prim): y for y in inequalities}
+    tight_sets = [_tight(u, prim) for u in c.normals]
+    assert len(set(tight_sets)) == len(tight_sets)
+    assert set(tight_sets) == set(facets)
+    for u in c.normals:
+        # u and the brute-force functional agree on the span up to a
+        # positive factor
+        y = facets[_tight(u, prim)]
+        uv = [_dot(u, g) for g in prim]
+        yv = [_dot(y, g) for g in prim]
+        j = next(i for i, x in enumerate(yv) if x)
+        assert uv[j] * yv[j] > 0
+        assert all(a * yv[j] == b * uv[j] for a, b in zip(uv, yv))
+
+    if c.is_pointed:
+        extremal = [
+            g for g in prim
+            if not helpers.fm_cone_contains([h for h in prim if h != g], g, n)
+        ]
+        assert c.rays == tuple(extremal)
+    return c
+
+
 def test_double_description_matches_brute_force_facets_and_rays():
-    # every third generator set carries a +- pair, so the double description
-    # also cuts lineality; rays and facets come from the brute-force oracles
+    # every third random generator set carries a +- pair, so the double
+    # description also cuts lineality; rays and facets come from the
+    # brute-force oracles
     rng = random.Random(4250)
     cut = 0
     for case in range(330):
@@ -239,37 +297,18 @@ def test_double_description_matches_brute_force_facets_and_rays():
             if any(v):
                 gens += [v, tuple(-x for x in v)]
                 cut += 1
-        prim = sorted({_primitive(g) for g in gens if any(g)})
-        c = cone_from_rays(n, gens)
-
-        equations, inequalities = helpers.brute_force_facets(prim, n)
-        assert len(c.dual_lineality) == len(equations)
-        assert all(_dot(w, g) == 0 for w in c.dual_lineality for g in prim)
-        assert len(c.lineality) == n - helpers.frac_rank(equations + inequalities)
-        for u in c.normals:
-            assert all(_dot(u, g) >= 0 for g in prim)
-            assert all(_dot(u, l) == 0 for l in c.lineality)
-        facets = {_tight(y, prim): y for y in inequalities}
-        tight_sets = [_tight(u, prim) for u in c.normals]
-        assert len(set(tight_sets)) == len(tight_sets)
-        assert set(tight_sets) == set(facets)
-        for u in c.normals:
-            # u and the brute-force functional agree on the span up to a
-            # positive factor
-            y = facets[_tight(u, prim)]
-            uv = [_dot(u, g) for g in prim]
-            yv = [_dot(y, g) for g in prim]
-            j = next(i for i, x in enumerate(yv) if x)
-            assert uv[j] * yv[j] > 0
-            assert all(a * yv[j] == b * uv[j] for a, b in zip(uv, yv))
-
-        if c.is_pointed:
-            extremal = [
-                g for g in prim
-                if not helpers.fm_cone_contains([h for h in prim if h != g], g, n)
-            ]
-            assert c.rays == tuple(extremal)
+        _check_against_brute_force(gens, n)
     assert cut >= 100
+    # as many generators as the dimension: cone_from_rays reads the rays off
+    # the generators with no second pass; the oracles check them, with
+    # generators that are not primitive and cones that are not full
+    scaled = lower = 0
+    for n, gens in independent_cases(random.Random(4253)):
+        c = _check_against_brute_force(gens, n)
+        assert c.is_pointed and c.dim == len(c.rays) == len(gens)
+        scaled += any(_primitive(g) != g for g in gens)
+        lower += len(gens) < n
+    assert scaled >= 50 and lower >= 50
 
 
 def _with_lineality(rng, n, k, bound=3):
@@ -531,15 +570,23 @@ def _value_shape(u, rays):
 def test_faces_match_cones_built_from_their_rays():
     # faces are read off the facet ray sets of their cone with no double
     # description pass; each must equal the cone built from its rays in all
-    # five fields, and its normals must be the brute-force facets
+    # five fields, and its normals must be the brute-force facets.  A
+    # simplicial cone's lattice is read as the Boolean lattice on its rays,
+    # so cones on independent generators of rank up to 6, full or not, are
+    # added
     rng = random.Random(5001)
     cones = [cyclic_cone(k) for k in (2, 3, 5, 7)]
     cones += [random_pointed_cone(rng, rng.randint(1, 4)) for _ in range(40)]
     cones += [random_pointed_cone(rng, rng.randint(1, 5), 6) for _ in range(300)]
-    non_simplicial = 0
+    cones += [cone_from_rays(n, gens)
+              for n, gens in independent_cases(random.Random(5004))]
+    non_simplicial = boolean = 0
     for c in cones:
         n = c.ambient_rank
         fl = faces(c)
+        if len(c.rays) == c.dim:
+            assert len(fl) == 2 ** c.dim
+            boolean += c.dim >= 5
         for f in fl:
             assert fields(f) == fields(cone_from_rays(n, f.rays))
             w = fl.witnesses[f]
@@ -556,7 +603,7 @@ def test_faces_match_cones_built_from_their_rays():
             shapes = [_value_shape(u, f.rays) for u in f.normals]
             assert len(set(shapes)) == len(shapes)
             assert set(shapes) == {_value_shape(y, f.rays) for y in inequalities}
-    assert non_simplicial >= 30
+    assert non_simplicial >= 30 and boolean >= 20
 
 
 def fields(c):

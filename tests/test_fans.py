@@ -279,8 +279,10 @@ def test_completing_p3_builds_one_lattice_per_given_cone(
 ):
     # completion builds the lattices of the four given cones and reads
     # every face off them; validation reuses those lattices and proves
-    # each meet from witnesses, so the only double description passes are
-    # the two of each cone_from_rays call, and no separating_covector runs
+    # each meet from witnesses.  Each given cone is simplicial, so its
+    # cone_from_rays call makes the only double description pass, its
+    # lattice is the Boolean lattice on its rays with no facet search, and
+    # no separating_covector runs
     import fanscheme.cones
     import fanscheme.fans
     from fanscheme.cli import entry
@@ -300,6 +302,7 @@ def test_completing_p3_builds_one_lattice_per_given_cone(
     counted(fanscheme.fans, "_face_lattice")
     counted(fanscheme.cones, "separating_covector")
     counted(fanscheme.cones, "_dual_generator_sets")
+    counted(fanscheme.cones, "_facets_of")
     rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
     doc = tmp_path / "p3.json"
     doc.write_text(json.dumps({
@@ -309,7 +312,8 @@ def test_completing_p3_builds_one_lattice_per_given_cone(
     assert entry(["complete", "--fan", str(doc)]) == 0
     assert json.loads(capsys.readouterr().out) == {"complete": True, "full": True}
     assert counts == {
-        "_face_lattice": 4, "_dual_generator_sets": 8, "separating_covector": 0,
+        "_face_lattice": 4, "_dual_generator_sets": 4, "_facets_of": 0,
+        "separating_covector": 0,
     }
 
 

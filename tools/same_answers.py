@@ -6,9 +6,13 @@ Exports src/ at REV with `git archive` into a temporary directory and
 imports both trees side by side, under the package names fanscheme_rev
 and fanscheme_work.  Then it runs one seeded corpus through both:
 
-- random cones of rank 1-5, many with lineality, through cone_from_rays,
+- random cones of rank 1-5, many with lineality, and INDEPENDENT cones
+  on independent generators of rank 5-6 (simplicial cones, some not full
+  and some on generators that are not primitive), through cone_from_rays,
   with all four fields compared, and each consecutive pair of equal rank
-  through intersect_cones and separating_covector;
+  through intersect_cones and separating_covector; the counts line says
+  how many took each road of cone_from_rays and of the face lattice
+  (simplicial or general);
 - every face of each of those cones through cones.faces (its ValueError
   for a cone with lineality): the dimension, then all five fields, then
   the witness of each face, so that a face that computes its dual side on
@@ -77,11 +81,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HILBERT_RANK = 4
 HILBERT_POINTS = 20000
 MONOIDS = 600
+INDEPENDENT = 600
 WEDGES = range(20, 601)
 PLANE_CONES = 300
 
@@ -123,13 +129,47 @@ def random_generators(rng, n):
     return gens
 
 
-def cone_answers(cones, lattice, rng, count):
-    """Answers of one tree on `count` seeded cones, with the pairs and the
-    complements."""
-    out, made = [], []
+def rank(rows):
+    """The rank of integer rows, by elimination over the rationals."""
+    pivots = []
+    for r in rows:
+        r = [Fraction(x) for x in r]
+        for j, p in pivots:
+            r = [a - r[j] * b for a, b in zip(r, p)]
+        j = next((j for j, x in enumerate(r) if x), None)
+        if j is not None:
+            pivots.append((j, [x / r[j] for x in r]))
+    return len(pivots)
+
+
+def cone_corpus(rng, count):
+    """(rank, generators) of `count` seeded cones of rank 1-5; half of them
+    take the rank of the one before, so that consecutive pairs meet."""
+    corpus = []
     for _ in range(count):
-        n = rng.randint(1, 5) if not made or rng.random() < 0.5 else made[-1][0]
-        gens = random_generators(rng, n)
+        n = rng.randint(1, 5) if not corpus or rng.random() < 0.5 else corpus[-1][0]
+        corpus.append((n, random_generators(rng, n)))
+    return corpus
+
+
+def independent_corpus(rng, count):
+    """(rank, generators) of `count` seeded sets of k <= n independent
+    generators in rank n = 5 or 6, each scaled by 2 or 3 with chance 1/2."""
+    corpus = []
+    while len(corpus) < count:
+        n = rng.choice((5, 6))
+        gens = [vec(rng, n) for _ in range(rng.randint(0, n))]
+        if rank(gens) == len(gens):
+            scales = [rng.choice((1, 1, 2, 3)) for _ in gens]
+            corpus.append((n, [tuple(s * x for x in g) for s, g in zip(scales, gens)]))
+    return corpus
+
+
+def cone_answers(cones, lattice, corpus):
+    """Answers of one tree on the (rank, generators) of the corpus, with
+    the pairs and the complements."""
+    out, made = [], []
+    for n, gens in corpus:
         kind, c = outcome(cones.cone_from_rays, n, gens)
         out.append(("cone", n, gens, kind, fields(c) if kind == "ok" else c))
         if kind != "ok":
@@ -466,9 +506,11 @@ def main():
         pathlib.Path(path).write_text(json.dumps(projective_space_document(4)))
         runs.append(["fullify", "--fan", path])
 
+        corpus = (cone_corpus(random.Random(args.seed), args.cones)
+                  + independent_corpus(random.Random(args.seed), INDEPENDENT))
         answers = []
         for cones, cli, fans, scheme, monoids, lattice in trees:
-            answers.append(cone_answers(cones, lattice, random.Random(args.seed), args.cones)
+            answers.append(cone_answers(cones, lattice, corpus)
                            + cli_answers(cli, runs)
                            + system_answers(cli, fans, scheme, monoids, paths,
                                             random.Random(args.seed))
@@ -487,13 +529,22 @@ def main():
     old, new = answers
     cone_rows = [a for a in new if a[0] == "cone" and a[3] == "ok"]
     with_lin = sum(1 for a in cone_rows if a[4][2])
+    # a cone on as many generators as its dimension is simplicial; so is a
+    # pointed one with as many rays as its dimension, whose lattice is Boolean
+    dims = [a[1] - len(a[4][4]) for a in cone_rows]
+    one_pass = sum(len(a[2]) == d for a, d in zip(cone_rows, dims))
+    boolean = sum(not a[4][2] and len(a[4][1]) == d for a, d in zip(cone_rows, dims))
     codes = [a[2] for a in new if isinstance(a[0], list)]
-    print("cones %d (%d with lineality), faces %d, intersections %d, "
-          "covectors %d, complements %d"
-          % (len(cone_rows), with_lin,
+    print("cones %d (%d with lineality, %d on independent generators of rank 5-6), "
+          "faces %d, intersections %d, covectors %d, complements %d"
+          % (len(cone_rows), with_lin, INDEPENDENT,
              sum(len(a[4]) for a in new if a[0] == "faces" and a[3] == "ok"),
              sum(a[0] == "meet" for a in new), sum(a[0] == "covector" for a in new),
              2 * sum(a[0] == "complement" for a in new)))
+    print("cone_from_rays roads: %d simplicial (one pass), %d general; face lattice "
+          "roads: %d Boolean, %d searched, %d refused (lineality)"
+          % (one_pass, len(cone_rows) - one_pass, boolean,
+             len(cone_rows) - with_lin - boolean, with_lin))
     print("cli runs %d on %d documents: exit 0 %d, exit 1 %d, exit 2 %d, raised %d"
           % (len(runs), len(paths) + 1, codes.count(0), codes.count(1), codes.count(2),
              sum(a[1] != "ok" for a in new if isinstance(a[0], list))))
