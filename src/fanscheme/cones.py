@@ -10,20 +10,33 @@ side on the first read of normals or dual_lineality.
 
 The conversion between the generator and inequality sides is an
 incremental double description computation (Fukuda-Prodon, "Double
-description method revisited", 1996).  Only a new combination of two rays
-is tested for extremality, by an exact rank test on its tight constraints,
-so redundant input never leaks into the output.  Nothing else needs one:
+description method revisited", 1996).  Each ray carries its tight set,
+the processed constraints it vanishes on.  A pass over a constraint g
+combines a ray rp with <rp, g> > 0 and a ray rm with <rm, g> < 0 only when
+the two are adjacent, and that is decided on tight sets alone, with no
+arithmetic: the least face holding both is cut out by their common tight
+constraints, and its rays are those whose tight sets hold the common set,
+so it is a 2-face exactly when no third ray does (the combinatorial test
+of the same paper).  The test is exact while the list has one ray on
+each extremal ray of the current cone (all modulo its lineality L).  Each
+pass keeps that so, and redundant input never leaks into the output:
 
-- A ray that was extremal before a constraint and satisfies it stays so.
-- After a constraint g that cuts the lineality space L, the rays are some
-  l0 in L and the projections of the old rays along l0 onto g-perp.  That
-  projection maps the cone modulo L isomorphically onto its slice modulo
-  the new lineality, so each projection is extremal and no two coincide.
-- No candidate repeats a ray (all modulo L).  A combination of rays rp, rm
-  with <rp, g> > 0 > <rm, g> lies on g-perp and is a strictly positive sum
-  of the two.  No kept ray holds it: one on g-perp would hold rp too.  An
-  extremal one lies on a 2-face of the old cone, and so do both summands:
-  only the two rays of that face yield it.
+- A ray that was extremal before g and satisfies it stays so.
+- After a g that cuts L, the rays are some l0 in L and the projections of
+  the old rays along l0 onto g-perp.  That projection maps the cone modulo
+  L isomorphically onto its slice modulo the new lineality, so each
+  projection is extremal and no two coincide.  l0 is tight on every
+  earlier constraint, and each projection where its ray was and on g.
+- The combination of adjacent rp, rm lies on g-perp and is a strictly
+  positive sum of the two, so it is tight exactly where both are.  It
+  spans the ray that g-perp cuts from their 2-face, so it is extremal, and
+  no kept ray holds it: one on g-perp would hold rp too.  Each new extremal
+  ray lies on one 2-face of the old cone: only the two rays of that face
+  yield it.
+
+A constraint that is zero, repeated, scaled or otherwise implied by the
+processed ones leaves no ray negative and cuts no lineality, so its pass
+only marks the rays tight on it; the constraints need no cleaning.
 
 Equations go in as equations: a pass starts from the saturated kernel of
 its equations, which count as processed, and never splits one into a +-
@@ -55,7 +68,6 @@ from .lattice import (
     int_vector,
     perp_rows,
     primitive_vector,
-    rank_rows,
     signed_rows,
     sum_rows,
 )
@@ -124,35 +136,6 @@ class Polycone(_Record):
         return signed_rows(self.rays, self.lineality)
 
 
-def _clean_constraints(constraints):
-    """The nonzero rows made primitive, first occurrences only."""
-    out = []
-    seen = set()
-    for c in constraints:
-        if not any(c):
-            continue
-        p = primitive_vector(c)
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
-def _extremal_filter(rays, processed, lin_rank, n):
-    """The candidates that span extremal rays of the current cone: those
-    whose tight constraints have a kernel of dimension lin_rank + 1.  That
-    rank needs n - lin_rank - 1 tight constraints, so a candidate with
-    fewer is dropped before the rank test.  No two that pass lie on the
-    same ray (see the module docstring)."""
-    need = n - lin_rank - 1
-    kept = []
-    for r in rays:
-        tight = [c for c in processed if dot(r, c) == 0]
-        if len(tight) >= need and rank_rows(tight, n) == need:
-            kept.append(r)
-    return kept
-
-
 def _flatten(r, v, l0, c0):
     """The primitive r projected along l0 onto the hyperplane of a
     constraint worth v on r and c0 > 0 on l0; r itself when v == 0."""
@@ -167,24 +150,25 @@ def _dual_generator_sets(constraints, n, equations=()):
     lineality lattice, and sorted primitive extremal rays of the pointed
     part, each orthogonal to the lineality span.
 
-    The pass starts from the saturated kernel of the equations, with the
-    equations already processed.  Only the combinations of a positive and a
-    negative ray go through the rank test (the module docstring says why).
-    When a lineality L is left, one more pass over the same constraints,
-    with L's canonical basis added to the equations, gives the rays of C
-    meet L-perp, the canonical ones.
+    The pass starts from the saturated kernel of the equations.  Each ray
+    carries its tight set z, an int whose bit k is set when the ray is tight
+    on constraints[k]; equations get no bit, as every ray is tight on them.
+    A positive and a negative ray are combined only when they are adjacent:
+    when no third ray has a tight set holding the pair's common one (the
+    module docstring says why).  When a lineality L is left, one more pass
+    over the same constraints, with L's canonical basis added to the
+    equations, gives the rays of C meet L-perp, the canonical ones.
     """
-    cons = _clean_constraints(constraints)
-    processed = list(equations)
-    lin = perp_rows(processed, n) if processed else identity_rows(n)
+    lin = perp_rows(equations, n) if equations else identity_rows(n)
     lin = [tuple(r) for r in lin]
-    rays = []
-    for g in cons:
-        processed.append(g)
+    rays = []  # (ray, tight set)
+    for k, g in enumerate(constraints):
+        bit = 1 << k
         lin_vals = [dot(l, g) for l in lin]
         if any(lin_vals):
             # g cuts the lineality space: one basis vector becomes a ray,
-            # the rest get flattened onto the hyperplane of g
+            # tight on every earlier constraint, and the rest get flattened
+            # onto the hyperplane of g
             i0 = next(i for i, v in enumerate(lin_vals) if v)
             l0, c0 = lin[i0], lin_vals[i0]
             if c0 < 0:
@@ -195,29 +179,33 @@ def _dual_generator_sets(constraints, n, equations=()):
                 for i, (l, v) in enumerate(zip(lin, lin_vals))
                 if i != i0
             ]
-            rays = [l0] + [_flatten(r, dot(r, g), l0, c0) for r in rays]
+            rays = [(l0, bit - 1)] + [
+                (_flatten(r, dot(r, g), l0, c0), z | bit) for r, z in rays
+            ]
         else:
             plus, zero, minus = [], [], []
-            for r in rays:
+            for r, z in rays:
                 v = dot(r, g)
                 if v > 0:
-                    plus.append((r, v))
+                    plus.append((r, z, v))
                 elif v < 0:
-                    minus.append((r, v))
+                    minus.append((r, z, v))
                 else:
-                    zero.append(r)
-            kept = [r for r, _ in plus] + zero
-            combos = []
-            for rp, vp in plus:
-                for rm, vm in minus:
-                    vec = tuple(vp * a - vm * b for a, b in zip(rm, rp))
-                    combos.append(primitive_vector(vec))
-            rays = kept + _extremal_filter(combos, processed, len(lin), n)
+                    zero.append((r, z | bit))
+            kept = [(r, z) for r, z, _ in plus] + zero
+            for rp, zp, vp in plus:
+                for rm, zm, vm in minus:
+                    common = zp & zm
+                    if not any(z & common == common for r, z in rays
+                               if r is not rp and r is not rm):
+                        vec = tuple(vp * a - vm * b for a, b in zip(rm, rp))
+                        kept.append((primitive_vector(vec), common | bit))
+            rays = kept
 
     if lin:
-        lin = [tuple(r) for r in perp_rows(processed, n)]
-        rays = _dual_generator_sets(cons, n, list(equations) + lin)[1]
-    return tuple(lin), tuple(sorted(rays))
+        lin = tuple(tuple(r) for r in perp_rows([*equations, *constraints], n))
+        return lin, _dual_generator_sets(constraints, n, [*equations, *lin])[1]
+    return (), tuple(sorted(r for r, _ in rays))
 
 
 def cone_from_rays(ambient_rank, generators):

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -576,6 +577,24 @@ def test_dual_of_a_rank_five_cone_finishes(tmp_path, capsys):
     assert pointed and doc["lineality_basis"]
     for g in pointed:
         assert helpers.fm_cone_contains(dual, g, 5), g
+
+
+def test_validating_a_rank_six_cone_on_twenty_generators_finishes(tmp_path):
+    # a document of under 500 bytes: the double description of this cone
+    # meets hundreds of thousands of positive/negative pairs, few of them
+    # adjacent; combining every pair before testing it took 14-19 s
+    rng = random.Random(1)
+    gens = [[1] + [rng.randint(-4, 4) for _ in range(5)] for _ in range(20)]
+    path = tmp_path / "rank6.json"
+    path.write_text(json.dumps({"lattice_rank": 6, "cones": [{"rays": gens}]}))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanscheme.cli", "validate", "--fan", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 8
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert json.loads(proc.stdout) == {"cones": 1024, "lattice_rank": 6, "valid": True}
 
 
 def test_hostile_integers_exit_zero_or_one_without_a_traceback(tmp_path):

@@ -18,7 +18,7 @@ from fanscheme.cones import (
     witness_covector,
 )
 from fanscheme.fans import validate_fan
-from fanscheme.lattice import IntMatrix, rank_rows, signed_rows
+from fanscheme.lattice import IntMatrix, primitive_vector, signed_rows
 from fanscheme.monoid_algebra import CoeffRing
 from fanscheme.monoids import AffineMonoid, check_openly_immersive_pair
 from fanscheme.scheme import BaseDescriptor
@@ -184,21 +184,22 @@ def test_low_dimensional_pointed_cone_faces():
         assert tight == f.rays
 
 
-def test_a_lineality_cut_needs_no_rank_test(monkeypatch):
-    # every constraint of the dual of one ray cuts the lineality or has no
-    # negative ray to combine, so no candidate ever needs a rank test
+def test_only_adjacent_pairs_are_combined(monkeypatch):
+    # each pass forms the combination of a positive and a negative ray only
+    # for an adjacent pair, so primitive_vector runs once per new ray of the
+    # two passes (forming every pair's combination made 265 calls here)
     calls = []
 
-    def counted(rows, cols):
-        calls.append(cols)
-        return rank_rows(rows, cols)
+    def counted(v):
+        calls.append(v)
+        return primitive_vector(v)
 
-    monkeypatch.setattr("fanscheme.cones.rank_rows", counted)
-    e1 = (1,) + (0,) * 29
-    c = cone_from_rays(30, [e1])
-    assert c.rays == c.normals == (e1,)
-    assert c.lineality == () and len(c.dual_lineality) == 29
-    assert calls == []
+    monkeypatch.setattr("fanscheme.cones.primitive_vector", counted)
+    rng = random.Random(5)
+    gens = [(1,) + tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(12)]
+    c = cone_from_rays(4, gens)
+    assert (len(c.rays), len(c.normals), c.lineality) == (10, 16, ())
+    assert len(calls) == 73
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +248,38 @@ def independent_cases(rng):
     return cases
 
 
+def wide_cases(rng, count):
+    """(n, generators): `count` seeded cones of rank 4-5 on n + 2 to 12
+    generators, four in five with a positive first entry each, so that the
+    double description has pairs to reject.  In turn each also gets a zero
+    and a repeated generator, a scaled one, a +- pair, or a last entry of
+    0 in every generator (a cone that is not full)."""
+    cases = []
+    for i in range(count):
+        n = rng.randint(4, 5)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n))
+                for _ in range(rng.randint(n + 2, 12))]
+        if i % 5:
+            gens = [(rng.randint(1, 3),) + g[1:] for g in gens]
+        kind = i % 4
+        if kind == 0:
+            gens += [(0,) * n, gens[0]]
+        elif kind == 1:
+            gens.append(tuple(3 * x for x in gens[-1]))
+        elif kind == 2:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            gens += [v, tuple(-x for x in v)]
+        else:
+            gens = [g[:-1] + (0,) for g in gens]
+        rng.shuffle(gens)
+        cases.append((n, gens))
+    return cases
+
+
 def _check_against_brute_force(gens, n):
     """cone_from_rays(n, gens) against the brute-force facets and the
-    Fourier-Motzkin extremal rays of its generators."""
+    Fourier-Motzkin extremal rays of its generators, or of their
+    projections onto the orthogonal complement of the lineality."""
     prim = sorted({_primitive(g) for g in gens if any(g)})
     c = cone_from_rays(n, gens)
 
@@ -280,6 +310,8 @@ def _check_against_brute_force(gens, n):
             if not helpers.fm_cone_contains([h for h in prim if h != g], g, n)
         ]
         assert c.rays == tuple(extremal)
+    else:
+        assert list(c.rays) == helpers.slice_extremal_rays(prim, c.lineality, n)
     return c
 
 
@@ -309,6 +341,12 @@ def test_double_description_matches_brute_force_facets_and_rays():
         scaled += any(_primitive(g) != g for g in gens)
         lower += len(gens) < n
     assert scaled >= 50 and lower >= 50
+    # many generators in rank 4-5: most pairs of a pass are not adjacent,
+    # so here the double description rejects pairs by their tight sets
+    rays = 0
+    for n, gens in wide_cases(random.Random(4252), 30):
+        rays += len(_check_against_brute_force(gens, n).rays)
+    assert rays >= 150
 
 
 def _with_lineality(rng, n, k, bound=3):

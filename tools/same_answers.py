@@ -6,9 +6,12 @@ Exports src/ at REV with `git archive` into a temporary directory and
 imports both trees side by side, under the package names fanscheme_rev
 and fanscheme_work.  Then it runs one seeded corpus through both:
 
-- random cones of rank 1-5, many with lineality, and INDEPENDENT cones
-  on independent generators of rank 5-6 (simplicial cones, some not full
-  and some on generators that are not primitive), through cone_from_rays,
+- random cones of rank 1-5, many with lineality, INDEPENDENT cones on
+  independent generators of rank 5-6 (simplicial cones, some not full and
+  some on generators that are not primitive), and WIDE cones of rank 4-5
+  on 8-14 generators (mostly pointed, some with a zero, a repeated or a
+  scaled generator), whose double description passes reject most pairs
+  of a positive and a negative ray as not adjacent, through cone_from_rays,
   with all four fields compared, and each consecutive pair of equal rank
   through intersect_cones and separating_covector; the counts line says
   how many took each road of cone_from_rays and of the face lattice
@@ -88,6 +91,7 @@ HILBERT_RANK = 4
 HILBERT_POINTS = 20000
 MONOIDS = 600
 INDEPENDENT = 600
+WIDE = 300
 WEDGES = range(20, 601)
 PLANE_CONES = 300
 
@@ -162,6 +166,24 @@ def independent_corpus(rng, count):
         if rank(gens) == len(gens):
             scales = [rng.choice((1, 1, 2, 3)) for _ in gens]
             corpus.append((n, [tuple(s * x for x in g) for s, g in zip(scales, gens)]))
+    return corpus
+
+
+def wide_corpus(rng, count):
+    """(rank, generators) of `count` seeded cones of rank 4 or 5 on 8-14
+    generators, four in five with a positive first entry each, so pointed;
+    half of them also get a zero, a repeated or a scaled generator."""
+    corpus = []
+    for _ in range(count):
+        n = rng.choice((4, 5))
+        gens = [vec(rng, n, 4) for _ in range(rng.randint(8, 14))]
+        if rng.random() < 0.8:
+            gens = [(rng.randint(1, 3),) + g[1:] for g in gens]
+        if rng.random() < 0.5:
+            g = rng.choice(gens)
+            gens.insert(rng.randrange(len(gens)),
+                        rng.choice(((0,) * n, g, tuple(2 * x for x in g))))
+        corpus.append((n, gens))
     return corpus
 
 
@@ -507,7 +529,8 @@ def main():
         runs.append(["fullify", "--fan", path])
 
         corpus = (cone_corpus(random.Random(args.seed), args.cones)
-                  + independent_corpus(random.Random(args.seed), INDEPENDENT))
+                  + independent_corpus(random.Random(args.seed), INDEPENDENT)
+                  + wide_corpus(random.Random(args.seed), WIDE))
         answers = []
         for cones, cli, fans, scheme, monoids, lattice in trees:
             answers.append(cone_answers(cones, lattice, corpus)
@@ -535,9 +558,10 @@ def main():
     one_pass = sum(len(a[2]) == d for a, d in zip(cone_rows, dims))
     boolean = sum(not a[4][2] and len(a[4][1]) == d for a, d in zip(cone_rows, dims))
     codes = [a[2] for a in new if isinstance(a[0], list)]
-    print("cones %d (%d with lineality, %d on independent generators of rank 5-6), "
-          "faces %d, intersections %d, covectors %d, complements %d"
-          % (len(cone_rows), with_lin, INDEPENDENT,
+    print("cones %d (%d with lineality, %d on independent generators of rank 5-6, "
+          "%d of rank 4-5 on 8-14 generators), faces %d, intersections %d, "
+          "covectors %d, complements %d"
+          % (len(cone_rows), with_lin, INDEPENDENT, WIDE,
              sum(len(a[4]) for a in new if a[0] == "faces" and a[3] == "ok"),
              sum(a[0] == "meet" for a in new), sum(a[0] == "covector" for a in new),
              2 * sum(a[0] == "complement" for a in new)))
