@@ -5,8 +5,10 @@ and of its lineality space, plus the same data for the dual cone (normals
 and dual_lineality).  All four components are canonical.  The primal side
 (rays and lineality) determines the cone, so equality and hash read only
 that side, and == is geometric equality of cones.  A face read off a face
-lattice stores its primal side and its dimension; it computes its dual
-side on the first read of normals or dual_lineality.
+lattice stores its primal side and its dimension.  Its dual lineality is
+its perp, read on first use; inside its span its dual cone is pointed, so
+one double description pass over its rays, with that perp as equations,
+gives its normals on their first read.
 
 The conversion between the generator and inequality sides is an
 incremental double description computation (Fukuda-Prodon, "Double
@@ -85,11 +87,12 @@ class Polycone(_Record):
 
     cone_from_rays, intersect_cones and dual_cone store all four fields.  A
     face that faces() or a fan's face index reads off a face lattice
-    (_face_cone) stores rays, lineality and dim; its normals and
-    dual_lineality are _derived attributes, both stored on the first read
-    of either.  dim and the hash are _derived too.  Equality and hash use
+    (_face_cone) stores rays, lineality and dim; its dual_lineality (one
+    kernel) and its normals (one double description pass, which reads
+    dual_lineality first) are _derived attributes, each stored on its own
+    first read.  dim and the hash are _derived too.  Equality and hash use
     (ambient_rank, rays, lineality) only, so a face equals the
-    cone_from_rays cone on its rays before and after that read.
+    cone_from_rays cone on its rays before and after those reads.
     """
 
     ambient_rank: int
@@ -302,52 +305,29 @@ def _facets_of(face, facet_sets):
     return [g for g in cuts if not any(g < h for h in cuts)]
 
 
-def _dual_side(n, ordered, rays, facet_sets):
-    """(normals, dual_lineality) of the face on the ray frozenset `rays` of
-    a pointed cone with these facet ray sets; ordered is sorted(rays).  The
-    dual lineality is F-perp, and each facet G of F gives the normal
-    spanning span(F) meet G-perp, signed positive on F (Cox-Little-Schenck,
-    Toric Varieties, 1.2).  No double description pass."""
-    dlin = [tuple(w) for w in perp_rows(ordered, n)]
-    normals = []
-    for g in _facets_of(rays, facet_sets):
-        (u,) = perp_rows(list(g) + dlin, n)
-        if dot(next(r for r in ordered if r not in g), u) < 0:
-            u = [-x for x in u]
-        normals.append(tuple(u))
-    return tuple(sorted(normals)), tuple(dlin)
-
-
 _set = object.__setattr__
 
 
-def _face_cone(n, rays, dim, facet_sets):
+def _face_cone(n, rays, dim):
     """The face of dimension dim on the ray frozenset `rays` of a pointed
-    cone with these facet ray sets, with no arithmetic: its dual side
-    waits for the first read (_read_dual_side)."""
+    cone, with no arithmetic: its dual side waits for the first read."""
     face = object.__new__(Polycone)
     _set(face, "ambient_rank", n)
     _set(face, "rays", tuple(sorted(rays)))
     _set(face, "lineality", ())
     _set(face, "dim", dim)
-    _set(face, "_facets", (rays, facet_sets))
     return face
 
 
-def _read_dual_side(face):
-    """(normals, dual_lineality) of a face from _face_cone, both stored
-    from one _dual_side call, after which its facet data goes."""
-    side = _dual_side(face.ambient_rank, face.rays, *face._facets)
-    _set(face, "normals", side[0])
-    _set(face, "dual_lineality", side[1])
-    object.__delattr__(face, "_facets")
-    return side
-
-
 # installed after the class body, where _Record would take them as the
-# defaults of these two fields
-Polycone.normals = _derived(lambda f: _read_dual_side(f)[0], "normals")
-Polycone.dual_lineality = _derived(lambda f: _read_dual_side(f)[1], "dual_lineality")
+# defaults of these two fields.  A face's dual lineality is its perp, and
+# inside its span its dual cone is pointed, so with that perp as equations
+# one double description pass over its rays gives its normals
+Polycone.dual_lineality = _derived(
+    lambda f: tuple(map(tuple, perp_rows(f.rays, f.ambient_rank))), "dual_lineality")
+Polycone.normals = _derived(
+    lambda f: _dual_generator_sets(f.rays, f.ambient_rank, f.dual_lineality)[1],
+    "normals")
 
 
 def _witness(c, facet_sets, rayset):
@@ -393,7 +373,7 @@ def _face_lattice(c, known):
         for rayset in level:
             face = known.get(rayset)
             if face is None:
-                face = known[rayset] = _face_cone(n, rayset, dim, facet_sets)
+                face = known[rayset] = _face_cone(n, rayset, dim)
             witnesses[face] = _witness(c, facet_sets, rayset)
     face_list = sorted(witnesses, key=lambda f: (f.dim, f.rays))
     return FaceLattice(c, tuple(face_list), witnesses)
@@ -407,13 +387,13 @@ def faces(c):
     ray sets; for a simplicial cone that closure is every subset of its
     rays, and it is listed without a search (_face_lattice).  Each face is
     built from its ray subset and its dimension, with no arithmetic; its
-    normals and dual lineality are read off the facet ray sets of c, with
-    no double description pass, on their first read (_dual_side).  Its
-    witness is the sum of the normals of c vanishing on it.  Faces are
-    listed by dimension, then by rays.  Cones with lineality are rejected;
-    nothing downstream needs their faces.  A validated fan keeps the
-    lattice of each of its cones in its face index, so callers holding a
-    fan read it from there.
+    dual lineality is its perp and its normals come from one double
+    description pass over its own rays inside its span, each on its first
+    read (_face_cone).  Its witness is the sum of the normals of c
+    vanishing on it.  Faces are listed by dimension, then by rays.  Cones
+    with lineality are rejected; nothing downstream needs their faces.  A
+    validated fan keeps the lattice of each of its cones in its face
+    index, so callers holding a fan read it from there.
     """
     return _face_lattice(c, {frozenset(c.rays): c})
 

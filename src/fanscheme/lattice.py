@@ -294,8 +294,6 @@ def _complement_transform(basis, n):
         q = identity_rows(n)
         return q, q
     bad = ValueError("basis rows must be independent and saturated")
-    if k > n:
-        raise bad
     d, pivot_cols = _echelon(basis, n)
     if len(pivot_cols) < k:
         raise bad

@@ -34,7 +34,6 @@ from .lattice import (
     dot,
     identity_rows,
     int_vector,
-    rank_rows,
     signed_rows,
     smith_rows,
     sum_rows,
@@ -52,15 +51,15 @@ def _pulling_triangulation(cone):
 
     A simplicial face is its own triangulation; any other face is the union
     of the cones from its least ray over the triangulated facets that miss
-    it (cones._facets_of).
+    it (cones._facets_of).  A face of dimension dim is simplicial when it
+    has dim rays, and its facets have dimension dim - 1.
     """
-    n = cone.ambient_rank
     facet_sets = _facet_sets(cone)
     memo = {}
 
-    def pull(face):
+    def pull(face, dim):
         if face not in memo:
-            if rank_rows(list(face), n) == len(face):
+            if len(face) == dim:
                 memo[face] = [face]
             else:
                 v = min(face)
@@ -68,11 +67,11 @@ def _pulling_triangulation(cone):
                     s | {v}
                     for g in _facets_of(face, facet_sets)
                     if v not in g
-                    for s in pull(g)
+                    for s in pull(g, dim - 1)
                 ]
         return memo[face]
 
-    return pull(frozenset(cone.rays))
+    return pull(frozenset(cone.rays), cone.dim)
 
 
 # The most parallelepiped points one Hilbert basis computation lists: the

@@ -27,9 +27,11 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   over random fan documents (complete, non-full, non-pointed, embedded,
   empty, crossing and malformed ones) and over the fans whose atlases the
   benchmark computes (P^2, P^1 x P^1, the Hirzebruch surfaces F_1-F_6,
-  P^3 and (P^1)^3, up to 27 cones) and over (P^1)^4 (81 cones), with
-  stdout, stderr and the exit code compared byte for byte; and fullify of
-  P^4, whose rays span the lattice;
+  P^3 and (P^1)^3, up to 27 cones), over (P^1)^4 (81 cones) and over the
+  fan over the faces of the cube [-1,1]^3 (6 cones on 4 rays each, 27
+  after closing, the one document whose atlas reads faces of cones that
+  are not simplicial), with stdout, stderr and the exit code compared byte
+  for byte; and fullify of P^4, whose rays span the lattice;
 - the face index and chart system of each of those documents that loads
   and validates: the lattice validate_fan gives each cone (its faces in
   order, with their rays, dims and witnesses), the order, meets and
@@ -282,6 +284,14 @@ def benchmark_fan_documents():
     return docs
 
 
+def cube_fan_document():
+    """The fan over the faces of the cube [-1,1]^3: one cone on the four
+    vertices of each facet, so no maximal cone is simplicial."""
+    vertices = list(itertools.product((1, -1), repeat=3))
+    return fan_document(3, [[list(v) for v in vertices if v[i] == s]
+                            for i in range(3) for s in (1, -1)])
+
+
 def argvs(path, cone_count, bases):
     runs = [["validate"], ["complete"], ["regularity"], ["fullify"],
             ["atlas", "--search-bound", "2"], ["report"]]
@@ -518,7 +528,7 @@ def main():
             bases.append(str(pathlib.Path(tmp) / ("base%d.json" % i)))
             pathlib.Path(bases[-1]).write_text(json.dumps(base))
         docs = [random_fan_document(rng, i % 5) for i in range(args.fans)]
-        docs += benchmark_fan_documents() + [p1_product_document(4)]
+        docs += benchmark_fan_documents() + [p1_product_document(4), cube_fan_document()]
         for i, doc in enumerate(docs):
             path = str(pathlib.Path(tmp) / ("fan%d.json" % i))
             pathlib.Path(path).write_text(json.dumps(doc))
