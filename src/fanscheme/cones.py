@@ -19,9 +19,12 @@ the two are adjacent, and that is decided on tight sets alone, with no
 arithmetic: the least face holding both is cut out by their common tight
 constraints, and its rays are those whose tight sets hold the common set,
 so it is a 2-face exactly when no third ray does (the combinatorial test
-of the same paper).  The test is exact while the list has one ray on
-each extremal ray of the current cone (all modulo its lineality L).  Each
-pass keeps that so, and redundant input never leaks into the output:
+of the same paper).  A pair is counted out before that scan when its
+common tight set is smaller than the codimension of a 2-face, which
+bounds the rank of the constraints that cut one out.  The test is exact
+while the list has one ray on each extremal ray of the current cone (all
+modulo its lineality L).  Each pass keeps that so, and redundant input
+never leaks into the output:
 
 - A ray that was extremal before g and satisfies it stays so.
 - After a g that cuts L, the rays are some l0 in L and the projections of
@@ -158,12 +161,15 @@ def _dual_generator_sets(constraints, n, equations=()):
     on constraints[k]; equations get no bit, as every ray is tight on them.
     A positive and a negative ray are combined only when they are adjacent:
     when no third ray has a tight set holding the pair's common one (the
-    module docstring says why).  When a lineality L is left, one more pass
-    over the same constraints, with L's canonical basis added to the
-    equations, gives the rays of C meet L-perp, the canonical ones.
+    module docstring says why).  A pair whose common set has fewer than
+    span - len(lin) - 2 bits, span the rank of the kernel the pass starts
+    from, is rejected before that scan.  When a lineality L is left, one
+    more pass over the same constraints, with L's canonical basis added to
+    the equations, gives the rays of C meet L-perp, the canonical ones.
     """
     lin = perp_rows(equations, n) if equations else identity_rows(n)
     lin = [tuple(r) for r in lin]
+    span = len(lin)
     rays = []  # (ray, tight set)
     for k, g in enumerate(constraints):
         bit = 1 << k
@@ -196,11 +202,16 @@ def _dual_generator_sets(constraints, n, equations=()):
                 else:
                     zero.append((r, z | bit))
             kept = [(r, z) for r, z, _ in plus] + zero
+            # the constraints that cut out a 2-face have rank at least its
+            # codimension, so a pair tight on fewer together is not adjacent
+            codim = span - len(lin) - 2
             for rp, zp, vp in plus:
                 for rm, zm, vm in minus:
                     common = zp & zm
-                    if not any(z & common == common for r, z in rays
-                               if r is not rp and r is not rm):
+                    if common.bit_count() >= codim and not any(
+                        z & common == common for r, z in rays
+                        if r is not rp and r is not rm
+                    ):
                         vec = tuple(vp * a - vm * b for a, b in zip(rm, rp))
                         kept.append((primitive_vector(vec), common | bit))
             rays = kept
@@ -309,8 +320,9 @@ _set = object.__setattr__
 
 
 def _face_cone(n, rays, dim):
-    """The face of dimension dim on the ray frozenset `rays` of a pointed
-    cone, with no arithmetic: its dual side waits for the first read."""
+    """The pointed cone of dimension dim whose rays are `rays`, a face's ray
+    frozenset or any other iterable of primitive extremal rays, with no
+    arithmetic: its dual side waits for the first read."""
     face = object.__new__(Polycone)
     _set(face, "ambient_rank", n)
     _set(face, "rays", tuple(sorted(rays)))

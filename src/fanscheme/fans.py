@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .cones import (
+    _face_cone,
     _face_lattice,
-    cone_from_rays,
     intersect_cones,
     Polycone,
     witness_covector,
@@ -326,8 +326,11 @@ def fullify(fan):
         w = unimodular_complement_rows(basis, n)
         # basis is in echelon form: each row's pivot is its first nonzero
         pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+        # the coordinate map is a lattice isomorphism of the span onto ZZ^d,
+        # so it carries the rays of each cone to the rays of its image
         reduced_cones = [
-            cone_from_rays(d, [_echelon_coords(basis, pivots, r) for r in c.rays])
+            _face_cone(d, [tuple(_echelon_coords(basis, pivots, r)) for r in c.rays],
+                       c.dim)
             for c in fan.cones
         ]
     return FullificationResult(

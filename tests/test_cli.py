@@ -312,7 +312,7 @@ def test_fullify_of_a_full_fan_keeps_its_cones(tmp_path, capsys, monkeypatch):
     tops = [[r for r in rays if r != skip] for skip in rays]
     fan = fans.complete_under_faces(fans.Fan(4, [cone_from_rays(4, t) for t in tops]))
     calls = []
-    for module, name in ((fans, "cone_from_rays"), (lattice, "perp_rows")):
+    for module, name in ((fans, "_face_cone"), (lattice, "perp_rows")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, real=real, name=name: calls.append(name) or real(*a))

@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from fanscheme import cones
 from fanscheme.cones import (
     cone_from_rays,
     faces,
@@ -489,6 +490,33 @@ def test_fullify_of_a_full_fan_is_a_relabeling():
     assert len(res.reduced) == len(fan)
     assert is_complete(res.reduced)
     assert is_regular(res.reduced).regular
+
+
+def test_fullify_carries_rays_to_rays_without_a_double_description(monkeypatch):
+    # the fan over the faces of the cube [-1,1]^3, whose maximal cones are
+    # not simplicial, moved into ZZ^5 by rows that do not span it: each
+    # reduced cone is built from the coordinates of its rays, with no
+    # double description pass, and equals the cone those coordinates
+    # generate in all its fields
+    vs = list(itertools.product((1, -1), repeat=3))
+    rows = [(1, 2, 0, 3, -1), (0, 1, 1, -2, 4), (2, 3, 1, 0, 5)]
+    moved = [[tuple(sum(a * r[j] for a, r in zip(v, rows)) for j in range(5))
+              for v in vs if v[i] == s] for i in range(3) for s in (1, -1)]
+    fan = fan_from_ray_lists(5, moved)
+    passes = []
+    real = cones._dual_generator_sets
+    monkeypatch.setattr(cones, "_dual_generator_sets",
+                        lambda *args: passes.append(args) or real(*args))
+    res = fullify(fan)
+    assert passes == [] and res.torus_rank == 2 and len(res.reduced) == 27
+    monkeypatch.undo()
+    for original, reduced in res.cone_map:
+        built = cone_from_rays(3, reduced.rays)
+        assert reduced.dim == built.dim == original.dim
+        assert (reduced.rays, reduced.lineality, reduced.normals,
+                reduced.dual_lineality) == (built.rays, built.lineality,
+                                            built.normals, built.dual_lineality)
+    assert is_complete(res.reduced)
 
 
 def test_fullify_degenerate_fans():

@@ -14,8 +14,9 @@ from fanscheme.cones import (
     contains_point,
     dual_cone,
     faces,
+    Polycone,
 )
-from fanscheme import cones, lattice, monoids
+from fanscheme import lattice, monoids
 from fanscheme.lattice import IntMatrix, invariant_factors
 from fanscheme.monoids import (
     _diff_basis,
@@ -792,21 +793,52 @@ def count_calls(monkeypatch, module, *names):
     return calls
 
 
+def count_comparisons(monkeypatch):
+    """Make monoids._pack return ints that log each subtraction from them:
+    _pointed_hilbert compares a candidate with a kept element by one
+    subtraction of the kept element's packed values.  Returns the log."""
+    log = []
+    real = monoids._pack
+
+    class Packed(int):
+        def __rsub__(self, other):
+            log.append(other)
+            return other - int(self)
+
+    monkeypatch.setattr(monoids, "_pack", lambda *args: Packed(real(*args)))
+    return log
+
+
+def with_counted_normals(c):
+    """(c with normals whose entries log each product with them, the log):
+    reading a point on a normal of rank n makes n products."""
+    log = []
+
+    class Entry(int):
+        def __rmul__(self, other):
+            log.append(other)
+            return other * int(self)
+
+    normals = tuple(tuple(map(Entry, u)) for u in c.normals)
+    return Polycone(c.ambient_rank, c.rays, c.lineality, normals, c.dual_lineality), log
+
+
 def test_hilbert_bases_of_wedges_test_membership_linearly(monkeypatch):
     # the zonotope box of the wedge (1,0),(1,600) took 724,205 membership
-    # tests; a reduction test now compares values on the facet normals, at
-    # least one `ge` per pair of candidates compared
-    calls = count_calls(monkeypatch, monoids, "dot", "ge")
+    # tests; a reduction test now compares values on the facet normals, one
+    # packed comparison per pair of candidates compared
+    calls = count_calls(monkeypatch, monoids, "dot")
+    comparisons = count_comparisons(monkeypatch)
     k = 600
     wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
     points = dual_monoid(dual_cone(wedge_k))
     assert points.hilbert_pointed == tuple((1, j) for j in range(k + 1))
-    assert len(calls["dot"]) <= 3 * k and len(calls["ge"]) <= 3 * k
+    assert len(calls["dot"]) <= 3 * k and len(comparisons) <= 3 * k
     calls["dot"].clear()
-    calls["ge"].clear()
+    comparisons.clear()
     dual = dual_monoid(wedge_k)
     assert dual.hilbert_pointed == ((0, 1), (1, 0), (k, -1))
-    assert len(calls["dot"]) <= 3 * k and len(calls["ge"]) <= 3 * k
+    assert len(calls["dot"]) <= 3 * k and len(comparisons) <= 3 * k
 
 
 def test_cone_monoid_difference_group_is_the_generated_lattice():
@@ -1156,27 +1188,26 @@ def test_pointed_hilbert_of_a_wedge_is_its_walk(monkeypatch):
     # read on a normal or compared, and before the triangulation reads the
     # rays on the normals (cones._facet_sets)
     k = 2000
-    wedge_k = cone_from_rays(2, [(1, 0), (1, k)])
-    calls = count_calls(monkeypatch, monoids, "dot", "ge")
-    facet_dots = count_calls(monkeypatch, cones, "dot")["dot"]
+    wedge_k, products = with_counted_normals(cone_from_rays(2, [(1, 0), (1, k)]))
+    comparisons = count_comparisons(monkeypatch)
     assert _pointed_hilbert(wedge_k) == tuple((1, j) for j in range(k + 1))
-    assert calls == {"dot": [], "ge": []} and facet_dots == []
+    assert products == [] and comparisons == []
 
 
 def test_pointed_hilbert_skips_elements_of_equal_degree(monkeypatch):
     # the cone on the wedge (1,0,0),(1,k,0) and (0,0,1) has the normals
     # (0,0,1), (0,1,0), (k,-1,0): (0,0,1) has degree 1 and every point
     # (1,j,0) of the walk degree k, so each walk point is compared with
-    # (0,0,1) alone, one `ge` each.  Each of the k + 2 candidates is read
-    # once on each of the three normals, after the triangulation reads the
-    # three rays on them
+    # (0,0,1) alone, one packed comparison each.  Each of the k + 2
+    # candidates is read once on each of the three normals, after the
+    # triangulation reads the three rays on them; a read makes 3 products
     k = 500
-    c = cone_from_rays(3, [(1, 0, 0), (1, k, 0), (0, 0, 1)])
-    calls = count_calls(monkeypatch, monoids, "dot", "ge")
-    facet_dots = count_calls(monkeypatch, cones, "dot")["dot"]
+    c, products = with_counted_normals(
+        cone_from_rays(3, [(1, 0, 0), (1, k, 0), (0, 0, 1)]))
+    comparisons = count_comparisons(monkeypatch)
     assert _pointed_hilbert(c) == ((0, 0, 1),) + tuple((1, j, 0) for j in range(k + 1))
-    assert len(calls["ge"]) == k + 1
-    assert len(facet_dots) + len(calls["dot"]) == 3 * 3 + 3 * (k + 2)
+    assert len(comparisons) == k + 1
+    assert len(products) == 3 * (3 * 3 + 3 * (k + 2))
 
 
 # ------------------------------------------------ walks, splits and the budget
@@ -1310,6 +1341,28 @@ def test_a_listed_simplex_takes_one_smith_form(monkeypatch):
     listed = listed_points(monkeypatch)
     assert len(_pointed_hilbert(cyclic_cone(3))) == 22
     assert len(calls["smith_rows"]) == 1 and len(listed) == 27
+
+
+def test_packed_values_wider_than_a_machine_word_match_the_box_oracle():
+    # the first three rows of a unimodular matrix with entries near 2^70 map
+    # ZZ^3 onto the lattice points of their span in ZZ^4, so they carry the
+    # Hilbert basis of a cyclic cone onto that of its image.  The normals
+    # of the image are primitive in ZZ^4, and its points' values on them
+    # are hundreds of bits wide, so each packed field is too
+    b = 2**70
+    rows = [(1, b + 1, b + 3, b + 7), (0, 1, b + 5, b + 2), (0, 0, 1, b + 11)]
+
+    def image(x):
+        return tuple(sum(a * r[j] for a, r in zip(x, rows)) for j in range(4))
+
+    for k in range(3, 6):
+        rays = [(k, 1, 0), (0, k, 1), (1, 0, k)]
+        c = cone_from_rays(4, [image(r) for r in rays])
+        got = _pointed_hilbert(c)
+        oracle = box_hilbert_basis(rays, 3, facet_cone_contains(rays, 3))
+        assert got == tuple(sorted(map(image, oracle)))
+        widest = max(sum(map(operator.mul, h, u)) for h in got for u in c.normals)
+        assert widest.bit_length() > 64
 
 
 def test_the_budget_bounds_the_listed_multiplicity(monkeypatch):
