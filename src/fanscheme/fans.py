@@ -308,10 +308,10 @@ def fullify(fan):
     complement rows record a splitting of the ambient lattice, so the
     original data is the reduced part times a torus factor of rank n - d.
     The image of a ray is its vector of coordinates on the canonical basis
-    of the span (lattice._echelon_coords), and the complement is the
-    rows lattice.unimodular_complement_rows adds to that basis.  A cone
-    with lineality raises NonPointedConeError, as in validate_fan: its
-    rays alone do not span it.
+    of the span (lattice._echelon_coords), read once per distinct ray, and
+    the complement is the rows lattice.unimodular_complement_rows adds to
+    that basis.  A cone with lineality raises NonPointedConeError, as in
+    validate_fan: its rays alone do not span it.
     """
     _require_pointed(fan.cones)
     n = fan.rank
@@ -327,12 +327,12 @@ def fullify(fan):
         # basis is in echelon form: each row's pivot is its first nonzero
         pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
         # the coordinate map is a lattice isomorphism of the span onto ZZ^d,
-        # so it carries the rays of each cone to the rays of its image
-        reduced_cones = [
-            _face_cone(d, [tuple(_echelon_coords(basis, pivots, r)) for r in c.rays],
-                       c.dim)
-            for c in fan.cones
-        ]
+        # so it carries the rays of each cone to the rays of its image; each
+        # distinct ray is read once, however many cones hold it
+        coords = {r: tuple(_echelon_coords(basis, pivots, r))
+                  for r in {r for c in fan.cones for r in c.rays}}
+        reduced_cones = [_face_cone(d, [coords[r] for r in c.rays], c.dim)
+                         for c in fan.cones]
     return FullificationResult(
         original=fan,
         reduced=Fan(d, reduced_cones),

@@ -13,7 +13,7 @@ import sys
 from functools import cache
 from itertools import combinations, islice, product
 from math import gcd, prod
-from operator import mul
+from operator import le, mul
 
 from .cones import (
     _facet_sets,
@@ -227,7 +227,11 @@ def _hilbert_candidates(cone):
 
 def _pack(values, width):
     """Nonnegative values below 2**(width - 1) as one int, with a field of
-    width bits for each, the first value in the highest field."""
+    width bits for each, the first value in the highest field.  The top bit
+    of each field is a guard bit: with guard those bits packed, (H | guard)
+    - G borrows across no field and keeps the guard bit of each field where
+    H is at least G.  _pointed_hilbert compares values on facet normals
+    this way, and monoid_contains subtracts generators from a residue."""
     packed = 0
     for v in values:
         packed = packed << width | v
@@ -338,7 +342,8 @@ class AffineMonoid(_Record):
     def _membership(self):
         """(lineality, moving), what monoid_contains needs of a designated
         monoid.  moving: the generators on which some facet normal of the
-        support is nonzero, each with its tuple of values on the normals.
+        support is nonzero, each with its tuple of values on the normals and
+        the position of its largest value.
         lineality: the echelon form of the other generators, those in the
         lineality space of the support.  A support without rays has no
         normals, so every generator is a unit."""
@@ -348,7 +353,7 @@ class AffineMonoid(_Record):
         for g in self.generators:
             vals = tuple([dot(g, u) for u in normals])
             if any(vals):
-                moving.append((g, vals))
+                moving.append((g, vals, vals.index(max(vals))))
             else:
                 lin_gens.append(g)
         return _echelon(lin_gens, self.ambient_rank), moving
@@ -423,15 +428,26 @@ def monoid_contains(m, v):
     normals of the support.  Every residue lies in the span of the support,
     where those values decide: the residue lies in the support when they
     are nonnegative and in its lineality space when they are zero (Cox,
-    Little and Schenck, Toric Varieties, 1.2).  A generator's values are
-    nonnegative, so its feasible coefficients run from 0 to the least
-    quotient of a residue value by its positive value.  The last moving
-    generator needs no such range: at most one multiple of it zeroes the
-    residue values, the quotient at its first nonzero value, so one
-    comparison and one lattice test finish the search.  The values and the
-    echelon basis of the lineality lattice are computed once per monoid
-    (AffineMonoid._membership); lattice membership is an integer reduction
-    over that basis.
+    Little and Schenck, Toric Varieties, 1.2).
+
+    The values are nonnegative, so they are packed into one int (_pack), in
+    fields one bit wider than the largest value of v; a generator worth
+    more than v on some normal is never subtracted and is dropped first.
+    The search walks depth first over a list of levels, level i holding
+    the residue before generator i, and the levels below a changed one
+    restart from its residue.  A step at level i takes one more generator
+    i - 1: one subtraction of packed ints with the guard test of _pack, so
+    each search node costs one subtraction.  The last usable generator
+    takes no steps: at most one multiple of it zeroes the residue, the
+    quotient in the field of its largest value, where that multiple
+    overflows no field, so one division and one comparison end each path.
+    The residue's values are then zero.  A monoid without lineality
+    generators has a pointed support, so v is a member; otherwise the
+    ambient residue is rebuilt from the coefficients, read off consecutive
+    levels, for an integer reduction over the echelon basis of the
+    lineality lattice.  That basis, the generators' values and the position
+    of each one's largest value are computed once per monoid
+    (AffineMonoid._membership).
     """
     v = int_vector(v, m.ambient_rank)
     if not any(v):
@@ -444,39 +460,46 @@ def monoid_contains(m, v):
     if not contains_point(support, v):
         return False
     lattice, moving = m._membership
-
-    def children(i, vals, rest):
-        # the residues after a * moving[i], smallest a first, each made
-        # only when the search below its left sibling has failed
-        g, gvals = moving[i]
-        for a in range(min(x // y for x, y in zip(vals, gvals) if y) + 1):
-            yield (i + 1, tuple([x - a * y for x, y in zip(vals, gvals)]),
-                   tuple([x - a * y for x, y in zip(rest, g)]))
-
-    # depth first on an explicit stack: one moving generator per level, so
-    # recursion would stop at the interpreter's limit
-    stack = [iter([(0, tuple([dot(v, u) for u in support.normals]), v)])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        i, vals, rest = node
-        if any(vals):
-            if i < len(moving) - 1:
-                stack.append(children(i, vals, rest))
-                continue
-            # one multiple of the last generator at most zeroes the values,
-            # and it is nonnegative because the values are
-            g, gvals = moving[i]
-            k = next(k for k, y in enumerate(gvals) if y)
-            a = vals[k] // gvals[k]
-            if vals != tuple([a * y for y in gvals]):
-                continue
-            rest = tuple([x - a * y for x, y in zip(rest, g)])
-        if _echelon_coords(*lattice, rest) is not None:
-            return True
-    return False
+    vals = [dot(v, u) for u in support.normals]
+    if not any(vals):
+        return _echelon_coords(*lattice, v) is not None
+    usable = [(g, gvals, top) for g, gvals, top in moving if all(map(le, gvals, vals))]
+    if not usable:
+        return False
+    width = max(vals).bit_length() + 1
+    guard = _pack([1 << (width - 1)] * len(vals), width)
+    packed = [_pack(gvals, width) for _, gvals, _ in usable]
+    last = len(usable) - 1
+    _, gvals, top = usable[last]
+    shift = width * (len(vals) - 1 - top)  # to the field of its largest value
+    mask = (1 << width) - 1
+    levels = [_pack(vals, width)] * (last + 1)
+    while True:
+        p = levels[last]
+        a = (p >> shift & mask) // gvals[top]
+        if p == a * packed[last]:
+            if not lattice[0]:
+                return True
+            rest = list(v)
+            coefficients = [(levels[i] - levels[i + 1]) // packed[i] for i in range(last)]
+            for (g, _, _), c in zip(usable, coefficients + [a]):
+                rest = [x - c * z for x, z in zip(rest, g)]
+            if _echelon_coords(*lattice, rest) is not None:
+                return True
+        # the next sibling at the deepest level that has one; the levels
+        # below it restart from its residue
+        i = last
+        while i:
+            d = (levels[i] | guard) - packed[i - 1]
+            if d & guard == guard:
+                break
+            i -= 1
+        else:
+            return False
+        if i == last:  # the most frequent step, without a slice
+            levels[i] = d ^ guard
+        else:
+            levels[i:] = [d ^ guard] * (last + 1 - i)
 
 
 def _holds_hilbert(m):

@@ -458,6 +458,36 @@ def height_one_member(points, unit, v):
     return False
 
 
+def graded_member(gens, v, omega):
+    """Is v a sum of gens with nonnegative integer coefficients?
+
+    omega is a covector with omega.g >= 1 on every generator, so a sum of
+    generators has omega-degree at least its number of terms, and one that
+    gives v has omega-degree omega.v: only the finitely many coefficient
+    vectors of degree at most omega.v can give v.  They are enumerated in
+    two halves, the first generators and the rest, each as the set of its
+    sums of degree at most omega.v; v is a member exactly when it is a sum
+    of one from each.
+    """
+    def deg(x):
+        return sum(map(mul, omega, x))
+
+    assert all(deg(g) >= 1 for g in gens)
+    top = deg(v)
+
+    def sums(part):
+        out = {(0,) * len(v)}
+        for g in part:
+            d = deg(g)
+            out = {tuple(x + a * y for x, y in zip(s, g))
+                   for s in out for a in range((top - deg(s)) // d + 1)}
+        return out
+
+    half = len(gens) // 2
+    first = sums(gens[:half])
+    return any(tuple(x - y for x, y in zip(v, s)) in first for s in sums(gens[half:]))
+
+
 # ---------------------------------------------------------------------------
 # integral closedness by parallelepipeds; independent oracle for
 # is_integrally_closed

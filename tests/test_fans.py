@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from fanscheme import cones
+from fanscheme import cones, fans
 from fanscheme.cones import (
     cone_from_rays,
     faces,
@@ -517,6 +517,23 @@ def test_fullify_carries_rays_to_rays_without_a_double_description(monkeypatch):
                 reduced.dual_lineality) == (built.rays, built.lineality,
                                             built.normals, built.dual_lineality)
     assert is_complete(res.reduced)
+
+
+def test_fullify_reads_each_distinct_ray_once(monkeypatch):
+    # (P^1)^6 placed in ZZ^7: its 729 cones hold 2,916 rays, 12 of them
+    # distinct, and each distinct ray's coordinates are computed once
+    rays = [tuple(s * int(i == j) for j in range(7)) for i in range(6) for s in (1, -1)]
+    fan = Fan(7, [cone_from_rays(7, [rays[2 * i + k] for i, k in enumerate(ks) if k < 2])
+                  for ks in itertools.product(range(3), repeat=6)])
+    calls = []
+    real = fans._echelon_coords
+    monkeypatch.setattr(fans, "_echelon_coords",
+                        lambda *args: calls.append(args) or real(*args))
+    res = fullify(fan)
+    assert len(fan.cones) == 729 and sum(len(c.rays) for c in fan.cones) == 2916
+    assert len(calls) == 12 and res.torus_rank == 1 and res.reduced.rank == 6
+    assert [c.rays for c in res.reduced.cones] == [
+        tuple(sorted(r[:6] for r in c.rays)) for c in fan.cones]
 
 
 def test_fullify_degenerate_fans():

@@ -42,6 +42,7 @@ from helpers import (
     facet_cone_contains,
     fm_cone_contains,
     frac_rank,
+    graded_member,
     height_one_member,
     lattice_coords_rows,
     parallelepiped_closed,
@@ -1073,6 +1074,155 @@ def test_membership_search_is_not_bounded_by_the_recursion_limit():
     assert monoid_contains(m, (2, 2397))
     assert monoid_contains(m, (3, 1))
     assert not monoid_contains(m, (1, 1200))
+
+
+def positive_covector(gens, bound):
+    """The first integer covector w with entries in -bound..bound, in
+    lexicographic order, with w.g >= 1 on every generator g, or None."""
+    for w in itertools.product(range(-bound, bound + 1), repeat=len(gens[0])):
+        if all(sum(map(operator.mul, w, g)) >= 1 for g in gens):
+            return w
+    return None
+
+
+def found_monoid_queries():
+    """One query per seed 0-39, entries -6..6 and fourth entry 0, kept when
+    it lies in the support of the FOUND_RANK_FOUR monoid."""
+    queries = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        v = tuple(rng.randint(-6, 6) for _ in range(3)) + (0,)
+        if fm_cone_contains(FOUND_RANK_FOUR, v, 4):
+            queries.append(v)
+    return queries
+
+
+def test_membership_in_the_rank_four_monoid_matches_the_graded_oracle():
+    # the 18 seeded queries in the support of the monoid of FOUND_RANK_FOUR;
+    # the search on tuples of values took 1.0-1.5 s for them on a 2-core
+    # Xeon, the packed search 0.1-0.2 s.  Every generator and query has
+    # fourth entry 0, so the covector is searched on the first three
+    m = AffineMonoid.from_generators(4, FOUND_RANK_FOUR)
+    queries = found_monoid_queries()
+    assert len(queries) == 18
+    start = time.perf_counter()
+    answers = [monoid_contains(m, v) for v in queries]
+    assert time.perf_counter() - start < 1
+    omega = positive_covector([g[:3] for g in FOUND_RANK_FOUR], 50) + (0,)
+    assert answers == [graded_member(FOUND_RANK_FOUR, v, omega) for v in queries]
+    assert all(answers)
+
+
+def test_membership_in_random_monoids_matches_the_graded_oracle():
+    # generators with entries -9..9 give values on the normals of the
+    # support far larger than those of the height-one monoids above.  A
+    # monoid that no covector with entries in -3..3 grades is drawn again;
+    # the queries are sums with coefficients 0..2 and those sums with noise
+    rng = random.Random(6068)
+    seen = collections.Counter()
+    while seen["monoids"] < 40:
+        n = rng.choice((3, 4))
+        gens = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(rng.randint(2, 5))]
+        omega = positive_covector(gens, 3)
+        if omega is None:
+            continue
+        m = AffineMonoid.from_generators(n, gens)
+        for _ in range(8):
+            v = [0] * n
+            for g in gens:
+                a = rng.randint(0, 2)
+                v = [x + a * y for x, y in zip(v, g)]
+            for w in (v, [x + rng.choice((-1, 0, 0, 1)) for x in v]):
+                expected = graded_member(gens, tuple(w), omega)
+                assert monoid_contains(m, w) == expected, (gens, w)
+                seen["members"] += expected
+                seen["queries"] += 1
+        seen["monoids"] += 1
+        seen["rank %d" % n] += 1
+    assert seen["rank 3"] >= 10 and seen["rank 4"] >= 10
+    assert seen["members"] >= 300 and seen["queries"] - seen["members"] >= 250
+
+
+def test_packed_search_values_wider_than_a_machine_word_match_enumeration():
+    # a unimodular matrix with entries near 2^70 moves height-one monoids
+    # of rank 3 padded by a zero coordinate, so a query is a member exactly
+    # when its preimage is.  The normals of the support are primitive in
+    # ZZ^4, and the queries' values on them, the packed fields, are far
+    # wider than 64 bits
+    b = 2**70
+    u = [(1, b + 1, b + 3, b + 7), (0, 1, b + 5, b + 2), (0, 0, 1, b + 11), (0, 0, 0, 1)]
+
+    def image(x):
+        return tuple(sum(a * r[j] for a, r in zip(x, u)) for j in range(4))
+
+    rng = random.Random(6069)
+    widest = members = units = 0
+    for _ in range(30):
+        points, unit, _ = random_height_one_monoid(rng, 3)
+        units += unit is not None
+        m = AffineMonoid.from_generators(
+            4, [image(g + (0,)) for g in height_one_generators(points, unit)])
+        for _ in range(10):
+            x = random_query(rng, points, 3) + (rng.choice((0, 0, 0, 1, -1)),)
+            expected = not x[3] and height_one_member(points, unit, x[:3])
+            assert monoid_contains(m, image(x)) == expected, (points, unit, x)
+            members += expected
+            if expected:
+                widest = max([widest] + [sum(map(operator.mul, image(x), n))
+                                         for n in m._support.normals])
+    assert widest.bit_length() > 64 and members >= 40 and units >= 5
+
+
+def test_the_last_generator_is_divided_at_the_field_of_its_largest_value():
+    # the last moving generator (1, 0) is worth 0 on the first normal of the
+    # support and 3 on the second.  (4, 0) is worth 0 on the first, so the
+    # other generators are dropped, and 4 * (1, 0) is found only by
+    # dividing in the second field
+    m = AffineMonoid.from_generators(2, [(1, -3), (1, -1), (1, 0)])
+    assert m._membership[1][-1] == ((1, 0), (0, 3), 1)
+    assert monoid_contains(m, (4, 0))
+    for v in itertools.product(range(5), range(-14, 3)):
+        assert monoid_contains(m, v) == height_one_member([(-3,), (-1,), (0,)], None, v)
+
+
+def test_a_generator_worth_more_than_the_query_is_not_packed(monkeypatch):
+    # (2, 1) is worth 1 on the normal (0, 1) of the cone of (1, 0) and
+    # (1, 5), which (1, 5) is worth 5 on: only (1, 0) and (1, 1) are
+    # packed, after the guard and the query
+    m = AffineMonoid.from_generators(2, [(1, 0), (1, 1), (1, 5)])
+    assert (0, 1) in m._support.normals
+    calls = count_calls(monkeypatch, monoids, "_pack")
+    assert monoid_contains(m, (2, 1))
+    assert sorted(len(args[0]) for args in calls["_pack"]) == [2, 2, 2, 2]
+    assert len(calls["_pack"]) == 4
+
+
+def test_a_lineality_leaf_rebuilds_the_ambient_residue(monkeypatch):
+    # (2, 1) with the moving generators (1, 0), (1, 1) and the lattice of
+    # (0, 2): both leaves zero the value on the normal (1, 0).  The first,
+    # 2 * (1, 1), leaves (0, -1), off the lattice; the second, (1, 0) +
+    # (1, 1), leaves (0, 0)
+    m = AffineMonoid.from_generators(2, [(1, 0), (1, 1), (0, 2), (0, -2)])
+    calls = count_calls(monkeypatch, monoids, "_echelon_coords")
+    assert monoid_contains(m, (2, 1))
+    assert [list(args[2]) for args in calls["_echelon_coords"]] == [[0, -1], [0, 0]]
+
+
+def test_the_packed_search_makes_one_subtraction_per_node(monkeypatch):
+    # 11 in the numerical semigroup of 4, 6 and 9, which misses it.  The
+    # last generator 9 is divided at each leaf; the levels of 4 and 6 step
+    # 11 -> 5 (6), 5 - 6 borrows, 11 -> 7 (4), 7 -> 1 (6), 1 - 6 borrows,
+    # 7 -> 3 (4), 3 - 6 borrows, 3 - 4 borrows: four nodes and four
+    # borrows, one subtraction each
+    comparisons = count_comparisons(monkeypatch)
+    m = AffineMonoid.from_generators(1, [(4,), (6,), (9,)])
+    assert not monoid_contains(m, (11,))
+    assert len(comparisons) == 8
+    comparisons.clear()
+    # 19 = 4 + 6 + 9 is found after six: 19 -> 13 -> 7 -> 1 (6), 1 - 6
+    # borrows, 19 -> 15 (4), 15 -> 9 (6), which the last generator divides
+    assert monoid_contains(m, (19,))
+    assert len(comparisons) == 6
 
 
 def test_membership_data_is_computed_once_per_monoid(monkeypatch):

@@ -54,7 +54,15 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   generators and on those sums with noise, is_integrally_closed,
   hilbert_basis (its value or its ValueError) and
   check_openly_immersive_pair on m + NN*(-g) and m for a generator g, and
-  on m + NN*h and m for a noisy sum h;
+  on m + NN*h and m for a noisy sum h; then RANK_FOUR designated monoids
+  of rank 4 on 3-5 generators with entries -9..9, the first of them the
+  monoid of (-2,-4,4,0), (1,9,-8,0), (2,-7,5,0), (4,2,-3,0) whose 20
+  queries once took 16.7 s: monoid_contains on sums of the generators with
+  coefficients 0..4 and on those sums with noise, where the values on the
+  normals of the support, and so the membership search, are far larger.
+  At --seed 1 a REV from before the packed membership search adds about
+  13 s for them on a 2-core Xeon; the 399th monoid of that seed would add
+  minutes, as the search has no work bound, so another seed may too;
 - the Hilbert bases of each pointed cone of the cone corpus of rank at
   most HILBERT_RANK, and of the plane cones of plane_corpus (the
   benchmark's wedges (1,0),(1,k), k = 20-600, their duals, and seeded
@@ -92,6 +100,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 HILBERT_RANK = 4
 HILBERT_POINTS = 20000
 MONOIDS = 600
+RANK_FOUR = 350
+FOUND_RANK_FOUR = [(-2, -4, 4, 0), (1, 9, -8, 0), (2, -7, 5, 0), (4, 2, -3, 0)]
 INDEPENDENT = 600
 WIDE = 300
 WEDGES = range(20, 601)
@@ -411,23 +421,31 @@ def random_monoid(rng):
     return n, gens, ("pair" if pair else "") + ("scaled" if scaled else "")
 
 
+def sums_with_noise(rng, n, gens, top):
+    """Six seeded sums of gens in ZZ^n with coefficients 0..top, each
+    followed by itself with noise -1..1 in every entry."""
+    out = []
+    for _ in range(6):
+        s = [0] * n
+        for g in gens:
+            a = rng.randint(0, top)
+            s = [x + a * y for x, y in zip(s, g)]
+        out += [tuple(s), tuple(x + rng.randint(-1, 1) for x in s)]
+    return out
+
+
 def membership_answers(monoids, rng, count):
     """Membership of generators, sums and noisy sums, closedness, the
     Hilbert basis, and the immersion of m into m + NN*(-g) for a generator
     g and into m + NN*h for a noisy sum h, on `count` seeded designated
-    monoids."""
+    monoids; then membership of sums and noisy sums in RANK_FOUR monoids of
+    rank 4 with entries -9..9, FOUND_RANK_FOUR first."""
     out = []
     for _ in range(count):
         n, gens, kind = random_monoid(rng)
         m = monoids.AffineMonoid.from_generators(n, gens)
         queries = [("generator", g) for g in m.generators]
-        for _ in range(6):
-            s = [0] * n
-            for g in m.generators:
-                a = rng.randint(0, 3)
-                s = [x + a * y for x, y in zip(s, g)]
-            queries.append(("sum", tuple(s)))
-            queries.append(("noise", tuple(x + rng.randint(-1, 1) for x in s)))
+        queries += zip(("sum", "noise") * 6, sums_with_noise(rng, n, m.generators, 3))
         out.append(("monoid", n, gens, kind,
                     [(q, v, monoids.monoid_contains(m, v)) for q, v in queries],
                     monoids.is_integrally_closed(m),
@@ -439,6 +457,11 @@ def membership_answers(monoids, rng, count):
                 target = monoids.AffineMonoid.from_generators(n, m.generators + (g,))
                 c = monoids.check_openly_immersive_pair(target, m)
                 out.append(("immersion", n, gens, g, c.verdict, c.witness, c.reason))
+    for i in range(RANK_FOUR):
+        gens = FOUND_RANK_FOUR if i == 0 else [vec(rng, 4, 9) for _ in range(rng.randint(3, 5))]
+        m = monoids.AffineMonoid.from_generators(4, gens)
+        out.append(("rank four", gens, [(v, monoids.monoid_contains(m, v))
+                                        for v in sums_with_noise(rng, 4, m.generators, 4)]))
     return out
 
 
@@ -604,17 +627,19 @@ def main():
     monoid_rows = [a for a in new if a[0] == "monoid"]
     queries = [q for a in monoid_rows for q in a[4]]
     verdicts = [a[4] for a in new if a[0] == "immersion"]
+    rank_four = [q for a in new if a[0] == "rank four" for q in a[2]]
     print("designated monoids %d (%d with a pair v, -v, %d with 2g and 3g, %d not "
           "integrally closed, %d without a Hilbert basis): %d queries (%d generators, "
           "%d sums, %d noisy sums; %d members), immersion pairs %d: yes %d, no %d, "
-          "unknown %d"
+          "unknown %d; rank 4, entries -9..9: %d monoids, %d queries (%d members)"
           % (len(monoid_rows), sum("pair" in a[3] for a in monoid_rows),
              sum("scaled" in a[3] for a in monoid_rows),
              sum(not a[5] for a in monoid_rows),
              sum(a[6] != "ok" for a in monoid_rows), len(queries),
              *(sum(q[0] == k for q in queries) for k in ("generator", "sum", "noise")),
              sum(q[2] for q in queries), len(verdicts),
-             *(verdicts.count(k) for k in ("yes", "no", "unknown"))))
+             *(verdicts.count(k) for k in ("yes", "no", "unknown")),
+             RANK_FOUR, len(rank_four), sum(q[1] for q in rank_four)))
     print("hilbert bases of %d pointed cones (%d of them plane cones with %d walk "
           "points), %d skipped (over %d points at %s)"
           % (len(pointed) - len(skip), len(planes),
