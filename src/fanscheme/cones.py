@@ -342,22 +342,41 @@ Polycone.normals = _derived(
     "normals")
 
 
-def _witness(c, facet_sets, rayset):
-    """The sum of the normals of c vanishing on the face with these rays."""
-    tight = [u for u, fs in zip(c.normals, facet_sets) if rayset <= fs]
-    return sum_rows(tight, c.ambient_rank)
-
-
-def _searched_levels(c, facet_sets):
-    """(dim, ray frozensets of the faces of dimension dim) of a pointed
-    cone, from c down: the facets of a face of dimension d are its maximal
-    proper cuts by the facet ray sets of c (_facets_of), and have dimension
-    d - 1, so a face's dimension is read off the grading of the lattice."""
-    level, dim = {frozenset(c.rays)}, c.dim
+def _searched_faces(c):
+    """(dim, rays, witness) for each face of a pointed cone, searched by
+    dimension from c down: the facets of a face of dimension d are its
+    maximal proper cuts by the facet ray sets of c (_facets_of), and have
+    dimension d - 1, so a face's dimension is read off the grading of the
+    lattice.  The levels are listed by rising dimension, each sorted by
+    rays; a face's witness is the sum of the normals of c vanishing on it."""
+    facet_sets = _facet_sets(c)
+    level, dim, levels = {frozenset(c.rays)}, c.dim, []
     while level:
-        yield dim, level
+        levels.append((dim, sorted(tuple(sorted(f)) for f in level)))
         level = {g for f in level for g in _facets_of(f, facet_sets)}
         dim -= 1
+    for dim, level in reversed(levels):
+        for rays in level:
+            tight = [u for u, fs in zip(c.normals, facet_sets) if fs.issuperset(rays)]
+            yield dim, rays, sum_rows(tight, c.ambient_rank)
+
+
+def _boolean_faces(c):
+    """(dim, rays, witness) for each face of a simplicial cone: every
+    subset of its sorted rays, so combinations list them in (dim, rays)
+    order.  Each normal of c is nonzero on one ray only, the one off its
+    facet, so the witness of a face, the sum of the normals of the rays it
+    misses, is that of the face without its last ray minus the normal of
+    that ray: one vector difference per face, with no normal scanned and
+    only the witnesses of the level below kept."""
+    opposite = {next(r for r in c.rays if dot(r, u)): u for u in c.normals}
+    level = {(): sum_rows(c.normals, c.ambient_rank)}
+    yield 0, (), level[()]
+    for dim in range(1, len(c.rays) + 1):
+        below, level = level, {}
+        for rays in combinations(c.rays, dim):
+            w = level[rays] = tuple(map(sub, below[rays[:-1]], opposite[rays[-1]]))
+            yield dim, rays, w
 
 
 def _face_lattice(c, known):
@@ -366,29 +385,22 @@ def _face_lattice(c, known):
 
     A simplicial cone (as many rays as its dimension) has the Boolean
     lattice on its rays (Cox-Little-Schenck, Toric Varieties, 1.2): every
-    ray set is a face, of dimension its size, so no face is searched for.
-    Any other cone has its faces searched by dimension (_searched_levels).
-    A face's witness is the sum of the normals of c vanishing on it
-    (_witness); on a simplicial cone those are the normals of the facets
-    opposite the rays the face misses."""
+    ray set is a face, of dimension its size, so no face is searched for
+    (_boolean_faces).  Any other cone has its faces searched by dimension
+    (_searched_faces).  Both list the faces in (dim, rays) order with their
+    witnesses, and one loop builds the lattice from either."""
     if c.lineality:
         raise ValueError("face lattice requires a pointed cone")
     n = c.ambient_rank
-    facet_sets = _facet_sets(c)
-    if len(c.rays) == c.dim:
-        levels = ((d, map(frozenset, combinations(c.rays, d)))
-                  for d in range(c.dim + 1))
-    else:
-        levels = _searched_levels(c, facet_sets)
+    listed = _boolean_faces(c) if len(c.rays) == c.dim else _searched_faces(c)
     witnesses = {}
-    for dim, level in levels:
-        for rayset in level:
-            face = known.get(rayset)
-            if face is None:
-                face = known[rayset] = _face_cone(n, rayset, dim)
-            witnesses[face] = _witness(c, facet_sets, rayset)
-    face_list = sorted(witnesses, key=lambda f: (f.dim, f.rays))
-    return FaceLattice(c, tuple(face_list), witnesses)
+    for dim, rays, witness in listed:
+        key = frozenset(rays)
+        face = known.get(key)
+        if face is None:
+            face = known[key] = _face_cone(n, rays, dim)
+        witnesses[face] = witness
+    return FaceLattice(c, tuple(witnesses), witnesses)
 
 
 def faces(c):

@@ -227,11 +227,16 @@ def validate_fan(fan):
 
 
 def complete_under_faces(fan):
-    """Add every face of every cone; keep their lattices for validate_fan."""
+    """Add every face of every cone; keep their lattices for validate_fan.
+
+    The lattices share one table of faces by ray set, which ends up
+    holding each distinct face once, the given cones among them: the
+    closed fan is built from that table, not from every lattice's faces
+    with their repeats."""
     _require_pointed(fan.cones)
     known = {frozenset(c.rays): c for c in fan.cones}
     lattices = {c: _face_lattice(c, known) for c in fan.cones}
-    out = Fan(fan.rank, [f for lattice in lattices.values() for f in lattice])
+    out = Fan(fan.rank, known.values())
     out._lattices = lattices
     return out
 
@@ -277,18 +282,27 @@ def is_regular(fan):
 
     Independent rays extend to a basis exactly when their columns span
     ZZ^k, k the number of rays: when the Hermite form of the transpose has
-    the identity on top.
+    the identity on top.  The cones are read by falling dimension, and a
+    pointed cone whose rays lie among those of a cone already found
+    regular is regular with no echelon pass: a subset of a basis extends
+    to a basis.  A cone with lineality is not regular.
     """
-    entries = []
-    for c in fan.cones:
+    ok = {}
+    bases = []  # the ray sets that passed the echelon test
+    for c in reversed(fan.cones):
+        rays = frozenset(c.rays)
+        if c.is_pointed and any(rays <= b for b in bases):
+            ok[c] = True
+            continue
         k = len(c.rays)
-        ok = k == c.dim
-        if ok and k:
+        ok[c] = k == c.dim
+        if ok[c] and k:
             h = _echelon(transpose_rows(c.rays, fan.rank), k)[0]
-            ok = h[:k] == identity_rows(k)
-        entries.append((c, ok))
+            ok[c] = h[:k] == identity_rows(k)
+        if ok[c]:
+            bases.append(rays)
     return RegularityReport(
-        regular=all(ok for _, ok in entries), entries=tuple(entries)
+        regular=all(ok.values()), entries=tuple((c, ok[c]) for c in fan.cones)
     )
 
 

@@ -201,7 +201,11 @@ def kernel_rows(rows, cols):
 
 
 def perp_rows(rows, cols):
-    """Basis of {y in ZZ^cols : <y, r> = 0 for every row r}."""
+    """Canonical basis of {y in ZZ^cols : <y, r> = 0 for every row r}.
+    No rows cut out all of ZZ^cols, whose canonical basis is the identity:
+    a pointed cone's dual spans ZZ^n with no kernel computed."""
+    if not rows:
+        return identity_rows(cols)
     return kernel_rows(transpose_rows(rows, cols), len(rows))
 
 

@@ -359,6 +359,11 @@ class AffineMonoid(_Record):
         return _echelon(lin_gens, self.ambient_rank), moving
 
     @_derived
+    def _columns(self):
+        """covector -> the generators' values on it, filled by _column."""
+        return {}
+
+    @_derived
     def _closed(self):
         """is_integrally_closed of a designated monoid with a nonzero
         group of differences."""
@@ -422,13 +427,15 @@ def monoid_contains(m, v):
     built; other queries are decided by splitting off the unit part: the
     monoid meets the lineality space of its support cone in exactly the
     lattice generated by its lineality generators (a monoid element with a
-    rational inverse direction has an actual inverse in the monoid).  After
-    one test that v lies in the support, the search subtracts multiples of
-    the moving generators and carries the residue's values on the facet
-    normals of the support.  Every residue lies in the span of the support,
-    where those values decide: the residue lies in the support when they
-    are nonnegative and in its lineality space when they are zero (Cox,
-    Little and Schenck, Toric Varieties, 1.2).
+    rational inverse direction has an actual inverse in the monoid).  v is
+    read once on each facet normal of the support and each row of its dual
+    lineality; those values decide that v lies in the support, as
+    contains_point would, and the search starts from them.  It subtracts
+    multiples of the moving generators and carries the residue's values on
+    the normals.  Every residue lies in the span of the support, where
+    those values decide: the residue lies in the support when they are
+    nonnegative and in its lineality space when they are zero (Cox, Little
+    and Schenck, Toric Varieties, 1.2).
 
     The values are nonnegative, so they are packed into one int (_pack), in
     fields one bit wider than the largest value of v; a generator worth
@@ -457,10 +464,10 @@ def monoid_contains(m, v):
     if v in m.generators:
         return True
     support = m._support
-    if not contains_point(support, v):
+    vals = [dot(v, u) for u in support.normals]
+    if min(vals, default=0) < 0 or any(dot(v, w) for w in support.dual_lineality):
         return False
     lattice, moving = m._membership
-    vals = [dot(v, u) for u in support.normals]
     if not any(vals):
         return _echelon_coords(*lattice, v) is not None
     usable = [(g, gvals, top) for g, gvals, top in moving if all(map(le, gvals, vals))]
@@ -586,6 +593,24 @@ class LocalizationCertificate(_Record):
     shifts: tuple  # pairs (hilbert generator of the small chart, shift)
 
 
+def _column(m, r):
+    """The values of m's generators on the covector r, in generator order:
+    computed on the first read and kept in m._columns, so each is computed
+    once per monoid and covector, however many certificates read it."""
+    column = m._columns.get(r)
+    if column is None:
+        column = m._columns[r] = tuple([dot(g, r) for g in m.generators])
+    return column
+
+
+def _holds_all(m, normals, lineality):
+    """Is every generator of m nonnegative on each covector of normals and
+    zero on each of lineality?  Read off m's columns there (_column)."""
+    return all(min(_column(m, r), default=0) >= 0 for r in normals) and not any(
+        any(_column(m, w)) for w in lineality
+    )
+
+
 def _localization_shifts(big, small, u):
     """The shifts proving small == big + NN*(-u) for cone monoids big and
     small (Cox, Little and Schenck, Toric Varieties, Prop. 1.3.16).
@@ -593,36 +618,43 @@ def _localization_shifts(big, small, u):
     Checks u in big, -u in small and every generator of big in small, so
     that big + NN*(-u) lies in small, then finds for each generator h of
     small the least k >= 0 with h + k*u in big, so that h = (h + k*u) +
-    k*(-u) lies in big + NN*(-u).  h is read once on each facet normal of
-    big's cone, and those values decide h + k*u as contains_point would.
-    u is nonnegative on every normal and zero on the dual lineality, so a
-    shift changes nothing on the walls, the normals where u vanishes and
-    both signs of each dual lineality row, where h itself must be
-    nonnegative; a normal r where u is positive asks for k >= -(h.r //
-    u.r), which is at most 0 when h.r >= 0.  Returns the pairs (h, k) in
-    the order of small's generators; a failed check raises ValueError, and
-    an entry of u that is not an int TypeError (int_vector).
+    k*(-u) lies in big + NN*(-u).  u is read once on each facet normal of
+    big's cone, and those values serve every test: u in big, -u in small
+    on the normals the two cones share, the walls and the shifts.  A
+    generator's value on a normal is read off the monoid's column there
+    (_column), computed once per monoid and normal, so the tests run
+    column by column and decide as contains_point would.  u is
+    nonnegative on every normal and zero on the dual lineality, so a shift
+    changes nothing on the walls, the normals where u vanishes and both
+    signs of each dual lineality row, where h itself must be nonnegative;
+    a normal r where u is positive asks for k >= -(h.r // u.r), which is
+    at most 0 when h.r >= 0.  Returns the pairs (h, k) in the order of
+    small's generators; a failed check raises ValueError, and an entry of
+    u that is not an int TypeError (int_vector).
     """
     if big.cone is None or small.cone is None:
         raise ValueError("certificates need cone monoids")
     cone = big.cone
     u = int_vector(u, cone.ambient_rank)
-    if not contains_point(cone, u):
+    values = {r: dot(u, r) for r in cone.normals}
+    if min(values.values(), default=0) < 0 or any(dot(u, w) for w in cone.dual_lineality):
         raise ValueError("witness does not land in the target monoid")
-    if not contains_point(small.cone, tuple([-x for x in u])):
+    if len(u) != small.cone.ambient_rank:
+        raise ValueError("point has wrong length")  # as contains_point says
+    if any(
+        (values[r] if r in values else dot(u, r)) > 0 for r in small.cone.normals
+    ) or any(dot(u, w) for w in small.cone.dual_lineality):
         raise ValueError("negated witness is missing from the source monoid")
-    for g in big.generators:
-        if not contains_point(small.cone, g):
-            raise ValueError("the target monoid is not inside the source monoid")
-    values = [(r, dot(u, r)) for r in cone.normals]
-    walls = signed_rows([r for r, uv in values if not uv], cone.dual_lineality)
-    ahead = [(r, uv) for r, uv in values if uv]
-    shifts = []
-    for h in small.generators:
-        if any(dot(h, r) < 0 for r in walls):
-            raise ValueError("no valid shift for a generator")
-        shifts.append((h, max([0] + [-(dot(h, r) // uv) for r, uv in ahead])))
-    return tuple(shifts)
+    if not _holds_all(big, small.cone.normals, small.cone.dual_lineality):
+        raise ValueError("the target monoid is not inside the source monoid")
+    walls = [r for r, uv in values.items() if not uv]
+    if not _holds_all(small, walls, cone.dual_lineality):
+        raise ValueError("no valid shift for a generator")
+    shifts = [0] * len(small.generators)
+    for r, uv in values.items():
+        if uv:
+            shifts = [max(k, -(x // uv)) for k, x in zip(shifts, _column(small, r))]
+    return tuple(zip(small.generators, shifts))
 
 
 def localization_certificate(big, small, sigma, tau, lattice=None):
@@ -653,7 +685,8 @@ def separation_certificate(first, second, meet, u):
     separation lemma (scheme.check_separation_condition finds one for each
     pair of maximal cones of a fan, whose dual monoids these are for cones
     sigma, tau and sigma meet tau).  Checks -u in second and every
-    generator of second in meet, then proves meet == first + NN*(-u) with
+    generator of second in meet, the latter on second's columns at meet's
+    normals (_column), then proves meet == first + NN*(-u) with
     _localization_shifts; as -u lies in second and second in meet, that is
     meet == first + second.  Returns the certificate of the shifts of
     meet's generators into first; a failed step raises ValueError.
@@ -662,9 +695,10 @@ def separation_certificate(first, second, meet, u):
         raise ValueError("certificates need cone monoids")
     if not contains_point(second.cone, tuple([-x for x in u])):
         raise ValueError("negated covector is missing from the second chart")
-    for g in second.generators:
-        if not contains_point(meet.cone, g):
-            raise ValueError("the second chart is not inside the meet chart")
+    if second.generators and second.ambient_rank != meet.cone.ambient_rank:
+        raise ValueError("point has wrong length")  # as contains_point says
+    if not _holds_all(second, meet.cone.normals, meet.cone.dual_lineality):
+        raise ValueError("the second chart is not inside the meet chart")
     return LocalizationCertificate(u, _localization_shifts(first, meet, u))
 
 

@@ -398,6 +398,40 @@ def random_orthant_subfan(rng):
 
 
 # ---------------------------------------------------------------------------
+# simplicial faces and regularity by rational solves and minors; oracles
+# for cones.faces and fans.is_regular
+
+
+def simplicial_faces(rays, n):
+    """(subset, witness) for each subset of independent primitive rays,
+    sorted, by size and then in the order of combinations.  The normal off
+    rays[i] is the primitive multiple of the y in their QQ-span with <y,
+    rays[j]> = (i == j), solved on their Gram matrix; the witness of a
+    subset is the sum of the normals vanishing on it."""
+    rays = sorted(rays)
+    inverse = frac_inverse([[sum(map(mul, r, s)) for s in rays] for r in rays])
+    normals = []
+    for row in inverse:
+        y = [sum(c * r[t] for c, r in zip(row, rays)) for t in range(n)]
+        den = math.lcm(*(x.denominator for x in y))
+        ints = [int(x * den) for x in y]
+        normals.append([x // math.gcd(*ints) for x in ints])
+    return [
+        (s, tuple(sum(u[t] for u, r in zip(normals, rays) if r not in s)
+                  for t in range(n)))
+        for k in range(len(rays) + 1) for s in combinations(rays, k)
+    ]
+
+
+def extends_to_basis(rays, n):
+    """Do the rays extend to a basis of ZZ^n?  Exactly when the gcd of the
+    k x k minors of their matrix, k the number of rays, is 1."""
+    minors = [frac_det([[r[c] for c in cols] for r in rays])
+              for cols in combinations(range(n), len(rays))]
+    return math.gcd(*map(int, minors)) == 1
+
+
+# ---------------------------------------------------------------------------
 # fan separation pair by pair; oracle for check_separation_condition
 
 

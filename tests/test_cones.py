@@ -788,3 +788,27 @@ def test_input_checks_refuse_with_their_messages():
         assert str(info.value) == message
     # comparing a cone with anything else is False, not an error
     assert (quadrant() == 5) is False and quadrant() != 5
+
+
+def test_simplicial_face_lattices_are_every_subset_with_its_normal_sums():
+    # seeded independent generators of rank 0 to n in ZZ^n, n = 2..5, some
+    # not primitive: every subset of the rays is a face, listed in (dim,
+    # rays) order, and its witness is the sum of the normals vanishing on
+    # it, the normals solved for with Fractions (helpers.simplicial_faces)
+    rng = random.Random(3601)
+    checked = 0
+    for n in range(2, 6):
+        for _ in range(12):
+            k = rng.randint(0, n)
+            gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+            if helpers.frac_rank(gens) < k:
+                continue
+            gens = [tuple(rng.choice((1, 1, 2)) * x for x in g) for g in gens]
+            c = cone_from_rays(n, gens)
+            rays = [primitive_vector(g) for g in gens]
+            assert c.rays == tuple(sorted(rays))
+            fl = faces(c)
+            assert [(f.rays, fl.witnesses[f]) for f in fl] == helpers.simplicial_faces(rays, n)
+            assert all(f.dim == len(f.rays) for f in fl)
+            checked += 1
+    assert checked >= 30

@@ -30,6 +30,7 @@ from fanscheme.lattice import hnf_rows, perp_rows, primitive_vector
 from fanscheme.scheme import MonoidSystem
 from helpers import (
     affine_wedge_fan,
+    extends_to_basis,
     fan_from_ray_lists,
     frac_det,
     hirzebruch_fan,
@@ -457,6 +458,54 @@ def test_regularity_needs_simplicial_cones():
     assert roof in report.failures
     # while every ray by itself is fine
     assert all(ok for c, ok in report.entries if c.dim <= 1)
+
+
+def test_regularity_matches_the_minor_oracle():
+    # cone by cone against the gcd of the maximal minors of the rays, on
+    # random orthant subfans and staircases, on a cone with a face of
+    # multiplicity 2, and on a cone of multiplicity 2 whose proper faces
+    # are all regular, beside a regular cone on two of its rays; each
+    # verdict in fan order
+    rng = random.Random(3602)
+    fans_ = [random_orthant_subfan(rng) for _ in range(15)]
+    fans_ += [random_staircase_fan(rng)[0] for _ in range(15)]
+    fans_.append(fan_from_ray_lists(3, [[(1, 0, 0), (1, 2, 0), (0, 0, 1)]]))
+    fans_.append(fan_from_ray_lists(3, [
+        [(1, 0, 0), (0, 1, 0), (1, 1, 2)], [(1, 0, 0), (0, 1, 0), (0, 0, -1)],
+    ]))
+    for fan in fans_:
+        report = is_regular(fan)
+        assert [c for c, _ in report.entries] == list(fan.cones)
+        for c, ok in report.entries:
+            assert ok == extends_to_basis(c.rays, fan.rank), c
+        assert report.regular == all(ok for _, ok in report.entries)
+    assert is_regular(fans_[-1]).failures == (
+        cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)]),
+    )
+
+
+def test_regularity_reads_faces_off_regular_cones(monkeypatch):
+    # each maximal cone of (P^1)^3 takes one echelon pass, and its faces
+    # none; a half-plane whose ray lies in a regular cone is still not
+    # regular, as it has lineality, while that ray alone is
+    calls = []
+    real = fans._echelon
+
+    def counted(rows, cols):
+        calls.append(rows)
+        return real(rows, cols)
+
+    monkeypatch.setattr(fans, "_echelon", counted)
+    signs = itertools.product((1, -1), repeat=3)
+    lines = fan_from_ray_lists(3, [
+        [tuple(s * (i == j) for j in range(3)) for i, s in enumerate(v)] for v in signs
+    ])
+    assert is_regular(lines).regular and len(calls) == 8
+    quadrant = cone_from_rays(2, [(1, 0), (0, 1)])
+    half = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
+    ray = cone_from_rays(2, [(0, 1)])
+    report = is_regular(Fan(2, [quadrant, half, ray]))
+    assert dict(report.entries) == {quadrant: True, half: False, ray: True}
 
 
 def test_fullify_single_ray():

@@ -16,7 +16,7 @@ from fanscheme.cones import (
     faces,
     Polycone,
 )
-from fanscheme import lattice, monoids
+from fanscheme import cones, lattice, monoids
 from fanscheme.lattice import IntMatrix, invariant_factors
 from fanscheme.monoids import (
     _diff_basis,
@@ -402,6 +402,43 @@ def test_separation_certificate_checks_every_step():
         separation_certificate(
             AffineMonoid.from_generators(2, first.generators), second, both, (1, 0)
         )
+
+
+def test_certificate_checks_raise_their_messages():
+    # each check of _localization_shifts and of separation_certificate, on
+    # a bad input of its own, with its whole message; charts of two ranks
+    # raise what contains_point says of a point of the wrong length
+    big, ray = dual_monoid(quadrant()), dual_monoid(cone_from_rays(2, [(1, 0)]))
+    narrow = dual_monoid(cone_from_rays(2, [(1, 0), (1, -1)]))
+    plane = dual_monoid(cone_from_rays(2, []))
+    space = dual_monoid(cone_from_rays(3, [(1, 0, 0)]))
+    right, left = big, dual_monoid(cone_from_rays(2, [(0, 1), (-1, 0)]))
+    meet = dual_monoid(cone_from_rays(2, [(0, 1)]))
+    cases = [
+        (monoids._localization_shifts, (big, ray, (0, 1, 0)), "vector has wrong length"),
+        (monoids._localization_shifts, (big, ray, (0, -1)),
+         "witness does not land in the target monoid"),
+        (monoids._localization_shifts, (big, big, (0, 1)),
+         "negated witness is missing from the source monoid"),
+        (monoids._localization_shifts, (big, narrow, (0, 1)),
+         "the target monoid is not inside the source monoid"),
+        (monoids._localization_shifts, (big, plane, (0, 1)),
+         "no valid shift for a generator"),
+        (monoids._localization_shifts, (big, space, (0, 1)), "point has wrong length"),
+        (separation_certificate, (right, left, meet, (-1, 0)),
+         "negated covector is missing from the second chart"),
+        (separation_certificate, (right, left, right, (1, 0)),
+         "the second chart is not inside the meet chart"),
+        (separation_certificate, (right, left, space, (1, 0)), "point has wrong length"),
+        (separation_certificate, (right, left, meet, (1, 0, 0)), "point has wrong length"),
+    ]
+    for call, args, message in cases:
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        assert str(info.value) == message, args
+    assert separation_certificate(right, left, meet, (1, 0)).shifts == (
+        ((0, 1), 0), ((1, 0), 0), ((-1, 0), 1),
+    )
 
 
 def test_localization_certificate_refuses_false_equations():
@@ -948,9 +985,10 @@ def test_membership_in_embedded_monoids_matches_enumeration():
 
 def test_designated_membership_tests_the_support_once(monkeypatch):
     # a generator is a member with no cone test; every other nonzero query
-    # makes one cone test, the first of them builds the support cone, and
-    # the search reads values on its normals
-    calls = count_calls(monkeypatch, monoids, "cone_from_rays", "contains_point")
+    # makes one cone test, the first of them builds the support cone: the
+    # query is read once on each normal of the support, and the search
+    # reuses those values
+    calls = count_calls(monkeypatch, monoids, "cone_from_rays", "dot")
     rng = random.Random(6065)
     queries = generators = searched = 0
     for _ in range(20):
@@ -963,18 +1001,36 @@ def test_designated_membership_tests_the_support_once(monkeypatch):
         for x in xs:
             x += (0,) * (m.ambient_rank - n)
             v = image(x)
-            before = len(calls["contains_point"])
+            before = len(calls["dot"])
             expected = height_one_member(points, unit, x[:n])
             assert monoid_contains(m, v) == expected
             generator = v in m.generators
             asked = any(x) and not generator
-            assert len(calls["contains_point"]) == before + asked
+            read = [u for w, u in calls["dot"][before:] if w == v]
+            normals = m._support.normals if asked else ()
+            assert sorted(u for u in read if u in normals) == sorted(normals)
+            assert asked or read == []
             reached |= asked
             queries += asked
             generators += generator
         assert len(calls["cone_from_rays"]) == built + reached
         searched += reached
     assert queries >= 300 and generators >= 40 and searched == 20
+
+
+def test_a_searched_query_is_read_once_on_each_normal(monkeypatch):
+    # (2, 3, 0) is no generator of <(1,0,0), (1,2,0), (1,3,0)> and lies in
+    # its support, which has two normals and one dual lineality row, so
+    # the query reaches the search: one product for each of those three,
+    # where the support test and the search each read the normals once
+    m = AffineMonoid.from_generators(3, [(1, 0, 0), (1, 2, 0), (1, 3, 0)])
+    assert monoid_contains(m, (3, 5, 0))  # builds the support and the tables
+    support = m._support
+    assert (len(support.normals), len(support.dual_lineality)) == (2, 1)
+    calls = [count_calls(monkeypatch, module, "dot")["dot"] for module in (monoids, cones)]
+    assert monoid_contains(m, (2, 3, 0))
+    products = [u for _, u in calls[0] + calls[1]]
+    assert sorted(products) == sorted(support.normals + support.dual_lineality)
 
 
 def test_a_monoid_asked_only_about_its_generators_builds_no_support(monkeypatch):

@@ -527,6 +527,40 @@ def test_failed_separation_certificate_raises():
             check_separation_condition(system)
 
 
+def test_chart_certificates_read_each_value_once(monkeypatch):
+    # on (P^1)^3, its cones' normals read first: a chart's generators are
+    # read once on each covector a certificate tests them on, and a
+    # witness once on each normal of its cone, 1,254 products for the
+    # localization certificates of from_fan and 168 for the separation
+    # certificates, where each certificate reading its own values made
+    # 2,682 and 900
+    import itertools
+
+    import fanscheme.cones
+    import fanscheme.monoids
+    from fanscheme.fans import complete_under_faces
+
+    tops = [cone_from_rays(3, [tuple(s * (i == j) for j in range(3))
+                               for i, s in enumerate(signs)])
+            for signs in itertools.product((1, -1), repeat=3)]
+    fan = complete_under_faces(Fan(3, tops))
+    validate_fan(fan)
+    for c in fan.cones:
+        c.normals, c.dual_lineality
+    products = []
+    for module in (fanscheme.cones, fanscheme.monoids):
+        def counted(u, v, real=module.dot):
+            products.append(u)
+            return real(u, v)
+
+        monkeypatch.setattr(module, "dot", counted)
+    system = MonoidSystem.from_fan(fan)
+    assert len(products) == 1254
+    del products[:]
+    assert check_separation_condition(system).separated
+    assert len(products) == 168
+
+
 def test_atlas_takes_separating_covectors_from_the_face_index(
     tmp_path, monkeypatch, capsys
 ):
