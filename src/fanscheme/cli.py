@@ -156,10 +156,7 @@ def load_fan_document(path, auto_close=True):
         if not isinstance(rays_doc, list):
             raise DocumentError("cone %d rays must be an array" % pos)
         rays = [_vector(r, rank, "cone %d ray" % pos) for r in rays_doc]
-        try:
-            cones.append(cone_from_rays(rank, rays))
-        except ValueError as e:
-            raise DocumentError("cone %d: %s" % (pos, e))
+        cones.append(cone_from_rays(rank, rays))
     fan = Fan(rank, cones)
     if close and auto_close:
         fan = complete_under_faces(fan)

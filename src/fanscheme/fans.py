@@ -4,14 +4,18 @@ A Fan object only normalizes its cone list; the fan axioms are checked by
 validate_fan, which raises a typed error naming the offending cones.  A fan
 that passes carries its face index: its cones by ray set, face lattices and
 the separating covectors of its maximal cones, computed once and read by
-every later caller: one face lattice per maximal cone, the lattice of any
-other cone built when first read.  The chart system of
-scheme.MonoidSystem.from_fan reads its order and meets off those face
-lattices; the index keeps no table over pairs of cones.
+every later caller.  One walk by falling dimension (_maximal_cones) finds
+the maximal cones for complete_under_faces and validate_fan alike and
+builds only their face lattices, into the fan's one lattice table
+(Fan._lattices); the lattice of any other cone is built into that table
+when first read.  The chart system of scheme.MonoidSystem.from_fan reads
+its order and meets off those face lattices; the index keeps no table over
+pairs of cones.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 
 from .cones import (
@@ -88,7 +92,7 @@ class Fan:
         self.cones = tuple(sorted(set(cones), key=_cone_key))
         self._position = {c: i for i, c in enumerate(self.cones)}
         self._face_index = None  # set by validate_fan
-        self._lattices = {}  # cone -> FaceLattice built before validation
+        self._lattices = {}  # cone -> FaceLattice, the fan's one lattice table
 
     def __eq__(self, other):
         return (
@@ -122,38 +126,39 @@ class Fan:
 
 
 class _Lattices(Mapping):
-    """cone -> FaceLattice for every cone of a validated fan.  built holds
-    the lattices made so far, among them those of the maximal cones; the
-    lattice of any other member is built on its first read, from the fan's
-    cones by ray set (_face_lattice)."""
+    """cone -> FaceLattice for every cone of a validated fan, read from the
+    fan's lattice table (Fan._lattices).  validate_fan leaves the lattices
+    of the maximal cones there; the lattice of any other cone is built into
+    the table on its first read, from the fan's cones by ray set
+    (_face_lattice)."""
 
-    def __init__(self, built, members, cones):
-        self._built = built
-        self._members = members
+    def __init__(self, fan, cones):
+        self._fan = fan
         self._cones = cones
 
     def __getitem__(self, c):
-        lattice = self._built.get(c)
+        lattice = self._fan._lattices.get(c)
         if lattice is None:
-            if c not in self._members:
+            if c not in self._fan:
                 raise KeyError(c)
-            lattice = self._built[c] = _face_lattice(c, self._cones)
+            lattice = self._fan._lattices[c] = _face_lattice(c, self._cones)
         return lattice
 
     def __iter__(self):
-        return iter(self._cones.values())
+        return iter(self._fan.cones)
 
     def __len__(self):
-        return len(self._cones)
+        return len(self._fan.cones)
 
 
 class FaceIndex(_Record):
     """What validate_fan proved about a fan; labels index fan.cones.
 
     cones: ray frozenset -> cone of the fan.
-    lattices: cone -> its FaceLattice (a _Lattices mapping): validate_fan
-        builds the lattice of each maximal cone, and the lattice of any
-        other cone is built the first time it is read.
+    lattices: cone -> its FaceLattice, a _Lattices view of the fan's one
+        lattice table (Fan._lattices): the table holds the lattice of each
+        maximal cone, and the lattice of any other cone is built into it
+        the first time it is read.
     separators: (i, j), i < j, for each pair of maximal cones -> the
         covector witness_covector found: >= 0 on cone i, <= 0 on cone j,
         vanishing exactly on their meet (the separation lemma).
@@ -170,6 +175,27 @@ class FaceIndex(_Record):
     separators: dict
 
 
+def _maximal_cones(cones, known, lattices):
+    """The maximal cones of a sorted cone list (faces of no other listed
+    cone), in list order, with their face lattices in lattices.
+
+    By falling dimension, a cone that no lattice built so far holds is
+    maximal, and only its lattice is built (_face_lattice, taking faces
+    from known), unless lattices has it already.  Every face of a face of
+    a maximal cone is a face of that cone, so those lattices hold every
+    face of every listed cone."""
+    covered = set()  # the faces of the maximal cones seen so far
+    tops = []
+    for c in reversed(cones):
+        if c in covered:
+            continue
+        if c not in lattices:
+            lattices[c] = _face_lattice(c, known)
+        tops.append(c)
+        covered.update(lattices[c])
+    return tops[::-1]
+
+
 def validate_fan(fan):
     """Check the fan axioms once and return the fan's FaceIndex.
 
@@ -182,36 +208,29 @@ def validate_fan(fan):
     face of a and of b, the cone on the rays a and b share.  The index is
     stored on the fan, and later calls return it.
 
-    By falling dimension, a cone in no lattice seen so far is maximal, and
-    only its lattice is built (unless complete_under_faces left it).  The
-    lattice of any other cone is built when FaceIndex.lattices is first
-    read at that cone.  Lattices reuse the fan's cones as faces, and the
-    faces they add compute their normals and dual lineality only when read
-    (cones._face_cone): validation reads neither.  A pair of maximal cones
-    passes when cones.witness_covector separates them along the cone on
-    their shared rays; the index keeps that covector in separators.  Only
-    a failing pair builds its meet, for the error; no other meet is built.
+    _maximal_cones finds the maximal cones and builds only their lattices,
+    into the fan's lattice table (Fan._lattices), where
+    complete_under_faces may have left them; every face lies in one of
+    them, so one pass over them finds a missing face.  The lattice of any
+    other cone is built when FaceIndex.lattices is first read at that cone.
+    Lattices reuse the fan's cones as faces, and the faces they add compute
+    their normals and dual lineality only when read (cones._face_cone):
+    validation reads neither.  A pair of maximal cones passes when
+    cones.witness_covector separates them along the cone on their shared
+    rays; the index keeps that covector in separators.  Only a failing pair
+    builds its meet, for the error; no other meet is built.
     """
     if fan._face_index is not None:
         return fan._face_index
     _require_pointed(fan.cones)
     cones = {frozenset(c.rays): c for c in fan.cones}
-    lattices = dict(fan._lattices)
-    covered = set()  # the faces of the maximal cones seen so far
-    tops = []
-    for c in reversed(fan.cones):
-        if c in covered:
-            continue
-        if c not in lattices:
-            lattices[c] = _face_lattice(c, cones)
-        if any(f not in fan for f in lattices[c]):
-            for d in fan.cones:  # name the first cone missing a face
-                for f in _face_lattice(d, cones):
-                    if f not in fan:
-                        raise MissingFaceError(d, f)
-        tops.append(c)
-        covered.update(lattices[c])
-    tops.reverse()
+    lattices = fan._lattices
+    tops = _maximal_cones(fan.cones, cones, lattices)
+    if any(f not in fan for c in tops for f in lattices[c]):
+        for d in fan.cones:  # name the first cone missing a face
+            for f in _face_lattice(d, cones):
+                if f not in fan:
+                    raise MissingFaceError(d, f)
     separators = {}
     for i, a in enumerate(tops):
         for b in tops[i + 1:]:
@@ -220,22 +239,23 @@ def validate_fan(fan):
             if u is None:
                 raise BadIntersectionError(a, b, intersect_cones(a, b))
             separators[(fan.index(a), fan.index(b))] = u
-    fan._face_index = FaceIndex(
-        cones, _Lattices(lattices, fan._position, cones), separators
-    )
+    fan._face_index = FaceIndex(cones, _Lattices(fan, cones), separators)
     return fan._face_index
 
 
 def complete_under_faces(fan):
-    """Add every face of every cone; keep their lattices for validate_fan.
+    """Add every face of every cone; keep the lattices for validate_fan.
 
-    The lattices share one table of faces by ray set, which ends up
+    Only the maximal given cones have their lattices built
+    (_maximal_cones): every face of a given cone is a face of one of
+    them.  The lattices share one table of faces by ray set, which ends up
     holding each distinct face once, the given cones among them: the
-    closed fan is built from that table, not from every lattice's faces
-    with their repeats."""
+    closed fan is built from that table, and its lattice table starts with
+    those lattices."""
     _require_pointed(fan.cones)
     known = {frozenset(c.rays): c for c in fan.cones}
-    lattices = {c: _face_lattice(c, known) for c in fan.cones}
+    lattices = {}
+    _maximal_cones(fan.cones, known, lattices)
     out = Fan(fan.rank, known.values())
     out._lattices = lattices
     return out
@@ -252,20 +272,16 @@ def is_complete(fan):
     Wall criterion: a top-dimensional cone exists and every cone of
     codimension one bounds exactly two top-dimensional ones.  A conical
     support with no free walls has no boundary, hence is everything.  Reads
-    the face index (validate_fan, so FanError if it is not a fan).
+    the face index (validate_fan, so FanError if it is not a fan), and
+    counts the faces of the top-dimensional lattices in one pass: a wall's
+    count is the number of top-dimensional cones it bounds.
     """
-    index = validate_fan(fan)
+    lattices = validate_fan(fan).lattices
     n = fan.rank
-    tops = [c for c in fan.cones if c.dim == n]
-    if not tops:
-        return False
-    for wall in fan.cones:
-        if wall.dim != n - 1:
-            continue
-        count = sum(1 for t in tops if wall in index.lattices[t])
-        if count != 2:
-            return False
-    return True
+    bounds = Counter(f for t in fan.cones if t.dim == n for f in lattices[t])
+    return is_full(fan) and all(
+        bounds[w] == 2 for w in fan.cones if w.dim == n - 1
+    )
 
 
 class RegularityReport(_Record):
@@ -321,30 +337,30 @@ def fullify(fan):
     The reduced fan is full in rank d = dimension of that span; the
     complement rows record a splitting of the ambient lattice, so the
     original data is the reduced part times a torus factor of rank n - d.
-    The image of a ray is its vector of coordinates on the canonical basis
-    of the span (lattice._echelon_coords), read once per distinct ray, and
-    the complement is the rows lattice.unimodular_complement_rows adds to
-    that basis.  A cone with lineality raises NonPointedConeError, as in
+    The distinct rays, sorted, are read once: for the rank, for the
+    saturation (canonical, so it does not depend on the rows' order or
+    repeats) and for the image of each ray, its vector of coordinates on
+    the canonical basis of the span (lattice._echelon_coords).  The
+    complement is the rows lattice.unimodular_complement_rows adds to that
+    basis.  A cone with lineality raises NonPointedConeError, as in
     validate_fan: its rays alone do not span it.
     """
     _require_pointed(fan.cones)
     n = fan.rank
-    all_rays = [list(r) for c in fan.cones for r in c.rays]
-    d = rank_rows(all_rays, n)
+    rays = sorted({r for c in fan.cones for r in c.rays})
+    d = rank_rows(rays, n)
     if d == n:
         # the saturated span is ZZ^n, whose canonical basis is the identity,
         # so every cone is its own image
         basis, w, reduced_cones = identity_rows(n), [], fan.cones
     else:
-        basis = saturate_rows(all_rays, n)
+        basis = saturate_rows(rays, n)
         w = unimodular_complement_rows(basis, n)
         # basis is in echelon form: each row's pivot is its first nonzero
         pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
         # the coordinate map is a lattice isomorphism of the span onto ZZ^d,
-        # so it carries the rays of each cone to the rays of its image; each
-        # distinct ray is read once, however many cones hold it
-        coords = {r: tuple(_echelon_coords(basis, pivots, r))
-                  for r in {r for c in fan.cones for r in c.rays}}
+        # so it carries the rays of each cone to the rays of its image
+        coords = {r: tuple(_echelon_coords(basis, pivots, r)) for r in rays}
         reduced_cones = [_face_cone(d, [coords[r] for r in c.rays], c.dim)
                          for c in fan.cones]
     return FullificationResult(

@@ -63,6 +63,16 @@ def test_validate_accepts_and_counts(tmp_path, capsys):
     assert err == ""
     assert out.endswith("\n")
     assert json.loads(out) == {"valid": True, "lattice_rank": 1, "cones": 3}
+    # cone_from_rays takes any rank-length integer vectors: a zero
+    # generator spans the zero cone, and rank 0 has only the zero vector
+    for rank, rays in ((2, [[0, 0]]), (0, [[]])):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(
+            {"lattice_rank": rank, "cones": [{"rays": rays}]}
+        ))
+        code, out, err = run_cli(capsys, "validate", "--fan", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"valid": True, "lattice_rank": rank, "cones": 1}
 
 
 def test_validate_without_auto_close_rejects(tmp_path, capsys):
@@ -128,6 +138,20 @@ def test_document_shape_errors_exit_one(tmp_path, capsys):
         code, out, err = run_cli(capsys, "validate", "--fan", str(path))
         assert code == 1, path
         assert err
+    for doc, message in (
+        ({"lattice_rank": -1}, "lattice_rank must be nonnegative"),
+        ({"lattice_rank": 2, "options": {"close": True}},
+         "options allows only auto_close_faces"),
+        ({"lattice_rank": 2, "cones": {}}, "cones must be an array"),
+        ({"lattice_rank": 2, "cones": [3]},
+         "cone 0 must be an object with a rays array"),
+        ({"lattice_rank": 2, "cones": [{"rays": 5}]},
+         "cone 0 rays must be an array"),
+    ):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "validate", "--fan", str(path)) \
+            == (1, "", message + "\n")
 
 
 def test_cone_index_out_of_range_exits_one(tmp_path, capsys):
@@ -364,6 +388,26 @@ def test_report_without_base_stays_cautious(tmp_path, capsys):
     assert records["morphism.proper"]["verdict"] == "unknown"
     assert records["scheme.reduced"]["verdict"] == "unknown"
     assert records["morphism.flat"]["verdict"] == "yes"
+
+
+def test_base_dim_words_match_their_flags(tmp_path, capsys):
+    # dim "empty" says what empty=yes says, and dim "unknown" what no base
+    # document says
+    p2 = write_fan(
+        tmp_path, 2,
+        [[(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]],
+    )
+
+    def report(*base):
+        code, out, err = run_cli(capsys, "report", "--fan", p2, *base)
+        assert (code, err) == (0, "")
+        return out
+
+    def based(data):
+        return report("--base", write_base(tmp_path, data))
+
+    assert based({"dim": "empty"}) == based({"empty": "yes"})
+    assert based({"dim": "unknown"}) == report()
 
 
 def test_report_rejects_contradictory_base(tmp_path, capsys):

@@ -276,15 +276,16 @@ def test_validation_builds_a_meet_only_for_a_failing_pair(monkeypatch):
     assert err.intersection == intersect_cones(err.first, err.second)
 
 
-def test_completing_p3_builds_one_lattice_per_given_cone(
+def test_completing_p3_builds_one_lattice_per_maximal_cone(
     tmp_path, monkeypatch, capsys
 ):
-    # completion builds the lattices of the four given cones and reads
-    # every face off them; validation reuses those lattices and proves
-    # each meet from witnesses.  Each given cone is simplicial, so its
-    # cone_from_rays call makes the only double description pass, its
+    # completion builds the lattices of the four maximal given cones and
+    # reads every face off them; validation reuses those lattices and
+    # proves each meet from witnesses.  Each given cone is simplicial, so
+    # its cone_from_rays call makes the only double description pass, its
     # lattice is the Boolean lattice on its rays with no facet search, and
-    # no separating_covector runs
+    # no separating_covector runs.  A document listing all 15 cones of P^3
+    # builds the same four lattices: every other cone is a face of one
     import fanscheme.cones
     import fanscheme.fans
     from fanscheme.cli import entry
@@ -306,17 +307,32 @@ def test_completing_p3_builds_one_lattice_per_given_cone(
     counted(fanscheme.cones, "_dual_generator_sets")
     counted(fanscheme.cones, "_facets_of")
     rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
-    doc = tmp_path / "p3.json"
-    doc.write_text(json.dumps({
-        "lattice_rank": 3,
-        "cones": [{"rays": rays[:k] + rays[k + 1:]} for k in range(4)],
-    }))
-    assert entry(["complete", "--fan", str(doc)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"complete": True, "full": True}
-    assert counts == {
+
+    def complete(ray_lists):
+        for name in counts:
+            counts[name] = 0
+        doc = tmp_path / "p3.json"
+        doc.write_text(json.dumps({
+            "lattice_rank": 3,
+            "cones": [{"rays": r} for r in ray_lists],
+        }))
+        assert entry(["complete", "--fan", str(doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"complete": True, "full": True}
+        return dict(counts)
+
+    assert complete([rays[:k] + rays[k + 1:] for k in range(4)]) == {
         "_face_lattice": 4, "_dual_generator_sets": 4, "_facets_of": 0,
         "separating_covector": 0,
     }
+    every_cone = [
+        [r for r, keep in zip(rays, mask) if keep]
+        for mask in itertools.product((0, 1), repeat=4) if not all(mask)
+    ]
+    assert len(every_cone) == 15
+    listed = complete(every_cone)
+    assert listed["_face_lattice"] == 4
+    assert listed["_facets_of"] == listed["separating_covector"] == 0
 
 
 def _small_pointed_cone(rng, n, gens=None):

@@ -414,6 +414,7 @@ def test_certificate_checks_raise_their_messages():
     space = dual_monoid(cone_from_rays(3, [(1, 0, 0)]))
     right, left = big, dual_monoid(cone_from_rays(2, [(0, 1), (-1, 0)]))
     meet = dual_monoid(cone_from_rays(2, [(0, 1)]))
+    designated = AffineMonoid.from_generators(2, left.generators)
     cases = [
         (monoids._localization_shifts, (big, ray, (0, 1, 0)), "vector has wrong length"),
         (monoids._localization_shifts, (big, ray, (0, -1)),
@@ -431,6 +432,8 @@ def test_certificate_checks_raise_their_messages():
          "the second chart is not inside the meet chart"),
         (separation_certificate, (right, left, space, (1, 0)), "point has wrong length"),
         (separation_certificate, (right, left, meet, (1, 0, 0)), "point has wrong length"),
+        (separation_certificate, (right, designated, meet, (1, 0)),
+         "certificates need cone monoids"),
     ]
     for call, args, message in cases:
         with pytest.raises(ValueError) as info:
