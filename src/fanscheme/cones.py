@@ -222,24 +222,34 @@ def _dual_generator_sets(constraints, n, equations=()):
     return (), tuple(sorted(r for r, _ in rays))
 
 
+def _generated_cone(n, gens, dual_lineality, normals):
+    """The cone of the integer vectors gens, given its dual side: the
+    (dual_lineality, normals) of one double description pass over gens.
+    Generators as many as the dimension are independent: the cone is
+    simplicial, its rays are the primitive generators and it has no
+    lineality, so no second pass runs.  Otherwise a second pass over the
+    normals, with the dual lineality as equations, gives the generator
+    side.  cone_from_rays and the support of a designated monoid
+    (monoids.AffineMonoid), which has its dual side already, build with it.
+    """
+    if len(gens) == n - len(dual_lineality):
+        rays = tuple(sorted(map(primitive_vector, gens)))
+        return Polycone(n, rays, (), normals, dual_lineality)
+    lin, rays = _dual_generator_sets(normals, n, dual_lineality)
+    return Polycone(n, rays, lin, normals, dual_lineality)
+
+
 def cone_from_rays(ambient_rank, generators):
     """Cone generated by integer vectors; redundant input is fine.
 
     One double description pass gives the dual side, and with it the
-    dimension.  Generators as many as the dimension are independent: the
-    cone is simplicial, its rays are the primitive generators and it has
-    no lineality, so no second pass runs.  Otherwise a second pass over the
-    normals, with the dual lineality as equations, gives the generator
-    side.  Both are canonical, so == on the results means the generated
-    cones are equal as sets.
+    dimension; _generated_cone builds the generator side from it, with no
+    second pass for a simplicial cone.  Both sides are canonical, so == on
+    the results means the generated cones are equal as sets.
     """
     n = ambient_rank
     gens = [int_vector(g, n, "generator") for g in generators]
-    dlin, drays = _dual_generator_sets(gens, n)
-    if len(gens) == n - len(dlin):
-        return Polycone(n, tuple(sorted(map(primitive_vector, gens))), (), drays, dlin)
-    lin, rays = _dual_generator_sets(drays, n, dlin)
-    return Polycone(n, rays, lin, drays, dlin)
+    return _generated_cone(n, gens, *_dual_generator_sets(gens, n))
 
 
 def dual_cone(c):

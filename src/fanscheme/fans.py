@@ -211,8 +211,13 @@ def validate_fan(fan):
     _maximal_cones finds the maximal cones and builds only their lattices,
     into the fan's lattice table (Fan._lattices), where
     complete_under_faces may have left them; every face lies in one of
-    them, so one pass over them finds a missing face.  The lattice of any
-    other cone is built when FaceIndex.lattices is first read at that cone.
+    them, so one pass over them finds a missing face.  The first cone
+    missing a face, in fan order, is named from those lattices too, with
+    its first missing face: the faces of a cone d are the faces of a
+    maximal lattice holding d whose rays d has, and that lattice lists them
+    in the (dim, rays) order of d's own lattice, which is not built.  The
+    lattice of any other cone is built when FaceIndex.lattices is first
+    read at that cone.
     Lattices reuse the fan's cones as faces, and the faces they add compute
     their normals and dual lineality only when read (cones._face_cone):
     validation reads neither.  A pair of maximal cones passes when
@@ -228,8 +233,10 @@ def validate_fan(fan):
     tops = _maximal_cones(fan.cones, cones, lattices)
     if any(f not in fan for c in tops for f in lattices[c]):
         for d in fan.cones:  # name the first cone missing a face
-            for f in _face_lattice(d, cones):
-                if f not in fan:
+            rays = frozenset(d.rays)
+            top = next(t for t in tops if d in lattices[t])
+            for f in lattices[top]:
+                if f not in fan and rays.issuperset(f.rays):
                     raise MissingFaceError(d, f)
     separators = {}
     for i, a in enumerate(tops):

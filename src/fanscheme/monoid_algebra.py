@@ -9,6 +9,7 @@ an element is assembled from raw terms.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .lattice import _is_int, _Record
 from .monoids import AffineMonoid, monoid_contains
@@ -146,12 +147,17 @@ class AlgebraElement(_Record):
 
 
 def _collect(ring, monoid, terms):
-    """The element with the given (exponent, coefficient) terms: equal
-    exponents summed in ring, zero sums dropped, exponents sorted."""
+    """The element with the given (exponent, coefficient) terms, each
+    coefficient an element of ring: the coefficients of equal exponents
+    summed as they are, each sum normalized once in ring, zero sums
+    dropped, exponents sorted.  Normalizing commutes with sums of ring
+    elements (a residue mod m, a Fraction), so the result is the sum taken
+    in ring term by term."""
     acc = {}
     for e, c in terms:
-        acc[e] = ring.add(acc.get(e, ring.zero), c)
-    terms = tuple((e, acc[e]) for e in sorted(acc) if not ring.is_zero(acc[e]))
+        acc[e] = acc[e] + c if e in acc else c
+    normalize = ring.normalize
+    terms = tuple((e, normalize(acc[e])) for e in sorted(acc) if not ring.is_zero(acc[e]))
     return AlgebraElement(ring=ring, monoid=monoid, terms=terms)
 
 
@@ -162,10 +168,11 @@ def exp_map(ring, monoid, exponent):
 
 def multiply(a, b):
     """Convolution product; exponent sums stay in the monoid, so no
-    membership recheck is needed."""
+    membership recheck is needed.  The raw products c1 * c2 go to _collect,
+    which normalizes each exponent's sum once."""
     a._match(b)
     return _collect(a.ring, a.monoid, (
-        (tuple(x + y for x, y in zip(e1, e2)), a.ring.mul(c1, c2))
+        (tuple(map(add, e1, e2)), c1 * c2)
         for e1, c1 in a.terms
         for e2, c2 in b.terms
     ))

@@ -16,8 +16,10 @@ from math import gcd, prod
 from operator import le, mul
 
 from .cones import (
+    _dual_generator_sets,
     _facet_sets,
     _facets_of,
+    _generated_cone,
     cone_from_rays,
     contains_point,
     dual_cone,
@@ -320,9 +322,14 @@ class AffineMonoid(_Record):
     diff_basis is the canonical basis of the group of differences: the
     subgroup of ZZ^n the generators generate, not its saturation.  Cone
     monoids carry their cone and Hilbert structure.  What a designated
-    monoid needs is derived on first use and stored (_derived): its
-    support cone, its membership tables and its integral-closedness flag;
-    equality, hashing and repr see only the stored presentation.
+    monoid needs is derived on first use and stored (_derived): the
+    inequality side of its support (one double description pass over the
+    generators), its membership tables, its full support cone and its
+    integral-closedness flag; equality, hashing and repr see only the
+    stored presentation.  Membership and the immersion check read only
+    the inequality side; the full cone, whose generator side takes a
+    second pass unless the generators are independent, is built only for
+    the Hilbert structure (_holds_hilbert).
     """
 
     ambient_rank: int
@@ -333,10 +340,20 @@ class AffineMonoid(_Record):
     cone: Polycone | None = None
 
     @_derived
+    def _inequalities(self):
+        """(dual lineality, normals) of the support: a cone monoid's from
+        its cone, a designated monoid's from one double description pass
+        over its generators."""
+        if self.cone is not None:
+            return self.cone.dual_lineality, self.cone.normals
+        return _dual_generator_sets(self.generators, self.ambient_rank)
+
+    @_derived
     def _support(self):
-        """The cone of the monoid: a cone monoid's own cone, else the cone
-        of the generators."""
-        return self.cone or cone_from_rays(self.ambient_rank, self.generators)
+        """The cone of a designated monoid's generators, built on its
+        inequality side (_generated_cone), so the first pass is not run
+        again.  Only _holds_hilbert reads it."""
+        return _generated_cone(self.ambient_rank, self.generators, *self._inequalities)
 
     @_derived
     def _membership(self):
@@ -347,7 +364,7 @@ class AffineMonoid(_Record):
         lineality: the echelon form of the other generators, those in the
         lineality space of the support.  A support without rays has no
         normals, so every generator is a unit."""
-        normals = self._support.normals
+        normals = self._inequalities[1]
         lin_gens = []
         moving = []
         for g in self.generators:
@@ -423,13 +440,15 @@ def monoid_contains(m, v):
     """Exact membership of an integer vector, complete in all cases.
 
     A cone monoid makes one cone test.  A designated monoid answers a query
-    that is one of its generators from the presentation, before any cone is
-    built; other queries are decided by splitting off the unit part: the
-    monoid meets the lineality space of its support cone in exactly the
-    lattice generated by its lineality generators (a monoid element with a
-    rational inverse direction has an actual inverse in the monoid).  v is
-    read once on each facet normal of the support and each row of its dual
-    lineality; those values decide that v lies in the support, as
+    that is one of its generators from the presentation, before any double
+    description pass; other queries are decided by splitting off the unit
+    part: the monoid meets the lineality space of its support cone in
+    exactly the lattice generated by its lineality generators (a monoid
+    element with a rational inverse direction has an actual inverse in the
+    monoid).  v is read once on each facet normal of the support and each
+    row of its dual lineality, the inequality side that one pass over the
+    generators gives (AffineMonoid._inequalities), with no generator side
+    built; those values decide that v lies in the support, as
     contains_point would, and the search starts from them.  It subtracts
     multiples of the moving generators and carries the residue's values on
     the normals.  Every residue lies in the span of the support, where
@@ -463,9 +482,9 @@ def monoid_contains(m, v):
         return contains_point(m.cone, v)
     if v in m.generators:
         return True
-    support = m._support
-    vals = [dot(v, u) for u in support.normals]
-    if min(vals, default=0) < 0 or any(dot(v, w) for w in support.dual_lineality):
+    dual_lineality, normals = m._inequalities
+    vals = [dot(v, u) for u in normals]
+    if min(vals, default=0) < 0 or any(dot(v, w) for w in dual_lineality):
         return False
     lattice, moving = m._membership
     if not any(vals):
@@ -512,7 +531,8 @@ def monoid_contains(m, v):
 def _holds_hilbert(m):
     """(flat, held): the flattened Hilbert structure of the lattice points
     of the support cone of a designated monoid m, and whether m holds
-    every element of it, that is, whether m is all of those points."""
+    every element of it, that is, whether m is all of those points.  The
+    one reader of m's full support cone (AffineMonoid._support)."""
     flat = signed_rows(*_cone_lattice_hilbert(m._support))
     return flat, all(monoid_contains(m, g) for g in flat)
 
@@ -745,9 +765,12 @@ def check_openly_immersive_pair(target, source, search_bound=6):
     relative order, and no sum off the relative interior inverts to the
     target.  The search ends by size len(face), whatever search_bound is.
 
-    Integral closedness is compared only when no witness is found: a
-    localization of an integrally closed monoid is integrally closed, so
-    that obstruction never holds on a "yes" pair.
+    The face and its walls read only the facet normals of the two cones,
+    off their inequality sides (AffineMonoid._inequalities): one double
+    description pass for a designated monoid, and no generator side.  Integral
+    closedness is compared only when no witness is found: a localization
+    of an integrally closed monoid is integrally closed, so that
+    obstruction never holds on a "yes" pair.
     """
     if search_bound < 0:
         raise ValueError("search bound must be nonnegative")
@@ -764,9 +787,9 @@ def check_openly_immersive_pair(target, source, search_bound=6):
             "never changes the group of differences",
         )
     n = target.ambient_rank
-    target_normals = target._support.normals
+    target_normals = target._inequalities[1]
     face = [g for g in source.generators if not any(dot(u, g) for u in target_normals)]
-    walls = [u for u in source._support.normals if any(dot(u, g) for g in face)]
+    walls = [u for u in source._inequalities[1] if any(dot(u, g) for g in face)]
 
     def interior_sums():
         for k in range(search_bound + 1):

@@ -30,9 +30,11 @@ from fanscheme.lattice import hnf_rows, perp_rows, primitive_vector
 from fanscheme.scheme import MonoidSystem
 from helpers import (
     affine_wedge_fan,
+    brute_force_facets,
     extends_to_basis,
     fan_from_ray_lists,
     frac_det,
+    frac_rank,
     hirzebruch_fan,
     projective_line_fan,
     projective_plane_fan,
@@ -53,13 +55,18 @@ def test_fan_normalizes_its_cone_list():
     assert cone_from_rays(2, [(1, 1)]) not in fan
 
 
+def p1_power_fan(k):
+    """The fan of (P^1)^k, closed under faces."""
+    tops = [[tuple(s * (i == j) for j in range(k)) for i, s in enumerate(signs)]
+            for signs in itertools.product((1, -1), repeat=k)]
+    return fan_from_ray_lists(k, tops)
+
+
 def test_fan_index_reads_a_position_table(monkeypatch):
     # fullify looks up two positions per cone, so a scan of the cone list
     # per lookup is quadratic in the cones: one comparison per lookup of an
     # equal copy of each of the 243 cones of (P^1)^5
-    tops = [[[s * int(i == j) for j in range(5)] for i, s in enumerate(signs)]
-            for signs in itertools.product((1, -1), repeat=5)]
-    fan = fan_from_ray_lists(5, tops)
+    fan = p1_power_fan(5)
     copies = [cone_from_rays(5, c.rays) for c in fan]
     calls = []
     real = Polycone.__eq__
@@ -122,6 +129,82 @@ def test_validation_rejects_missing_faces():
         validate_fan(Fan(2, [quad, ray]))
     assert info.value.cone == ray
     assert info.value.missing == cone_from_rays(2, [])
+
+
+def _first_missing_face(fan_cones, n):
+    """(cone, ray tuple) of the first cone in the list with a face that the
+    list lacks, and of its first such face by (dim, rays), by brute force:
+    a ray subset of a pointed cone is a face exactly when it is the set of
+    the rays on every facet inequality (brute_force_facets) that vanishes
+    on all of it; its dimension is its rank."""
+    listed = {c.rays for c in fan_cones}
+    for d in fan_cones:
+        _, inequalities = brute_force_facets(d.rays, n)
+
+        def on(y, r):
+            return sum(map(mul, y, r)) == 0
+
+        found = []
+        for k in range(len(d.rays) + 1):
+            for s in itertools.combinations(d.rays, k):
+                tight = [y for y in inequalities if all(on(y, r) for r in s)]
+                closure = tuple(r for r in d.rays if all(on(y, r) for y in tight))
+                if closure == s and s not in listed:
+                    found.append((frac_rank(s), s))
+        if found:
+            return d, min(found)[1]
+    return None
+
+
+def test_the_first_cone_missing_a_face_is_named_from_the_maximal_lattices(monkeypatch):
+    # a fan with faces left out names the first cone in fan order that
+    # misses a face, and its first missing face by (dim, rays), as the
+    # brute-force oracle does; both are read off the lattices of the
+    # maximal cones, the only lattices built
+    rng = random.Random(5011)
+    calls = []
+    real = fans._face_lattice
+
+    def counted(c, known):
+        calls.append(c)
+        return real(c, known)
+
+    monkeypatch.setattr(fans, "_face_lattice", counted)
+    named = set()
+    complete = [projective_plane_fan(), hirzebruch_fan(), p1_power_fan(3),
+                fan_from_ray_lists(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                                       [(1, 0, 0), (0, 1, 0), (-1, -1, -1)],
+                                       [(1, 0, 0), (0, 0, 1), (-1, -1, -1)],
+                                       [(0, 1, 0), (0, 0, 1), (-1, -1, -1)]])]
+    pool = complete + [random_staircase_fan(rng)[0] for _ in range(20)]
+    pool += [random_orthant_subfan(rng) for _ in range(20)]
+    for _ in range(200):
+        whole = rng.choice(pool)
+        validate_fan(whole)
+        covered = {f for c in whole for f in faces(c) if f != c}
+        dropped = [c for c in whole if c in covered and rng.random() < 0.3]
+        if not dropped:
+            continue
+        fan = Fan(whole.rank, [c for c in whole if c not in dropped])
+        tops = [c for c in fan if c not in covered]
+        del calls[:]
+        with pytest.raises(MissingFaceError) as info:
+            validate_fan(fan)
+        assert len(calls) <= len(tops)
+        cone, missing = _first_missing_face(fan.cones, fan.rank)
+        assert (info.value.cone, info.value.missing.rays) == (cone, missing)
+        assert info.value.missing == cone_from_rays(fan.rank, missing)
+        named.add((info.value.cone.dim, len(missing)))
+    assert len(named) >= 5, named
+    # (P^1)^6 with one wall left out: 64 lattices, for the maximal cones
+    whole = p1_power_fan(6)
+    wall = next(c for c in whole if c.dim == 5)
+    del calls[:]
+    with pytest.raises(MissingFaceError) as info:
+        validate_fan(Fan(6, [c for c in whole if c != wall]))
+    assert len(calls) == 64
+    assert info.value.missing == wall
+    assert info.value.cone == next(c for c in whole if c.dim == 6 and set(wall.rays) < set(c.rays))
 
 
 def test_validation_rejects_overlapping_cones():

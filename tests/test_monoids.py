@@ -263,14 +263,19 @@ def test_integral_closedness_matches_the_parallelepiped_oracle():
 
 def test_integral_closedness_builds_one_cone_in_the_group_coordinates(monkeypatch):
     # the monoid of the coordinates on the group of differences answers
-    # alone: no cone is built in the ambient rank
-    calls = count_calls(monkeypatch, monoids, "cone_from_rays")["cone_from_rays"]
-    assert not is_integrally_closed(AffineMonoid.from_generators(1, [(2,), (3,)]))
-    assert len(calls) == 1
-    del calls[:]
+    # alone: its support takes the pass over its generators and the pass
+    # over their normals, both in the rank of the group, and no pass runs
+    # in the ambient rank
+    passes = count_passes(monkeypatch)
+    m = AffineMonoid.from_generators(1, [(2,), (3,)])
+    assert not is_integrally_closed(m)
+    assert passes == [(1, ((2,), (3,))), (1, ((1,),))]
+    assert "_inequalities" not in vars(m)
+    del passes[:]
     plane = AffineMonoid.from_generators(3, [(1, 0, 1), (1, 2, -3), (2, 1, 0)])
     assert not is_integrally_closed(plane)
-    assert [rank for rank, _ in calls] == [2]
+    assert [rank for rank, _ in passes] == [2, 2]
+    assert "_inequalities" not in vars(plane)
 
 
 def test_the_dual_of_a_ray_inverts_one_matrix(monkeypatch):
@@ -834,6 +839,29 @@ def count_calls(monkeypatch, module, *names):
     return calls
 
 
+def count_passes(monkeypatch):
+    """Log each double description pass as (rank, constraints): an
+    outermost call of _dual_generator_sets, made from cones or from
+    monoids.  The re-run that a pass leaving a lineality makes inside
+    itself belongs to that pass.  Returns the log."""
+    log = []
+    real = cones._dual_generator_sets
+    depth = [0]
+
+    def counted(constraints, n, equations=()):
+        if not depth[0]:
+            log.append((n, tuple(map(tuple, constraints))))
+        depth[0] += 1
+        try:
+            return real(constraints, n, equations)
+        finally:
+            depth[0] -= 1
+
+    for module in (cones, monoids):
+        monkeypatch.setattr(module, "_dual_generator_sets", counted)
+    return log
+
+
 def count_comparisons(monkeypatch):
     """Make monoids._pack return ints that log each subtraction from them:
     _pointed_hilbert compares a candidate with a kept element by one
@@ -988,15 +1016,17 @@ def test_membership_in_embedded_monoids_matches_enumeration():
 
 def test_designated_membership_tests_the_support_once(monkeypatch):
     # a generator is a member with no cone test; every other nonzero query
-    # makes one cone test, the first of them builds the support cone: the
-    # query is read once on each normal of the support, and the search
-    # reuses those values
-    calls = count_calls(monkeypatch, monoids, "cone_from_rays", "dot")
+    # makes one cone test, and the first of them takes the one double
+    # description pass over the generators, which gives the inequality side
+    # of the support and builds no generator side: the query is read once
+    # on each normal of the support, and the search reuses those values
+    passes = count_passes(monkeypatch)
+    calls = count_calls(monkeypatch, monoids, "dot")
     rng = random.Random(6065)
     queries = generators = searched = 0
     for _ in range(20):
         points, unit, n, image, m = random_embedded_monoid(rng)
-        built = len(calls["cone_from_rays"])
+        built = len(passes)
         reached = False
         xs = [random_query(rng, points, n) for _ in range(20)]
         xs += height_one_generators(points, unit)
@@ -1010,13 +1040,14 @@ def test_designated_membership_tests_the_support_once(monkeypatch):
             generator = v in m.generators
             asked = any(x) and not generator
             read = [u for w, u in calls["dot"][before:] if w == v]
-            normals = m._support.normals if asked else ()
+            normals = m._inequalities[1] if asked else ()
             assert sorted(u for u in read if u in normals) == sorted(normals)
             assert asked or read == []
             reached |= asked
             queries += asked
             generators += generator
-        assert len(calls["cone_from_rays"]) == built + reached
+        assert passes[built:] == [(m.ambient_rank, m.generators)] * reached
+        assert "_support" not in vars(m)
         searched += reached
     assert queries >= 300 and generators >= 40 and searched == 20
 
@@ -1027,17 +1058,18 @@ def test_a_searched_query_is_read_once_on_each_normal(monkeypatch):
     # the query reaches the search: one product for each of those three,
     # where the support test and the search each read the normals once
     m = AffineMonoid.from_generators(3, [(1, 0, 0), (1, 2, 0), (1, 3, 0)])
-    assert monoid_contains(m, (3, 5, 0))  # builds the support and the tables
-    support = m._support
-    assert (len(support.normals), len(support.dual_lineality)) == (2, 1)
+    assert monoid_contains(m, (3, 5, 0))  # takes the pass and the tables
+    dual_lineality, normals = m._inequalities
+    assert (len(normals), len(dual_lineality)) == (2, 1)
     calls = [count_calls(monkeypatch, module, "dot")["dot"] for module in (monoids, cones)]
     assert monoid_contains(m, (2, 3, 0))
     products = [u for _, u in calls[0] + calls[1]]
-    assert sorted(products) == sorted(support.normals + support.dual_lineality)
+    assert sorted(products) == sorted(normals + dual_lineality)
 
 
 def test_a_monoid_asked_only_about_its_generators_builds_no_support(monkeypatch):
-    calls = count_calls(monkeypatch, monoids, "cone_from_rays", "contains_point")
+    passes = count_passes(monkeypatch)
+    calls = count_calls(monkeypatch, monoids, "contains_point")
     rng = random.Random(6066)
     for _ in range(40):
         _, _, _, _, m = random_embedded_monoid(rng)
@@ -1045,7 +1077,7 @@ def test_a_monoid_asked_only_about_its_generators_builds_no_support(monkeypatch)
             assert monoid_contains(m, g)
             assert monoid_contains(m, list(g))
         assert list(vars(m)) == list(m._fields)
-    assert calls == {"cone_from_rays": [], "contains_point": []}
+    assert passes == [] and calls == {"contains_point": []}
 
 
 def test_the_solved_last_coefficient_matches_enumeration():
@@ -1285,13 +1317,7 @@ def test_the_packed_search_makes_one_subtraction_per_node(monkeypatch):
 
 
 def test_membership_data_is_computed_once_per_monoid(monkeypatch):
-    calls = []
-
-    def counted(n, gens):
-        calls.append(n)
-        return cone_from_rays(n, gens)
-
-    monkeypatch.setattr(monoids, "cone_from_rays", counted)
+    passes = count_passes(monkeypatch)
     points, unit = [(0, 0), (2, 0), (0, 3)], (1, 1)
     m = AffineMonoid.from_generators(
         3, [(1, 0, 0), (1, 2, 0), (1, 0, 3), (0, 1, 1), (0, -1, -1)]
@@ -1300,36 +1326,26 @@ def test_membership_data_is_computed_once_per_monoid(monkeypatch):
     for _ in range(50):
         v = random_query(rng, points, 3)
         assert monoid_contains(m, v) == height_one_member(points, unit, v)
-    # the support cone only: its normals decide, with no quotient cone
-    assert calls == [3]
+    # one pass over the generators: the normals of the support decide, with
+    # no generator side and no quotient cone
+    assert passes == [(3, m.generators)]
+    assert "_support" not in vars(m)
 
 
 def test_a_pointed_support_is_its_own_quotient(monkeypatch):
-    calls = []
-
-    def counted(n, gens):
-        calls.append(n)
-        return cone_from_rays(n, gens)
-
-    monkeypatch.setattr(monoids, "cone_from_rays", counted)
+    passes = count_passes(monkeypatch)
     points = [(0, 0), (2, 0), (0, 3), (1, 1)]
     m = AffineMonoid.from_generators(3, [(1,) + p for p in points])
     rng = random.Random(6063)
     for _ in range(50):
         v = random_query(rng, points, 3)
         assert monoid_contains(m, v) == height_one_member(points, None, v)
-    # the support cone only
-    assert calls == [3]
+    # the pass over the generators only
+    assert passes == [(3, m.generators)]
 
 
 def test_a_group_needs_no_quotient_cone(monkeypatch):
-    calls = []
-
-    def counted(n, gens):
-        calls.append(n)
-        return cone_from_rays(n, gens)
-
-    monkeypatch.setattr(monoids, "cone_from_rays", counted)
+    passes = count_passes(monkeypatch)
     # the lattice of (2, 0, 0) and (1, 3, 0): its support is a plane, no rays
     m = AffineMonoid.from_generators(
         3, [(2, 0, 0), (-2, 0, 0), (1, 3, 0), (-1, -3, 0)]
@@ -1337,26 +1353,27 @@ def test_a_group_needs_no_quotient_cone(monkeypatch):
     for v in itertools.product(range(-4, 5), range(-4, 5), range(-1, 2)):
         expected = v[2] == 0 and v[1] % 3 == 0 and (v[0] - v[1] // 3) % 2 == 0
         assert monoid_contains(m, v) == expected
-    # the support cone only
-    assert calls == [3]
+    # the pass over the generators only
+    assert passes == [(3, m.generators)]
 
 
 def test_hilbert_basis_and_membership_share_one_quotient(monkeypatch):
-    calls = []
-
-    def counted(n, gens):
-        calls.append(n)
-        return cone_from_rays(n, gens)
-
-    monkeypatch.setattr(monoids, "cone_from_rays", counted)
+    passes = count_passes(monkeypatch)
     m = AffineMonoid.from_generators(
         3, [(1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
     )
-    assert hilbert_basis(m) == ((1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1))
     for v in itertools.product(range(-2, 3), repeat=3):
         assert monoid_contains(m, v) == (v[0] >= v[1] >= 0)
-    # the support cone, then the quotient by its lineality, once
-    assert calls == [3, 2]
+    # membership takes the one pass over the generators
+    assert passes == [(3, m.generators)]
+    assert "_support" not in vars(m)
+    assert hilbert_basis(m) == ((1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1))
+    # the Hilbert basis adds the second pass, over the normals, and the
+    # quotient by the lineality of the support, on two independent images
+    assert passes[1:] == [(3, m._inequalities[1]), (2, ((0, 1), (1, 1)))]
+    for v in itertools.product(range(-2, 3), repeat=3):
+        assert monoid_contains(m, v) == (v[0] >= v[1] >= 0)
+    assert len(passes) == 3
 
 
 def test_integral_closedness_is_decided_once_per_monoid(monkeypatch):
@@ -1384,12 +1401,45 @@ def test_membership_cache_leaves_equality_hash_and_repr_alone():
     assert monoid_contains(m, (2, 5))
     assert not monoid_contains(m, (-1, 0))
     assert is_integrally_closed(m)
-    assert {"_support", "_membership", "_closed"} <= vars(m).keys()
+    assert {"_inequalities", "_membership", "_closed"} <= vars(m).keys()
+    assert "_support" not in vars(m)
+    assert hilbert_basis(m) == ((1, 0), (0, 1), (0, -1))
+    assert "_support" in vars(m)
     fresh = AffineMonoid.from_generators(2, gens)
     assert m == fresh
     assert hash(m) == hash(fresh)
     assert repr(m) == repr(fresh) == before
-    assert not any(name in before for name in ("_support", "_membership", "_closed"))
+    derived = ("_inequalities", "_support", "_membership", "_closed")
+    assert not any(name in before for name in derived)
+
+
+def _cone_fields(c):
+    return c.ambient_rank, c.rays, c.lineality, c.normals, c.dual_lineality
+
+
+def test_a_support_built_on_its_inequality_side_is_the_generated_cone(monkeypatch):
+    # the support of a designated monoid, built after its inequality side,
+    # equals cone_from_rays on its generators in all four fields, and
+    # takes one more pass, over the normals, unless it is simplicial
+    passes = count_passes(monkeypatch)
+    rng = random.Random(6071)
+    kinds = collections.Counter()
+    while min(kinds[k] for k in ("simplicial", "general", "lineality")) < 40:
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, n + 3))]
+        if rng.random() < 0.3:
+            gens.append(tuple(-x for x in gens[0]))
+        m = AffineMonoid.from_generators(n, gens)
+        dual_lineality, normals = m._inequalities
+        del passes[:]
+        support = m._support
+        simplicial = len(m.generators) == support.dim
+        assert passes == ([] if simplicial else [(n, normals)])
+        assert _cone_fields(support) == _cone_fields(cone_from_rays(n, m.generators)), gens
+        assert support.normals is normals and support.dual_lineality is dual_lineality
+        kinds["simplicial" if simplicial else
+              "lineality" if support.lineality else "general"] += 1
 
 
 def test_pointed_hilbert_of_a_wedge_is_its_walk(monkeypatch):

@@ -54,7 +54,9 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   generators and on those sums with noise, is_integrally_closed,
   hilbert_basis (its value or its ValueError) and
   check_openly_immersive_pair on m + NN*(-g) and m for a generator g, and
-  on m + NN*h and m for a noisy sum h; then RANK_FOUR designated monoids
+  on m + NN*h and m for a noisy sum h, then, with the default search bound
+  and with bound 1, on m + NN*(-g) and m for every generator g and for the
+  sum g of all of them (verdict, witness and reason); then RANK_FOUR designated monoids
   of rank 4 on 3-5 generators with entries -9..9, the first of them the
   monoid of (-2,-4,4,0), (1,9,-8,0), (2,-7,5,0), (4,2,-3,0) whose 20
   queries once took 16.7 s: monoid_contains on sums of the generators with
@@ -63,6 +65,13 @@ and fanscheme_work.  Then it runs one seeded corpus through both:
   At --seed 1 a REV from before the packed membership search adds about
   13 s for them on a 2-core Xeon; the 399th monoid of that seed would add
   minutes, as the search has no work bound, so another seed may too;
+- the algebras of ALGEBRAS seeded designated monoids of that kind over
+  the integers, the rationals and the integers mod 6: two elements from
+  seeded terms on sums of the generators, some exponents repeated, and
+  their product, square, sum and difference, base_change into each of the
+  three rings and into the integers mod 3 (its value or its ValueError),
+  augmentation, and localization_image along m + NN*(-g) for a generator
+  g, each coefficient compared with its type;
 - the Hilbert bases of each pointed cone of the cone corpus of rank at
   most HILBERT_RANK, and of the plane cones of plane_corpus (the
   benchmark's wedges (1,0),(1,k), k = 20-600, their duals, and seeded
@@ -100,6 +109,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 HILBERT_RANK = 4
 HILBERT_POINTS = 20000
 MONOIDS = 600
+ALGEBRAS = 300
 RANK_FOUR = 350
 FOUND_RANK_FOUR = [(-2, -4, 4, 0), (1, 9, -8, 0), (2, -7, 5, 0), (4, 2, -3, 0)]
 INDEPENDENT = 600
@@ -110,7 +120,7 @@ PLANE_CONES = 300
 
 def load_tree(src, name):
     """Import the package under src/fanscheme as `name`; return its cones,
-    cli, fans, scheme, monoids and lattice modules."""
+    cli, fans, scheme, monoids, lattice and monoid_algebra modules."""
     pkg = pathlib.Path(src) / "fanscheme"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
@@ -118,7 +128,8 @@ def load_tree(src, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return [importlib.import_module(name + "." + m)
-            for m in ("cones", "cli", "fans", "scheme", "monoids", "lattice")]
+            for m in ("cones", "cli", "fans", "scheme", "monoids", "lattice",
+                      "monoid_algebra")]
 
 
 def outcome(fn, *args):
@@ -457,11 +468,58 @@ def membership_answers(monoids, rng, count):
                 target = monoids.AffineMonoid.from_generators(n, m.generators + (g,))
                 c = monoids.check_openly_immersive_pair(target, m)
                 out.append(("immersion", n, gens, g, c.verdict, c.witness, c.reason))
+            # inverting each generator and the sum of all of them, with no
+            # draw, so the rest of the corpus stays the same
+            total = tuple(map(sum, zip(*m.generators)))
+            for g in m.generators + (total,):
+                target = monoids.AffineMonoid.from_generators(
+                    n, m.generators + (tuple(-x for x in g),))
+                for bound in (6, 1):
+                    c = monoids.check_openly_immersive_pair(target, m, bound)
+                    out.append(("immersion", n, gens, g, c.verdict, c.witness, c.reason))
     for i in range(RANK_FOUR):
         gens = FOUND_RANK_FOUR if i == 0 else [vec(rng, 4, 9) for _ in range(rng.randint(3, 5))]
         m = monoids.AffineMonoid.from_generators(4, gens)
         out.append(("rank four", gens, [(v, monoids.monoid_contains(m, v))
                                         for v in sums_with_noise(rng, 4, m.generators, 4)]))
+    return out
+
+
+def algebra_answers(algebra, monoids, rng, count):
+    """The algebra operations of the docstring on `count` seeded designated
+    monoids (random_monoid), each coefficient with its type name."""
+    rings = [algebra.CoeffRing.integers(), algebra.CoeffRing.rationals(),
+             algebra.CoeffRing.integers_mod(6)]
+    targets = rings + [algebra.CoeffRing.integers_mod(3)]
+
+    def typed(x):
+        return [(e, type(c).__name__, c) for e, c in x.terms]
+
+    def changed(a, target):
+        return typed(algebra.base_change(a, target))
+
+    out = []
+    for _ in range(count):
+        n, gens, _ = random_monoid(rng)
+        m = monoids.AffineMonoid.from_generators(n, gens)
+        exponents = sums_with_noise(rng, n, m.generators, 2)[::2] + [(0,) * n]
+        for ring in rings:
+            def coefficient():
+                c = rng.randint(-5, 5)
+                return Fraction(c, rng.randint(1, 3)) if ring.kind == "rationals" else c
+
+            a, b = (algebra.AlgebraElement.from_terms(
+                ring, m, [(rng.choice(exponents), coefficient()) for _ in range(5)])
+                for _ in range(2))
+            row = [typed(x) for x in (a, b, a * b, a * a, a + b, a - b)]
+            row += [outcome(changed, a, t) for t in targets]
+            total = algebra.augmentation(a)
+            row.append((type(total).__name__, total))
+            if m.generators:
+                ext = monoids.monoid_of_differences(m, [rng.choice(m.generators)])
+                image = algebra.localization_image(a, ext)
+                row.append((image.monoid.generators, typed(image)))
+            out.append(("algebra", n, gens, ring.kind, row))
     return out
 
 
@@ -565,18 +623,20 @@ def main():
                   + independent_corpus(random.Random(args.seed), INDEPENDENT)
                   + wide_corpus(random.Random(args.seed), WIDE))
         answers = []
-        for cones, cli, fans, scheme, monoids, lattice in trees:
+        for cones, cli, fans, scheme, monoids, lattice, algebra in trees:
             answers.append(cone_answers(cones, lattice, corpus)
                            + cli_answers(cli, runs)
                            + system_answers(cli, fans, scheme, monoids, paths,
                                             random.Random(args.seed))
                            + membership_answers(monoids, random.Random(args.seed),
-                                                MONOIDS))
+                                                MONOIDS)
+                           + algebra_answers(algebra, monoids, random.Random(args.seed),
+                                             ALGEBRAS))
         pointed = [(a[1], a[2]) for a in answers[0] if a[0] == "cone"
                    and a[3] == "ok" and not a[4][2] and a[1] <= HILBERT_RANK]
         planes = plane_corpus(random.Random(args.seed), PLANE_CONES)
         pointed += planes
-        (rev_cones, *_, rev_monoids, _), (cones, *_, monoids, _) = trees
+        (rev_cones, *_, rev_monoids, _, _), (cones, *_, monoids, _, _) = trees
         limit_listing(rev_monoids)
         hilbert = hilbert_answers(rev_cones, rev_monoids, pointed)
         skip = {i for i, a in enumerate(hilbert) if a[0] == "skipped"}
@@ -640,6 +700,13 @@ def main():
              sum(q[2] for q in queries), len(verdicts),
              *(verdicts.count(k) for k in ("yes", "no", "unknown")),
              RANK_FOUR, len(rank_four), sum(q[1] for q in rank_four)))
+    algebras = [a for a in new if a[0] == "algebra"]
+    print("monoid algebras %d over 3 rings: %d products with %d terms, %d base "
+          "changes refused, %d localization images"
+          % (len(algebras), 2 * len(algebras),
+             sum(len(a[4][2]) + len(a[4][3]) for a in algebras),
+             sum(c[0] != "ok" for a in algebras for c in a[4][6:10]),
+             sum(len(a[4]) == 12 for a in algebras)))
     print("hilbert bases of %d pointed cones (%d of them plane cones with %d walk "
           "points), %d skipped (over %d points at %s)"
           % (len(pointed) - len(skip), len(planes),
